@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -229,13 +228,6 @@ class GaugeField:
             t0, t1 = self.support
             out[(t_arr <= t0) | (t_arr >= t1)] = 0.0
         return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
-
-    @classmethod
-    def from_function(cls, fn: Callable[[float], np.ndarray], times: Sequence[float],
-                      support: tuple[float, float] | None = None) -> "GaugeField":
-        times = np.asarray(times, dtype=float)
-        values = np.stack([np.asarray(fn(t), dtype=float) for t in times])
-        return cls(times, values, support)
 
     @classmethod
     def boost(cls, v: np.ndarray, t0: float, t1: float, n: int = 2) -> "GaugeField":

@@ -111,11 +111,6 @@ class DiscretePath:
         x[-1] = p1.x
         return cls.from_nodes(t, x)
 
-    @classmethod
-    def from_callable(cls, fn, t0: float, t1: float, M: int) -> "DiscretePath":
-        t = np.linspace(t0, t1, M + 1)
-        return cls.from_nodes(t, np.stack([np.atleast_1d(fn(tk)) for tk in t]))
-
 
 def shift_path_nodes(path: DiscretePath, values: np.ndarray) -> DiscretePath:
     """New path with node positions shifted by the given (M+1, dim) samples."""

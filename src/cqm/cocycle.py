@@ -66,14 +66,6 @@ class LagrangianModel:
                         "potential marked translation-invariant fails probe check"
                     )
 
-    @property
-    def kind(self) -> str:
-        return "free" if self.potential is None else "free+potential"
-
-    @classmethod
-    def free(cls, params: ModelParams) -> "LagrangianModel":
-        return cls(params)
-
     def potential_values(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate V on an array of configurations, shape (..., dim)."""
         xs = np.asarray(xs, dtype=float)

@@ -25,7 +25,6 @@ from .classical import (DiscretePath, action, shift_path_nodes,
 from .cocycle import LagrangianModel, path_cocycle
 
 __all__ = [
-    "DressingChoice",
     "RelationalConfig",
     "FrameShift",
     "dress_config",
@@ -39,25 +38,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DressingChoice:
-    """Anchor-particle selection (0-based index)."""
-
-    anchor_particle: int
-
-    def validate(self, params: ModelParams) -> int:
-        i = self.anchor_particle
-        if not 0 <= i < params.n_particles:
-            raise IndexError(f"anchor particle {i} out of range")
-        return i
-
-
 def _anchor_index(anchor, params: ModelParams) -> int:
-    if isinstance(anchor, DressingChoice):
-        return anchor.validate(params)
     i = int(anchor)
-    DressingChoice(i).validate(params)
+    if not 0 <= i < params.n_particles:
+        raise IndexError(f"anchor particle {i} out of range")
     return i
+
+
+def _internal_part(params: ModelParams, values: np.ndarray, i: int) -> np.ndarray:
+    """Subtract block i from every block of (n, dim) node samples."""
+    vb = values.reshape(values.shape[0], params.n_particles, params.spatial_dim)
+    return (vb - vb[:, i:i + 1, :]).reshape(values.shape)
 
 
 @dataclass(frozen=True)
@@ -83,9 +74,6 @@ class FrameShift:
 
     times: np.ndarray
     values: np.ndarray
-    i: int
-    j: int
-    identity: bool = False
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float)
@@ -107,9 +95,7 @@ def dress_config(params: ModelParams, p: Config, anchor) -> RelationalConfig:
 def dress_path(params: ModelParams, path: DiscretePath, anchor) -> DiscretePath:
     """Nodewise dressing; the result is flagged relational with its anchor."""
     i = _anchor_index(anchor, params)
-    xb = path.x.reshape(path.t.size, params.n_particles, params.spatial_dim)
-    xbar = (xb - xb[:, i:i + 1, :]).reshape(path.x.shape)
-    return replace(path, x=xbar, anchor=i)
+    return replace(path, x=_internal_part(params, path.x, i), anchor=i)
 
 
 def dressing_field_along(params: ModelParams, path: DiscretePath, anchor) -> np.ndarray:
@@ -125,7 +111,7 @@ def frame_shift(params: ModelParams, path: DiscretePath, i, j) -> FrameShift:
     j = _anchor_index(j, params)
     xb = path.x.reshape(path.t.size, params.n_particles, params.spatial_dim)
     z = np.tile(xb[:, i, :] - xb[:, j, :], (1, params.n_particles))
-    return FrameShift(path.t, z, i, j, identity=(i == j))
+    return FrameShift(path.t, z)
 
 
 def dressed_action(model: LagrangianModel, path: DiscretePath, anchor,
@@ -156,16 +142,8 @@ def residual_first_kind(params: ModelParams, rel_path: DiscretePath,
     """
     if rel_path.anchor is None:
         raise ValueError("residual_first_kind expects a relational path")
-    i = rel_path.anchor
-    Y = G.value_at(rel_path.t)
-    Yb = Y.reshape(rel_path.t.size, params.n_particles, params.spatial_dim)
-    Ybar = (Yb - Yb[:, i:i + 1, :]).reshape(Y.shape)
-    return shift_path_nodes(rel_path, Ybar)
-
-
-def _internal_part(params: ModelParams, values: np.ndarray, i: int) -> np.ndarray:
-    vb = values.reshape(values.shape[0], params.n_particles, params.spatial_dim)
-    return (vb - vb[:, i:i + 1, :]).reshape(values.shape)
+    return shift_path_nodes(
+        rel_path, _internal_part(params, G.value_at(rel_path.t), rel_path.anchor))
 
 
 def identity_suite(model: LagrangianModel, path: DiscretePath, i, j,

@@ -18,7 +18,8 @@ import numpy as np
 
 from .classical import HPFSample
 from .cocycle import LagrangianModel
-from .qgrid import GridSpec, WaveGrid, _MAGIC, _VERSION
+from .qgrid import (GridSpec, WaveGrid, _read_amplitudes, _read_grid_block,
+                    _read_header, _unpack, _write_grid_block, _write_header)
 
 __all__ = [
     "SliceScheme",
@@ -90,17 +91,17 @@ def free_kernel_exact(grid: GridSpec, T: float, mass: float, hbar: float) -> np.
     return pref * np.exp(1j * mass * dx ** 2 / (2 * hbar * T))
 
 
-def _smoothstep5(s: np.ndarray) -> np.ndarray:
-    s = np.clip(s, 0.0, 1.0)
-    return 1.0 - s ** 3 * (6 * s ** 2 - 15 * s + 10)
+def _quadrature_weight(grid: GridSpec) -> np.ndarray:
+    """Tapered quadrature weights of an intermediate integration, shape (n, 1).
 
-
-def _edge_taper(x: np.ndarray, lo: float, hi: float,
-                start_frac: float = 0.80, end_frac: float = 0.985) -> np.ndarray:
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    r = np.abs(x - center) / half
-    return _smoothstep5((r - start_frac) / (end_frac - start_frac))
+    Cell width times a quintic smoothstep that falls from 1 at 80% of the
+    half-box to 0 at 98.5%.
+    """
+    lo, hi, _ = grid.axes[0]
+    r = np.abs(grid.coords(0) - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
+    s = np.clip((r - 0.80) / (0.985 - 0.80), 0.0, 1.0)
+    taper = 1.0 - s ** 3 * (6 * s ** 2 - 15 * s + 10)
+    return (taper * grid.spacing(0))[:, None]
 
 
 def _alias_safe_oversampling(n_out: int, box: float, dt: float, mass: float,
@@ -144,14 +145,11 @@ def sliced_propagator(model: LagrangianModel, scheme: SliceScheme,
 
     n_int = _alias_safe_oversampling(n_out, hi - lo, dt, mass, hbar)
     fine = GridSpec(((lo, hi, n_int),))
-    x = fine.coords(0)
-    h = fine.spacing(0)
     stride = n_int // n_out
 
     K1 = free_kernel_exact(fine, dt, mass, hbar)
-    w = _edge_taper(x, lo, hi)
     cols = K1[:, ::stride].copy()
-    weight = (w * h)[:, None]
+    weight = _quadrature_weight(fine)
     for _ in range(M - 1):
         cols = K1 @ (weight * cols)
     K = cols[::stride, :]
@@ -182,11 +180,7 @@ def compose_kernels(later: PropagatorKernel, earlier: PropagatorKernel) -> Propa
         raise ValueError("kernels must share the grid")
     if abs(later.t0 - earlier.t1) > 1e-12:
         raise ValueError("kernels are not contiguous in time")
-    lo, hi, _ = later.grid.axes[0]
-    x = later.grid.coords(0)
-    w = _edge_taper(x, lo, hi)
-    h = later.grid.spacing(0)
-    K = later.matrix @ ((w * h)[:, None] * earlier.matrix)
+    K = later.matrix @ (_quadrature_weight(later.grid) * earlier.matrix)
     return PropagatorKernel(K, later.grid, earlier.t0, later.t1, later.mass,
                             later.hbar, later.frame, later.anchor)
 
@@ -236,43 +230,25 @@ def propagate_wavefunction(kernel: PropagatorKernel, psi0: WaveGrid) -> WaveGrid
 
 
 def write_kernel(fname, kernel: PropagatorKernel) -> None:
-    """Binary layout: wave-style header for the output grid, then the input
-    grid block and t0, then the row-major complex matrix."""
+    """Binary layout: wave-style header for the output grid and t1, the input
+    grid block and t0, f64 mass and hbar, then the row-major complex matrix."""
     with open(fname, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, kernel.grid.ndim))
-        for lo, hi, n in kernel.grid.axes:
-            fh.write(struct.pack("<ddI", lo, hi, n))
-        fh.write(struct.pack("<d", kernel.t1))
-        fh.write(struct.pack("<I", kernel.grid.ndim))
-        for lo, hi, n in kernel.grid.axes:
-            fh.write(struct.pack("<ddI", lo, hi, n))
-        fh.write(struct.pack("<d", kernel.t0))
+        _write_header(fh, kernel.grid, kernel.t1)
+        _write_grid_block(fh, kernel.grid, kernel.t0)
         fh.write(struct.pack("<dd", kernel.mass, kernel.hbar))
         fh.write(np.ascontiguousarray(kernel.matrix).astype("<c16").tobytes())
 
 
 def read_kernel(fname) -> PropagatorKernel:
     with open(fname, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("not a kernel file")
-        version, ndim = struct.unpack("<II", fh.read(8))
-        if version != _VERSION:
-            raise ValueError(f"unsupported kernel version {version}")
-        axes = []
-        for _ in range(ndim):
-            lo, hi, n = struct.unpack("<ddI", fh.read(20))
-            axes.append((lo, hi, n))
-        (t1,) = struct.unpack("<d", fh.read(8))
-        (ndim2,) = struct.unpack("<I", fh.read(4))
-        for _ in range(ndim2):
-            fh.read(20)
-        (t0,) = struct.unpack("<d", fh.read(8))
-        mass, hbar = struct.unpack("<dd", fh.read(16))
-        grid = GridSpec(tuple(axes))
+        grid, t1 = _read_header(fh)
+        grid_in, t0 = _read_grid_block(fh)
+        if grid_in != grid:
+            raise ValueError("kernel input grid does not match its output grid")
+        mass, hbar = _unpack(fh, "<dd")
         n = grid.shape[0]
-        mat = np.frombuffer(fh.read(16 * n * n), dtype="<c16").reshape(n, n)
-        return PropagatorKernel(mat.copy(), grid, t0, t1, mass, hbar)
+        return PropagatorKernel(_read_amplitudes(fh, (n, n)), grid, t0, t1,
+                                mass, hbar)
 
 
 def kernel_slices_csv(fname, kernel: PropagatorKernel) -> None:

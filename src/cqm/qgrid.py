@@ -162,14 +162,6 @@ def _kinetic_phase(spec: GridSpec, H: HamiltonianSpec, dt: float) -> np.ndarray:
     return np.exp(-1j * kin * dt / H.hbar)
 
 
-def _kinetic_energy_max(spec: GridSpec, H: HamiltonianSpec) -> float:
-    e = 0.0
-    for a in range(spec.ndim):
-        kmax = np.pi / spec.spacing(a)
-        e += (H.hbar * kmax) ** 2 / (2 * H.masses[a])
-    return e
-
-
 def evolve(psi: WaveGrid, H: HamiltonianSpec, dt: float, steps: int) -> WaveGrid:
     """Strang-split spectral propagation over ``steps`` steps of size dt."""
     spec = psi.spec
@@ -177,11 +169,15 @@ def evolve(psi: WaveGrid, H: HamiltonianSpec, dt: float, steps: int) -> WaveGrid
         raise ValueError("propagation supports at most 3 grid axes")
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
     if len(H.masses) != spec.ndim:
         raise ValueError("one mass per grid axis required")
     if H.frame != psi.frame or H.anchor != psi.anchor:
         raise ValueError("Hamiltonian frame does not match the state")
-    if dt * _kinetic_energy_max(spec, H) / H.hbar >= np.pi:
+    e_max = sum((H.hbar * (np.pi / spec.spacing(a))) ** 2 / (2 * H.masses[a])
+                for a in range(spec.ndim))
+    if dt * e_max / H.hbar >= np.pi:
         raise ValueError("dt too large for the spectral kinetic phase bound")
     expK = _kinetic_phase(spec, H, dt)
     amp = psi.amplitudes
@@ -216,9 +212,30 @@ def commutator_expectation(psi: WaveGrid, hbar: float = 1.0, axis: int = 0) -> c
     return psi.inner(replace(psi, amplitudes=x_p.amplitudes - p_x.amplitudes))
 
 
-def _central_diff(amp: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
-    # non-wrapping interior central difference, one-sided at the edges
-    return np.gradient(amp, h, axis=axis)
+def _covariant_derivatives(psi_series: list[WaveGrid], hpf: HPFSample,
+                           hbar: float) -> tuple[WaveGrid, np.ndarray, np.ndarray]:
+    """Middle slice psi of a one-axis series with (d_x - (i/hbar) dS/dx) psi
+    and (d_t - (i/hbar) dS/dt) psi.
+
+    d_x is the non-wrapping central difference (one-sided at the two edge
+    points), d_t the central difference across the neighbouring slices.
+    """
+    if len(psi_series) < 3:
+        raise ValueError("need at least 3 time slices")
+    mid = len(psi_series) // 2
+    psi = psi_series[mid]
+    if psi.spec.ndim != 1:
+        raise ValueError("covariant derivatives are defined on one-axis grids")
+    x = psi.spec.coords(0)
+    spline = hpf.spline()
+    amp = psi.amplitudes
+    before, after = psi_series[mid - 1], psi_series[mid + 1]
+    dpsi_dx = np.gradient(amp, psi.spec.spacing(0))
+    dpsi_dt = (after.amplitudes - before.amplitudes) / (after.t - before.t)
+    S_x = spline(psi.t, x, dx=0, dy=1)[0]
+    S_t = spline(psi.t, x, dx=1, dy=0)[0]
+    return (psi, dpsi_dx - 1j / hbar * S_x * amp,
+            dpsi_dt - 1j / hbar * S_t * amp)
 
 
 def covariant_derivative_residual(psi_series: list[WaveGrid], hpf: HPFSample,
@@ -234,30 +251,13 @@ def covariant_derivative_residual(psi_series: list[WaveGrid], hpf: HPFSample,
     evaluated at the middle slice of the series (one spatial axis).  The two
     boundary points carry one-sided stencils and are excluded from the norms.
     """
-    if len(psi_series) < 3:
-        raise ValueError("need at least 3 time slices")
-    mid = len(psi_series) // 2
-    psi = psi_series[mid]
-    if psi.spec.ndim != 1:
-        raise ValueError("residuals are defined on one-axis grids")
+    psi, dx_psi, dt_psi = _covariant_derivatives(psi_series, hpf, hbar)
     x = psi.spec.coords(0)
     if x[0] < hpf.x_grid[0] or x[-1] > hpf.x_grid[-1]:
         raise ValueError("principal-function table does not cover the grid")
-    spline = hpf.spline()
-    h = psi.spec.spacing(0)
-    amp = psi.amplitudes
-
-    dpsi_dx = _central_diff(amp, h)
-    S_x = spline(psi.t, x, dx=0, dy=1)[0]
-    rx = (dpsi_dx - 1j / hbar * S_x * amp)[1:-1]
-
-    dt_s = psi_series[mid + 1].t - psi_series[mid - 1].t
-    dpsi_dt = (psi_series[mid + 1].amplitudes - psi_series[mid - 1].amplitudes) / dt_s
-    S_t = spline(psi.t, x, dx=1, dy=0)[0]
-    rt = (dpsi_dt - 1j / hbar * S_t * amp)[1:-1]
-
-    nrm = np.linalg.norm(amp[1:-1])
-    return (float(np.linalg.norm(rx) / nrm), float(np.linalg.norm(rt) / nrm))
+    nrm = np.linalg.norm(psi.amplitudes[1:-1])
+    return (float(np.linalg.norm(dx_psi[1:-1]) / nrm),
+            float(np.linalg.norm(dt_psi[1:-1]) / nrm))
 
 
 def _periodic_resample(spec: GridSpec, values: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -279,31 +279,33 @@ def boost_covariance_check(psi0: WaveGrid, vboost: float, T: float,
 
     Free dynamics, one axis.  Route A evolves and then applies the boost
     transform (resample at x - vT, multiply by the boundary-term phase);
-    route B boosts the initial state and evolves.  The resampling is a
-    periodic cubic spline, so the discrepancy decreases as h^4.
+    route B boosts the initial state and evolves.  Free evolution over T is
+    the single exact spectral phase exp(-i E_k T / hbar).  The resampling is
+    a periodic cubic spline, so the discrepancy decreases as h^4.
     """
     if psi0.spec.ndim != 1:
         raise ValueError("boost check is defined on one-axis grids")
     if H.potential is not None:
         raise ValueError("boost covariance holds for the free Hamiltonian")
+    if len(H.masses) != 1 or (H.frame, H.anchor) != (psi0.frame, psi0.anchor):
+        raise ValueError("Hamiltonian does not match the state")
+    if not T > 0:
+        raise ValueError("T must be positive")
     lo, hi, _ = psi0.spec.axes[0]
     if abs(vboost * T) >= 0.5 * (hi - lo):
         raise ValueError("boost displacement exceeds half the box")
     m = H.masses[0]
     hbar = H.hbar
-    steps = max(1, int(np.ceil(T * _kinetic_energy_max(psi0.spec, H)
-                               / (0.5 * np.pi * hbar))))
-    dt = T / steps
+    expK = _kinetic_phase(psi0.spec, H, T)
     x = psi0.spec.coords(0)
 
-    psi_T = evolve(psi0, H, dt, steps)
-    shifted = _periodic_resample(psi0.spec, psi_T.amplitudes, x - vboost * T)
+    psi_T = np.fft.ifftn(expK * np.fft.fftn(psi0.amplitudes))
+    shifted = _periodic_resample(psi0.spec, psi_T, x - vboost * T)
     phase = np.exp(1j * m * (vboost * x - 0.5 * vboost ** 2 * T) / hbar)
     route_a = phase * shifted
 
-    boosted0 = replace(psi0, amplitudes=np.exp(1j * m * vboost * x / hbar)
-                       * psi0.amplitudes)
-    route_b = evolve(boosted0, H, dt, steps).amplitudes
+    boosted0 = np.exp(1j * m * vboost * x / hbar) * psi0.amplitudes
+    route_b = np.fft.ifftn(expK * np.fft.fftn(boosted0))
 
     return float(np.linalg.norm(route_a - route_b) / np.linalg.norm(route_b))
 
@@ -401,57 +403,74 @@ def meta_action(psi_series: list[WaveGrid], hpf: HPFSample, direction,
     xi_t, xi_x = float(direction[0]), float(direction[1])
     if xi_t == 0.0:
         raise ValueError("direction must not be vertical (zero time component)")
-    if len(psi_series) < 3:
-        raise ValueError("need at least 3 time slices")
-    mid = len(psi_series) // 2
-    psi = psi_series[mid]
-    if psi.spec.ndim != 1:
-        raise ValueError("meta action is defined on one-axis grids")
-    x = psi.spec.coords(0)
-    spline = hpf.spline()
-    h = psi.spec.spacing(0)
-    amp = psi.amplitudes
-
-    S_x = spline(psi.t, x, dx=0, dy=1)[0]
-    S_t = spline(psi.t, x, dx=1, dy=0)[0]
-    dpsi_dx = _central_diff(amp, h)
-    dt_s = psi_series[mid + 1].t - psi_series[mid - 1].t
-    dpsi_dt = (psi_series[mid + 1].amplitudes - psi_series[mid - 1].amplitudes) / dt_s
-
-    d_contracted = (xi_t * (dpsi_dt - 1j / hbar * S_t * amp)
-                    + xi_x * (dpsi_dx - 1j / hbar * S_x * amp))
+    psi, dx_psi, dt_psi = _covariant_derivatives(psi_series, hpf, hbar)
+    d_contracted = xi_t * dt_psi + xi_x * dx_psi
     # interior quadrature: the edge stencils are one-sided
-    return complex(np.vdot(amp[1:-1], d_contracted[1:-1])
+    return complex(np.vdot(psi.amplitudes[1:-1], d_contracted[1:-1])
                    * psi.spec.cell_volume)
 
 
+# Binary layout shared by .cqmw and .cqmk (little-endian): "CQMW", u32
+# version, then a grid block {u32 ndim, per axis (f64 lo, f64 hi, u32 n),
+# f64 t}; a kernel file adds a second grid block and its own fields.
+
+def _write_grid_block(fh, spec: GridSpec, t: float) -> None:
+    fh.write(struct.pack("<I", spec.ndim))
+    for lo, hi, n in spec.axes:
+        fh.write(struct.pack("<ddI", lo, hi, n))
+    fh.write(struct.pack("<d", t))
+
+
+def _write_header(fh, spec: GridSpec, t: float) -> None:
+    fh.write(_MAGIC)
+    fh.write(struct.pack("<I", _VERSION))
+    _write_grid_block(fh, spec, t)
+
+
+def _read_exact(fh, size: int) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(f"truncated file: expected {size} bytes at offset "
+                         f"{fh.tell() - len(data)}, got {len(data)}")
+    return data
+
+
+def _unpack(fh, fmt: str) -> tuple:
+    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt)))
+
+
+def _read_grid_block(fh) -> tuple[GridSpec, float]:
+    (ndim,) = _unpack(fh, "<I")
+    axes = tuple(_unpack(fh, "<ddI") for _ in range(ndim))
+    (t,) = _unpack(fh, "<d")
+    return GridSpec(axes), t
+
+
+def _read_header(fh) -> tuple[GridSpec, float]:
+    if fh.read(4) != _MAGIC:
+        raise ValueError("not a cqm binary file")
+    (version,) = _unpack(fh, "<I")
+    if version != _VERSION:
+        raise ValueError(f"unsupported format version {version}")
+    return _read_grid_block(fh)
+
+
+def _read_amplitudes(fh, shape: tuple[int, ...]) -> np.ndarray:
+    data = _read_exact(fh, 16 * int(np.prod(shape)))
+    return np.frombuffer(data, dtype="<c16").reshape(shape).copy()
+
+
 def write_wavegrid(fname, psi: WaveGrid) -> None:
-    """Binary snapshot: magic, version, axes, time, interleaved re/im f64."""
+    """Binary snapshot: header, then interleaved re/im f64 amplitudes."""
     with open(fname, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, psi.spec.ndim))
-        for lo, hi, n in psi.spec.axes:
-            fh.write(struct.pack("<ddI", lo, hi, n))
-        fh.write(struct.pack("<d", psi.t))
+        _write_header(fh, psi.spec, psi.t)
         fh.write(np.ascontiguousarray(psi.amplitudes).astype("<c16").tobytes())
 
 
 def read_wavegrid(fname) -> WaveGrid:
     with open(fname, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("not a wave snapshot file")
-        version, ndim = struct.unpack("<II", fh.read(8))
-        if version != _VERSION:
-            raise ValueError(f"unsupported snapshot version {version}")
-        axes = []
-        for _ in range(ndim):
-            lo, hi, n = struct.unpack("<ddI", fh.read(20))
-            axes.append((lo, hi, n))
-        (t,) = struct.unpack("<d", fh.read(8))
-        spec = GridSpec(tuple(axes))
-        count = int(np.prod(spec.shape))
-        amp = np.frombuffer(fh.read(16 * count), dtype="<c16").reshape(spec.shape)
-        return WaveGrid(spec, t, amp.copy())
+        spec, t = _read_header(fh)
+        return WaveGrid(spec, t, _read_amplitudes(fh, spec.shape))
 
 
 def density_csv(fname, psi: WaveGrid) -> None:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from cqm.pathint import (PropagatorKernel, SliceScheme, classical_split,
                          propagate_wavefunction, read_kernel,
                          relational_propagator, sliced_propagator,
                          write_kernel)
-from cqm.qgrid import GridSpec, HamiltonianSpec, evolve, gaussian_packet
+from cqm.qgrid import (GridSpec, HamiltonianSpec, WaveGrid, evolve,
+                       gaussian_packet, write_wavegrid)
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +208,47 @@ def test_kernel_binary_roundtrip(tmp_path, kernel256):
     assert back.t1 == kernel256.t1
     assert back.mass == kernel256.mass
     assert np.array_equal(back.matrix, kernel256.matrix)
+
+
+def test_binary_header_layout(tmp_path, kernel256):
+    # README "File formats": "CQMW", u32 version, u32 ndim, per axis
+    # (f64 lo, f64 hi, u32 n), f64 t; a kernel adds u32 ndim, axes, f64 t0,
+    # f64 mass, f64 hbar before the matrix
+    spec = GridSpec(((-2.0, 3.0, 8), (-1.0, 1.0, 16)))
+    f = tmp_path / "state.cqmw"
+    write_wavegrid(f, WaveGrid(spec, 0.75, np.ones(spec.shape, dtype=complex)))
+    head = struct.unpack("<4sII" + "ddI" * 2 + "d", f.read_bytes()[:60])
+    assert head == (b"CQMW", 1, 2, -2.0, 3.0, 8, -1.0, 1.0, 16, 0.75)
+    assert f.stat().st_size == 60 + 16 * 8 * 16
+
+    f = tmp_path / "kernel.cqmk"
+    write_kernel(f, kernel256)
+    (lo, hi, n), = kernel256.grid.axes
+    grid_block = (1, lo, hi, n)
+    head = struct.unpack("<4sI" + "IddId" * 2 + "dd", f.read_bytes()[:88])
+    assert head == ((b"CQMW", 1) + grid_block + (kernel256.t1,) + grid_block
+                    + (kernel256.t0, kernel256.mass, kernel256.hbar))
+    assert f.stat().st_size == 88 + 16 * n * n
+
+
+def test_kernel_truncated_file(tmp_path, kernel256):
+    f = tmp_path / "kernel.cqmk"
+    write_kernel(f, kernel256)
+    data = f.read_bytes()
+    for cut in (50, 80, len(data) - 16):
+        f.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match=r"expected \d+ bytes.*got \d+"):
+            read_kernel(f)
+
+
+def test_kernel_grid_blocks_must_match(tmp_path, kernel256):
+    f = tmp_path / "kernel.cqmk"
+    write_kernel(f, kernel256)
+    data = bytearray(f.read_bytes())
+    struct.pack_into("<d", data, 44, -14.0)  # lo of the second grid block
+    f.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="input grid"):
+        read_kernel(f)
 
 
 def test_kernel_csv(tmp_path, kernel256):

@@ -64,6 +64,8 @@ def test_evolve_validation(spec512, H1):
         evolve(psi, H1, dt=-1e-3, steps=10)
     with pytest.raises(ValueError):
         evolve(psi, H1, dt=1.0, steps=1)  # kinetic phase bound
+    with pytest.raises(ValueError):
+        evolve(psi, H1, dt=1e-3, steps=-5)
     spec4 = GridSpec((( -1.0, 1.0, 8),) * 4)
     psi4 = WaveGrid(spec4, 0.0, np.ones(spec4.shape, dtype=complex))
     with pytest.raises(ValueError):
@@ -322,6 +324,16 @@ def test_wavegrid_binary_roundtrip(tmp_path, spec512, rng):
     assert np.array_equal(back.amplitudes, psi.amplitudes)
     # header magic
     assert f.read_bytes()[:4] == b"CQMW"
+
+
+def test_wavegrid_truncated_file(tmp_path, spec512):
+    f = tmp_path / "state.cqmw"
+    write_wavegrid(f, gaussian_packet(spec512, 0.0, 1.0))
+    data = f.read_bytes()
+    for cut in (10, len(data) - 1):
+        f.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match=r"expected \d+ bytes.*got \d+"):
+            read_wavegrid(f)
 
 
 def test_density_csv(tmp_path, spec512):
