@@ -98,7 +98,7 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Config:
-    """A point (t, x) of the trivialised bundle."""
+    """A point (t, x) of the trivialised bundle, or an (n, dim) batch x at one t."""
 
     t: float
     x: np.ndarray
@@ -115,7 +115,7 @@ class Config:
 
 @dataclass(frozen=True)
 class Shift:
-    """An element of the translation group R^{dN} (also its Lie algebra)."""
+    """An element of R^{dN} (also its Lie algebra), or an (n, dim) batch of them."""
 
     v: np.ndarray
 
@@ -148,7 +148,7 @@ class ShiftDecomposition:
 
 
 def right_action(p: Config, X: Shift) -> Config:
-    """Translate a configuration: (t, x) -> (t, x + X)."""
+    """Translate a configuration: (t, x) -> (t, x + X), row by row on batches."""
     if p.dim != X.dim:
         raise ValueError(f"dimension mismatch: config {p.dim} vs shift {X.dim}")
     return Config(p.t, p.x + X.v)

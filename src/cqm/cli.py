@@ -35,6 +35,11 @@ def load_config(path) -> dict:
     return cfg
 
 
+# JSON true/false load as bool, a subclass of int; neither is a number here
+def _is_positive_number(val) -> bool:
+    return type(val) in (int, float) and val > 0
+
+
 def validate_config(cfg: dict) -> None:
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -50,20 +55,21 @@ def validate_config(cfg: dict) -> None:
             f"unknown experiment {kind!r}; choose from {', '.join(EXPERIMENT_KINDS)}")
     if "seed" not in cfg:
         raise ConfigError("randomized suites require a 'seed'")
-    if not isinstance(cfg["seed"], int):
+    if type(cfg["seed"]) is not int:  # bool too
         raise ConfigError("'seed' must be an integer")
-    if "tol_scale" in cfg:
-        ts = cfg["tol_scale"]
-        if not isinstance(ts, (int, float)) or ts <= 0:
-            raise ConfigError("'tol_scale' must be a positive number")
+    if "tol_scale" in cfg and not _is_positive_number(cfg["tol_scale"]):
+        raise ConfigError("'tol_scale' must be a positive number")
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("'params' must be an object keyed by experiment")
     for name, sub in params.items():
+        if name not in REGISTRY:
+            raise ConfigError(f"params for unknown experiment {name!r}; "
+                              f"choose from {', '.join(REGISTRY)}")
         if not isinstance(sub, dict):
             raise ConfigError(f"params for {name!r} must be an object")
         for key, val in sub.items():
-            if key.startswith("tol") and not (isinstance(val, (int, float)) and val > 0):
+            if key.startswith("tol") and not _is_positive_number(val):
                 raise ConfigError(f"tolerance {name}.{key} must be positive")
 
 

@@ -114,21 +114,25 @@ class CocycleAccumulator:
         return np.conj(self.phase)
 
 
-def _as_vec(v) -> np.ndarray:
-    return v.v if isinstance(v, Shift) else np.asarray(v, dtype=float)
+def _as_vec(v, dim: int) -> np.ndarray:
+    v = v.v if isinstance(v, Shift) else np.asarray(v, dtype=float)
+    if v.shape[-1:] != (dim,):
+        raise ValueError(f"last axis must have length {dim}, got shape {v.shape}")
+    return v
 
 
-def cocycle_density(model: LagrangianModel, v, W) -> float:
+# The pointwise functions below take (dim,) probes or (n, dim) batches (p.x
+# too) and reduce over the last axis: a batch gives the stacked probe values.
+
+def cocycle_density(model: LagrangianModel, v, W) -> float | np.ndarray:
     """Kinetic cocycle density sum_k m_k(<v_k, W_k> + |W_k|^2/2)."""
-    v = _as_vec(v)
-    W = _as_vec(W)
+    v = _as_vec(v, model.params.dim)
+    W = _as_vec(W, model.params.dim)
     mv = model.params.mass_vector
-    if v.shape != (model.params.dim,) or W.shape != (model.params.dim,):
-        raise ValueError("dimension mismatch in cocycle density")
-    return float(np.dot(mv * v, W) + 0.5 * np.dot(mv * W, W))
+    return np.sum(mv * v * W, axis=-1) + 0.5 * np.sum(mv * W * W, axis=-1)
 
 
-def pointwise_cocycle(model: LagrangianModel, p: Config, v, X) -> float:
+def pointwise_cocycle(model: LagrangianModel, p: Config, v, X) -> float | np.ndarray:
     """Cocycle density at a configuration, including the potential difference.
 
     The shift X doubles as the velocity it induces; with a potential the
@@ -136,31 +140,32 @@ def pointwise_cocycle(model: LagrangianModel, p: Config, v, X) -> float:
     """
     val = cocycle_density(model, v, X)
     if model.potential is not None:
-        X = _as_vec(X)
-        val -= model.potential(p.x + X) - model.potential(p.x)
+        X = _as_vec(X, model.params.dim)
+        val -= model.potential_values(p.x + X) - model.potential_values(p.x)
     return val
 
 
-def cocycle_property_residual(model: LagrangianModel, p: Config, v, X, Y) -> float:
+def cocycle_property_residual(model: LagrangianModel, p: Config, v, X,
+                              Y) -> float | np.ndarray:
     """Residual of c(p, X+Y) = c(p, X) + c(p+X, Y).
 
     The density at the translated point uses the transformed velocity v + X.
     Identically zero in exact arithmetic; the return value is pure rounding.
     """
-    v = _as_vec(v)
-    X = _as_vec(X)
-    Y = _as_vec(Y)
+    v = _as_vec(v, model.params.dim)
+    X = _as_vec(X, model.params.dim)
+    Y = _as_vec(Y, model.params.dim)
     lhs = pointwise_cocycle(model, p, v, X + Y)
     shifted = Config(p.t, p.x + X)
     rhs = pointwise_cocycle(model, p, v, X) + pointwise_cocycle(model, shifted, v + X, Y)
     return abs(lhs - rhs)
 
 
-def linear_cocycle(model: LagrangianModel, v, chi) -> float:
+def linear_cocycle(model: LagrangianModel, v, chi) -> float | np.ndarray:
     """Linearised cocycle sum_k m_k <v_k, chi_k> (the classical anomaly density)."""
-    v = _as_vec(v)
-    chi = _as_vec(chi)
-    return float(np.dot(model.params.mass_vector * v, chi))
+    v = _as_vec(v, model.params.dim)
+    chi = _as_vec(chi, model.params.dim)
+    return np.sum(model.params.mass_vector * v * chi, axis=-1)
 
 
 def _field_at_nodes(field, t: np.ndarray, dim: int) -> np.ndarray:
@@ -215,7 +220,7 @@ def boost_phase(model: LagrangianModel, p: Config, vboost) -> complex:
     Returns exp{(i/hbar) sum_k m_k (<x_k, v_k> + |v_k|^2 t / 2)}, the factor by
     which wave functions transform under Galilean boosts.
     """
-    v = _as_vec(vboost)
+    v = _as_vec(vboost, model.params.dim)
     mv = model.params.mass_vector
     delta = float(np.dot(mv * p.x, v) + 0.5 * np.dot(mv * v, v) * p.t)
     return np.exp(1j * delta / model.params.hbar)

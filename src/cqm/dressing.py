@@ -114,20 +114,20 @@ def frame_shift(params: ModelParams, path: DiscretePath, i, j) -> FrameShift:
     return FrameShift(path.t, z)
 
 
-def dressed_action(model: LagrangianModel, path: DiscretePath, anchor,
-                   cross_check_tol: float = 1e-9) -> float:
+def dressed_action(model: LagrangianModel, path: DiscretePath, anchor) -> float:
     """Action of the relational history.
 
     Computed two ways and cross-checked: (a) the bare action functional on the
     dressed path (the anchor's kinetic term vanishes with its block), and
-    (b) bare action plus the cocycle integral of the anchor field -x_i(t).
+    (b) bare action plus the cocycle integral of the anchor field -x_i(t);
+    a disagreement above 1e-9 relative raises RuntimeError.
     """
     i = _anchor_index(anchor, model.params)
     direct = action(model, dress_path(model.params, path, i))
     split = action(model, path) + path_cocycle(
         model, path, dressing_field_along(model.params, path, i)).real_value
     scale = 1.0 + abs(direct) + abs(split)
-    if abs(direct - split) > cross_check_tol * scale:
+    if abs(direct - split) > 1e-9 * scale:
         raise RuntimeError(
             f"dressed action cross-check failed: {direct!r} vs {split!r}")
     return direct

@@ -65,42 +65,30 @@ def _suite_verify_cocycle(model_params: ModelParams, params: dict,
     n_probes = int(params.get("n_probes", 10000))
     dim = model_params.dim
 
-    worst = 0.0
-    residuals = np.empty(n_probes)
-    for k in range(n_probes):
-        p = Config(rng.uniform(-1, 1), rng.normal(size=dim))
-        v = rng.normal(size=dim)
-        X = rng.normal(size=dim)
-        Y = rng.normal(size=dim)
-        res = cocycle.cocycle_property_residual(model, p, v, X, Y)
-        cx = abs(cocycle.pointwise_cocycle(model, p, v, X))
-        cy = abs(cocycle.pointwise_cocycle(model, p, v, Y))
-        residuals[k] = res / (1.0 + cx + cy)
-        worst = max(worst, residuals[k])
+    # each probe family is drawn and checked as one (n, dim) batch
+    p = Config(rng.uniform(-1, 1), rng.normal(size=(n_probes, dim)))
+    v, X, Y = rng.normal(size=(3, n_probes, dim))
+    res = cocycle.cocycle_property_residual(model, p, v, X, Y)
+    cx = np.abs(cocycle.pointwise_cocycle(model, p, v, X))
+    cy = np.abs(cocycle.pointwise_cocycle(model, p, v, Y))
+    residuals = res / (1.0 + cx + cy)
     checks = [Check("composition-identity", "cocycle-defining-identity",
-                    worst, 1e-10)]
+                    residuals.max(initial=0.0), 1e-10)]
 
-    lin_worst = 0.0
-    for _ in range(1000):
-        v = rng.normal(size=dim)
-        chi1 = rng.normal(size=dim)
-        chi2 = rng.normal(size=dim)
-        a, b = rng.normal(size=2)
-        lhs = cocycle.linear_cocycle(model, v, a * chi1 + b * chi2)
-        rhs = (a * cocycle.linear_cocycle(model, v, chi1)
-               + b * cocycle.linear_cocycle(model, v, chi2))
-        lin_worst = max(lin_worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
+    v, chi1, chi2 = rng.normal(size=(3, 1000, dim))
+    a, b = rng.normal(size=(2, 1000, 1))
+    lhs = cocycle.linear_cocycle(model, v, a * chi1 + b * chi2)
+    rhs = (a[:, 0] * cocycle.linear_cocycle(model, v, chi1)
+           + b[:, 0] * cocycle.linear_cocycle(model, v, chi2))
+    lin_worst = np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs)))
     checks.append(Check("linearity", "cocycle-linearity", lin_worst, 1e-12))
 
-    fd_worst = 0.0
-    for _ in range(50):
-        v = rng.normal(size=dim)
-        chi = rng.normal(size=dim)
-        eps = 1e-7
-        fd = (cocycle.cocycle_density(model, v, eps * chi)
-              - cocycle.cocycle_density(model, v, -eps * chi)) / (2 * eps)
-        fd_worst = max(fd_worst, abs(fd - cocycle.linear_cocycle(model, v, chi))
-                       / (1.0 + abs(fd)))
+    v, chi = rng.normal(size=(2, 50, dim))
+    eps = 1e-7
+    fd = (cocycle.cocycle_density(model, v, eps * chi)
+          - cocycle.cocycle_density(model, v, -eps * chi)) / (2 * eps)
+    fd_worst = np.max(np.abs(fd - cocycle.linear_cocycle(model, v, chi))
+                      / (1.0 + np.abs(fd)))
     checks.append(Check("linearization-limit", "cocycle-linearity", fd_worst, 1e-6))
 
     phase_worst = 0.0
@@ -122,14 +110,12 @@ def _suite_verify_cocycle(model_params: ModelParams, params: dict,
     checks.append(Check("phase-unit-modulus", "u1-cocycle-composition",
                         unit_worst, 1e-14))
 
-    group_worst = 0.0
-    for _ in range(500):
-        p = Config(rng.uniform(-1, 1), rng.normal(size=dim))
-        X = Shift(rng.normal(size=dim))
-        Y = Shift(rng.normal(size=dim))
-        one = bundle.right_action(bundle.right_action(p, X), Y)
-        two = bundle.right_action(p, X + Y)
-        group_worst = max(group_worst, float(np.abs(one.x - two.x).max()))
+    p = Config(rng.uniform(-1, 1), rng.normal(size=(500, dim)))
+    X = Shift(rng.normal(size=(500, dim)))
+    Y = Shift(rng.normal(size=(500, dim)))
+    one = bundle.right_action(bundle.right_action(p, X), Y)
+    two = bundle.right_action(p, X + Y)
+    group_worst = np.abs(one.x - two.x).max()
     checks.append(Check("translation-group-law", "group-action-law",
                         group_worst, 1e-13))
 

@@ -318,14 +318,12 @@ def _zero_index(spec: GridSpec, axis: int) -> int:
     return idx
 
 
-def dress_wavefunction(psi: WaveGrid, anchor: int,
-                       cocycle_phase: CocycleAccumulator | None = None) -> WaveGrid:
+def dress_wavefunction(psi: WaveGrid, anchor: int) -> WaveGrid:
     """Relational state seen from the anchor particle.
 
     Restricts the bare amplitudes to the slice where the anchor coordinate is
     zero (the relational chart), keeping the remaining axes in particle
-    order, and multiplies by the inverse of the supplied path phase.  With
-    ``cocycle_phase=None`` the pure composition form is returned.
+    order: the pure composition form.
     """
     if psi.frame != "bare":
         raise ValueError("dress_wavefunction expects a bare state")
@@ -335,8 +333,6 @@ def dress_wavefunction(psi: WaveGrid, anchor: int,
         raise IndexError("anchor axis out of range")
     idx0 = _zero_index(psi.spec, anchor)
     amp = np.take(psi.amplitudes, idx0, axis=anchor)
-    if cocycle_phase is not None:
-        amp = amp * cocycle_phase.inverse_phase
     axes = tuple(ax for a, ax in enumerate(psi.spec.axes) if a != anchor)
     return WaveGrid(GridSpec(axes), psi.t, amp, frame="relational", anchor=anchor)
 
@@ -456,7 +452,11 @@ def _read_header(fh) -> tuple[GridSpec, float]:
 
 
 def _read_amplitudes(fh, shape: tuple[int, ...]) -> np.ndarray:
+    """Read the payload that ends every file; anything after it is an error."""
     data = _read_exact(fh, 16 * int(np.prod(shape)))
+    extra = len(fh.read())
+    if extra:
+        raise ValueError(f"{extra} trailing bytes after the payload")
     return np.frombuffer(data, dtype="<c16").reshape(shape).copy()
 
 

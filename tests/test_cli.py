@@ -50,24 +50,34 @@ def test_run_invalid_json(tmp_path):
 
 
 def test_run_negative_tolerance(tmp_path):
-    cfg = {"model": MINI_MODEL, "experiment": "verify-cocycle", "seed": 1,
-           "params": {"verify-cocycle": {"tol_boost": -1.0}}}
-    assert main(["run", str(_write(tmp_path, cfg))]) == 2
+    # JSON true loads as a bool, which Python counts as the integer 1
+    for tol in (-1.0, True):
+        cfg = {"model": MINI_MODEL, "experiment": "verify-cocycle", "seed": 1,
+               "params": {"verify-cocycle": {"tol_boost": tol}}}
+        assert main(["run", str(_write(tmp_path, cfg))]) == 2
 
 
 def test_run_bad_tol_scale(tmp_path):
     cfg = {"model": MINI_MODEL, "experiment": "verify-cocycle", "seed": 1}
     assert main(["run", str(_write(tmp_path, cfg)), "--tol-scale", "-2"]) == 2
+    cfg["tol_scale"] = True
+    assert main(["run", str(_write(tmp_path, cfg))]) == 2
 
 
 def test_missing_seed_rejected():
     with pytest.raises(ConfigError):
         validate_config({"model": MINI_MODEL, "experiment": "verify-cocycle"})
+    with pytest.raises(ConfigError, match="integer"):
+        validate_config({"model": MINI_MODEL, "experiment": "verify-cocycle",
+                         "seed": True})
 
 
 def test_unknown_experiment_rejected():
     with pytest.raises(ConfigError):
         validate_config({"model": MINI_MODEL, "experiment": "nonsense", "seed": 1})
+    with pytest.raises(ConfigError, match="no-such-suite"):
+        validate_config({"model": MINI_MODEL, "seed": 1,
+                         "params": {"no-such-suite": {"n_probes": 10}}})
 
 
 def test_bad_model_rejected():

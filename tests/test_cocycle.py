@@ -223,3 +223,57 @@ def test_u1_composition_with_potential(rng):
     cX = path_cocycle(model, path, X)
     cY = path_cocycle(model, gauge_transform_path(path, X), Y)
     assert abs(cXY.phase - cX.phase * cY.phase) < 1e-12
+
+
+# batch contract: (n, dim) probes give the stacked single-probe values
+BATCH_MODELS = {
+    "free-dim9": LagrangianModel(ModelParams(3, 3, np.array([1.0, 2.0, 0.5]))),
+    "potential": LagrangianModel(
+        ModelParams(2, 1, np.array([1.0, 2.0])),
+        potential=lambda z: float(np.cos(z[1] - z[0])),
+        translation_invariant=True),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BATCH_MODELS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_batch_equals_stacked_probes(kind, data):
+    model = BATCH_MODELS[kind]
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    x, v, X, Y = data.draw(arrays(np.float64, (4, n, model.params.dim),
+                                  elements=finite))
+    p = Config(0.5, x)
+    rows = [Config(0.5, x[k]) for k in range(n)]
+    cases = [
+        (cocycle_density(model, v, X),
+         [cocycle_density(model, v[k], X[k]) for k in range(n)]),
+        (linear_cocycle(model, v, X),
+         [linear_cocycle(model, v[k], X[k]) for k in range(n)]),
+        (pointwise_cocycle(model, p, v, X),
+         [pointwise_cocycle(model, rows[k], v[k], X[k]) for k in range(n)]),
+        (cocycle_property_residual(model, p, v, X, Y),
+         [cocycle_property_residual(model, rows[k], v[k], X[k], Y[k])
+          for k in range(n)]),
+    ]
+    for batch, stacked in cases:
+        assert batch.shape == (n,)
+        assert isinstance(stacked[0], np.float64)
+        assert np.all(batch == np.array(stacked))
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_batch_last_axis_mismatch(free2, rng, width):
+    # width 1 would broadcast against the mass vector without the check
+    p = Config(0.0, rng.normal(size=(5, 2)))
+    good = rng.normal(size=(5, 2))
+    bad = rng.normal(size=(5, width))
+    calls = [
+        lambda: cocycle_density(free2, good, bad),
+        lambda: linear_cocycle(free2, bad, good),
+        lambda: pointwise_cocycle(free2, p, good, bad),
+        lambda: cocycle_property_residual(free2, p, good, good, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="last axis"):
+            call()

@@ -12,7 +12,7 @@ from cqm.pathint import (PropagatorKernel, SliceScheme, classical_split,
                          relational_propagator, sliced_propagator,
                          write_kernel)
 from cqm.qgrid import (GridSpec, HamiltonianSpec, WaveGrid, evolve,
-                       gaussian_packet, write_wavegrid)
+                       gaussian_packet, read_wavegrid, write_wavegrid)
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +239,15 @@ def test_kernel_truncated_file(tmp_path, kernel256):
         f.write_bytes(data[:cut])
         with pytest.raises(ValueError, match=r"expected \d+ bytes.*got \d+"):
             read_kernel(f)
+
+
+def test_kernel_is_not_a_wave_snapshot(tmp_path, kernel256):
+    # both formats share the header; the kernel's extra blocks are trailing
+    # bytes to the wave reader
+    f = tmp_path / "kernel.cqmk"
+    write_kernel(f, kernel256)
+    with pytest.raises(ValueError, match="trailing bytes"):
+        read_wavegrid(f)
 
 
 def test_kernel_grid_blocks_must_match(tmp_path, kernel256):

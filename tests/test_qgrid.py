@@ -199,10 +199,11 @@ def test_dress_wavefunction_separable(separable_two_particle):
 def test_dress_wavefunction_constant():
     spec2 = GridSpec(((-5.0, 5.0, 16), (-5.0, 5.0, 16)))
     psi = WaveGrid(spec2, 0.0, np.full(spec2.shape, 0.3 + 0.1j))
-    rel = dress_wavefunction(psi, 1, CocycleAccumulator.from_value(2.0, 1.0))
-    assert np.allclose(np.abs(rel.amplitudes), abs(0.3 + 0.1j))
-    assert np.allclose(rel.amplitudes,
-                       (0.3 + 0.1j) * np.exp(2.0j), atol=1e-14)
+    rel = dress_wavefunction(psi, 1)
+    assert np.array_equal(rel.amplitudes, np.full(16, 0.3 + 0.1j))
+    # a path phase is applied by the caller, as the frame change does
+    phased = rel.amplitudes * CocycleAccumulator.from_value(2.0, 1.0).inverse_phase
+    assert np.allclose(phased, (0.3 + 0.1j) * np.exp(2.0j), atol=1e-14)
 
 
 def test_dress_wavefunction_norm_matches_slice(separable_two_particle):
@@ -334,6 +335,14 @@ def test_wavegrid_truncated_file(tmp_path, spec512):
         f.write_bytes(data[:cut])
         with pytest.raises(ValueError, match=r"expected \d+ bytes.*got \d+"):
             read_wavegrid(f)
+
+
+def test_wavegrid_trailing_bytes(tmp_path, spec512):
+    f = tmp_path / "state.cqmw"
+    write_wavegrid(f, gaussian_packet(spec512, 0.0, 1.0))
+    f.write_bytes(f.read_bytes() + b"\0")
+    with pytest.raises(ValueError, match="1 trailing bytes"):
+        read_wavegrid(f)
 
 
 def test_density_csv(tmp_path, spec512):
