@@ -149,8 +149,10 @@ class ShiftDecomposition:
 
 def right_action(p: Config, X: Shift) -> Config:
     """Translate a configuration: (t, x) -> (t, x + X), row by row on batches."""
-    if p.dim != X.dim:
-        raise ValueError(f"dimension mismatch: config {p.dim} vs shift {X.dim}")
+    # compare the last axes: batches of different widths would broadcast
+    if p.x.shape[-1:] != X.v.shape[-1:]:
+        raise ValueError(f"dimension mismatch: config shape {p.x.shape} vs "
+                         f"shift shape {X.v.shape}")
     return Config(p.t, p.x + X.v)
 
 

@@ -40,6 +40,11 @@ def _is_positive_number(val) -> bool:
     return type(val) in (int, float) and val > 0
 
 
+# suite parameters that size an array or a slice count: below the minimum the
+# suite cannot run at all
+_INT_MINIMUM = {("verify-cocycle", "n_probes"): 1, ("pathint", "n_slices"): 2}
+
+
 def validate_config(cfg: dict) -> None:
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -71,6 +76,9 @@ def validate_config(cfg: dict) -> None:
         for key, val in sub.items():
             if key.startswith("tol") and not _is_positive_number(val):
                 raise ConfigError(f"tolerance {name}.{key} must be positive")
+            low = _INT_MINIMUM.get((name, key))
+            if low is not None and not (type(val) is int and val >= low):
+                raise ConfigError(f"{name}.{key} must be an integer >= {low}")
 
 
 def run_from_config(cfg: dict, out_dir: Path | None, seed: int | None = None) -> dict:

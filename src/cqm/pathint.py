@@ -5,7 +5,10 @@ kernels with grid quadrature.  The Fresnel integrand is violently oscillatory,
 so the composition runs on an internally oversampled copy of the grid (chosen
 so that quadrature-alias stationary points fall outside the box) with a
 smooth taper on the outermost part of each intermediate integration; the
-result is sampled back onto the reporting grid.  Comparisons against the
+result is sampled back onto the reporting grid.  On the uniform grid the
+one-step kernel depends only on x - x', so it is kept as its generating row
+and each step of the chain is applied as a Toeplitz convolution by FFT
+(Golub & Van Loan, Matrix Computations, sec. 4.7).  Comparisons against the
 closed-form kernel are meaningful on the central half-box, away from
 wrap-around artifacts.
 """
@@ -15,6 +18,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import fft, ifft, next_fast_len
 
 from .classical import HPFSample
 from .cocycle import LagrangianModel
@@ -83,16 +87,24 @@ class PropagatorKernel:
                    mass, hbar)
 
 
-def free_kernel_exact(grid: GridSpec, T: float, mass: float, hbar: float) -> np.ndarray:
-    """Closed-form free kernel sqrt(m/2 pi i hbar T) exp(i m dx^2 / 2 hbar T)."""
+def _free_kernel_row(grid: GridSpec, T: float, mass: float, hbar: float) -> np.ndarray:
+    """Generating row g[k] = K(x_k, x_0) of the closed-form free kernel
+    sqrt(m/2 pi i hbar T) exp(i m dx^2 / 2 hbar T)."""
     x = grid.coords(0)
-    dx = x[:, None] - x[None, :]
+    dx = x - x[0]
     pref = np.sqrt(mass / (2j * np.pi * hbar * T))
     return pref * np.exp(1j * mass * dx ** 2 / (2 * hbar * T))
 
 
+def free_kernel_exact(grid: GridSpec, T: float, mass: float, hbar: float) -> np.ndarray:
+    """Closed-form free kernel matrix, the symmetric Toeplitz K[i, j] = g[|i - j|]."""
+    g = _free_kernel_row(grid, T, mass, hbar)
+    k = np.arange(g.size)
+    return g[np.abs(k[:, None] - k[None, :])]
+
+
 def _quadrature_weight(grid: GridSpec) -> np.ndarray:
-    """Tapered quadrature weights of an intermediate integration, shape (n, 1).
+    """Tapered quadrature weights of an intermediate integration, shape (n,).
 
     Cell width times a quintic smoothstep that falls from 1 at 80% of the
     half-box to 0 at 98.5%.
@@ -101,7 +113,7 @@ def _quadrature_weight(grid: GridSpec) -> np.ndarray:
     r = np.abs(grid.coords(0) - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
     s = np.clip((r - 0.80) / (0.985 - 0.80), 0.0, 1.0)
     taper = 1.0 - s ** 3 * (6 * s ** 2 - 15 * s + 10)
-    return (taper * grid.spacing(0))[:, None]
+    return taper * grid.spacing(0)
 
 
 def _alias_safe_oversampling(n_out: int, box: float, dt: float, mass: float,
@@ -124,7 +136,8 @@ def sliced_propagator(model: LagrangianModel, scheme: SliceScheme,
     """Compose exact one-step free kernels into the full propagator.
 
     Free model only.  One slice returns the exact one-step kernel sampled on
-    the grid; more slices run the quadrature chain on the oversampled grid.
+    the grid; more slices run the quadrature chain on the oversampled grid,
+    holding the n_out propagated columns in O(n_out * n_int) memory.
     """
     if model.potential is not None:
         raise ValueError("sliced propagators are implemented for the free model")
@@ -147,12 +160,26 @@ def sliced_propagator(model: LagrangianModel, scheme: SliceScheme,
     fine = GridSpec(((lo, hi, n_int),))
     stride = n_int // n_out
 
-    K1 = free_kernel_exact(fine, dt, mass, hbar)
-    cols = K1[:, ::stride].copy()
+    # embed the one-step kernel K1[i, j] = g[|i - j|] in a circulant C of
+    # length L: the first n_int entries of C @ [v; 0] are K1 @ v
+    g = _free_kernel_row(fine, dt, mass, hbar)
+    L = next_fast_len(2 * n_int - 1)
+    circ = np.zeros(L, dtype=complex)
+    circ[:n_int] = g
+    circ[L - n_int + 1:] = g[:0:-1]
+    G = fft(circ)
+    # column c of the chain is row c here, so the FFTs run along the last axis
+    k = np.arange(n_int)
+    cols = np.zeros((n_out, L), dtype=complex)
+    cols[:, :n_int] = g[np.abs(k[None, :] - stride * np.arange(n_out)[:, None])]
     weight = _quadrature_weight(fine)
     for _ in range(M - 1):
-        cols = K1 @ (weight * cols)
-    K = cols[::stride, :]
+        cols[:, :n_int] *= weight
+        cols[:, n_int:] = 0.0
+        spec = fft(cols, axis=-1, overwrite_x=True)
+        spec *= G
+        cols = ifft(spec, axis=-1, overwrite_x=True)
+    K = cols[:, :n_int:stride].T.copy()
     return PropagatorKernel(K, grid, scheme.t0, scheme.t1, mass, hbar,
                             frame, anchor)
 
@@ -180,7 +207,7 @@ def compose_kernels(later: PropagatorKernel, earlier: PropagatorKernel) -> Propa
         raise ValueError("kernels must share the grid")
     if abs(later.t0 - earlier.t1) > 1e-12:
         raise ValueError("kernels are not contiguous in time")
-    K = later.matrix @ (_quadrature_weight(later.grid) * earlier.matrix)
+    K = later.matrix @ (_quadrature_weight(later.grid)[:, None] * earlier.matrix)
     return PropagatorKernel(K, later.grid, earlier.t0, later.t1, later.mass,
                             later.hbar, later.frame, later.anchor)
 

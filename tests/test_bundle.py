@@ -29,6 +29,9 @@ def test_right_action_identity():
 def test_right_action_dimension_mismatch():
     with pytest.raises(ValueError):
         right_action(Config(0.0, [1.0]), Shift([1.0, 2.0]))
+    # same entry count, different last axes: must not broadcast to (2, 2)
+    with pytest.raises(ValueError):
+        right_action(Config(0.0, [[1.0], [2.0]]), Shift([[1.0, 2.0]]))
 
 
 @settings(max_examples=200, deadline=None)

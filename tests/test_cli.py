@@ -80,6 +80,26 @@ def test_unknown_experiment_rejected():
                          "params": {"no-such-suite": {"n_probes": 10}}})
 
 
+def test_suite_size_params_rejected(tmp_path):
+    # zero probes and a single slice crashed the suites with no report
+    bad = [("verify-cocycle", "n_probes", v) for v in (0, -3, 2.0, True, "10")]
+    bad += [("pathint", "n_slices", v) for v in (1, 0, 8.0, True, None)]
+    for name, key, val in bad:
+        cfg = {"model": MINI_MODEL, "experiment": name, "seed": 1,
+               "params": {name: {key: val}}}
+        out = tmp_path / "out"
+        assert main(["run", str(_write(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert not (out / "report.json").exists()
+    for name, key, val in (("verify-cocycle", "n_probes", 1),
+                           ("pathint", "n_slices", 2)):
+        validate_config({"model": MINI_MODEL, "experiment": name, "seed": 1,
+                         "params": {name: {key: val}}})
+    cfg = {"model": MINI_MODEL, "experiment": "verify-cocycle", "seed": 1,
+           "params": {"verify-cocycle": {"n_probes": 1}}}
+    main(["run", str(_write(tmp_path, cfg)), "--out", str(tmp_path / "one")])
+    assert (tmp_path / "one" / "report.json").exists()
+
+
 def test_bad_model_rejected():
     with pytest.raises(ConfigError):
         validate_config({"model": {"n_particles": 0, "spatial_dim": 1,

@@ -6,11 +6,12 @@ import pytest
 from cqm.bundle import Config, ModelParams
 from cqm.classical import hpf_table
 from cqm.cocycle import LagrangianModel
-from cqm.pathint import (PropagatorKernel, SliceScheme, classical_split,
-                         compose_kernels, free_kernel_exact, kernel_slices_csv,
-                         propagate_wavefunction, read_kernel,
-                         relational_propagator, sliced_propagator,
-                         write_kernel)
+from cqm.pathint import (PropagatorKernel, SliceScheme,
+                         _alias_safe_oversampling, _quadrature_weight,
+                         classical_split, compose_kernels, free_kernel_exact,
+                         kernel_slices_csv, propagate_wavefunction,
+                         read_kernel, relational_propagator,
+                         sliced_propagator, write_kernel)
 from cqm.qgrid import (GridSpec, HamiltonianSpec, WaveGrid, evolve,
                        gaussian_packet, read_wavegrid, write_wavegrid)
 
@@ -50,6 +51,43 @@ def test_single_slice_is_exact(grid256):
     one = sliced_propagator(free1, SliceScheme(1, grid256, 0.0, 1.0))
     exact = free_kernel_exact(grid256, 1.0, 1.0, 1.0)
     assert np.abs(one.matrix - exact).max() < 1e-13
+
+
+def _closed_form(grid, T, mass, hbar=1.0):
+    x = grid.coords(0)
+    return np.sqrt(mass / (2j * np.pi * hbar * T)) * np.exp(
+        1j * mass * (x[:, None] - x[None, :]) ** 2 / (2 * hbar * T))
+
+
+@pytest.mark.parametrize("n", [512, 3584])
+def test_free_kernel_exact_matches_closed_form(n):
+    grid = GridSpec(((-15.0, 15.0, n),))
+    K = free_kernel_exact(grid, 1.0 / 8, 2.0, 1.0)
+    E = _closed_form(grid, 1.0 / 8, 2.0)
+    assert np.abs(K - E).max() <= 1e-11 * np.abs(E).max()
+    assert np.array_equal(K, K.T)
+
+
+@pytest.mark.parametrize("n_out, M, T", [
+    (128, 4, 1.0),   # oversampled: n_int 896
+    (256, 3, 3.0),   # factor 1: n_int = n_out
+    (257, 3, 1.0),   # prime n_out: the circulant is padded past 2 n_int - 1
+])
+def test_fft_chain_matches_dense(n_out, M, T):
+    grid = GridSpec(((-15.0, 15.0, n_out),))
+    free1 = LagrangianModel(ModelParams(1, 1, np.array([1.0])))
+    K = sliced_propagator(free1, SliceScheme(M, grid, 0.0, T)).matrix
+    # the dense chain K1 @ (w * cols) on the oversampled grid
+    n_int = _alias_safe_oversampling(n_out, 30.0, T / M, 1.0, 1.0)
+    fine = GridSpec(((-15.0, 15.0, n_int),))
+    K1 = _closed_form(fine, T / M, 1.0)
+    stride = n_int // n_out
+    cols = K1[:, ::stride]
+    w = _quadrature_weight(fine)[:, None]
+    for _ in range(M - 1):
+        cols = K1 @ (w * cols)
+    dense = cols[::stride, :]
+    assert np.abs(K - dense).max() <= 1e-11 * np.abs(dense).max()
 
 
 def test_semigroup():
