@@ -285,6 +285,8 @@ class GaugeField:
 
 def gauge_apply(p: Config, G: GaugeField) -> Config:
     """Apply the time-dependent shift: (t, x) -> (t, x + X(t))."""
-    if p.dim != G.dim:
-        raise ValueError("dimension mismatch between config and gauge field")
+    # compare the last axis: Config.dim counts every entry of a batch
+    if p.x.shape[-1:] != (G.dim,):
+        raise ValueError(f"dimension mismatch: config shape {p.x.shape} vs "
+                         f"gauge field dim {G.dim}")
     return Config(p.t, p.x + G.value_at(p.t))

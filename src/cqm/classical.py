@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 from scipy.linalg import solve_banded
 
 from .bundle import Config, GaugeField, Shift
@@ -284,8 +283,10 @@ class HPFSample:
     x_grid: np.ndarray
     S: np.ndarray
 
-    def spline(self) -> RectBivariateSpline:
-        """Bicubic interpolant; use (dx=, dy=) for partial derivatives."""
+    def spline(self):
+        """Bicubic RectBivariateSpline; use (dx=, dy=) for partial derivatives."""
+        from scipy.interpolate import RectBivariateSpline
+
         kx = min(3, self.t_grid.size - 1)
         ky = min(3, self.x_grid.size - 1)
         return RectBivariateSpline(self.t_grid, self.x_grid, self.S, kx=kx, ky=ky)

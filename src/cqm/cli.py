@@ -40,9 +40,10 @@ def _is_positive_number(val) -> bool:
     return type(val) in (int, float) and val > 0
 
 
-# suite parameters that size an array or a slice count: below the minimum the
-# suite cannot run at all
-_INT_MINIMUM = {("verify-cocycle", "n_probes"): 1, ("pathint", "n_slices"): 2}
+# suite parameters that size an array, a grid axis or a slice count: below the
+# minimum the suite cannot run at all
+_INT_MINIMUM = {("verify-cocycle", "n_probes"): 1, ("pathint", "n_slices"): 2,
+                ("pathint", "n_points"): 8, ("pathint", "n_points_2d"): 8}
 
 
 def validate_config(cfg: dict) -> None:

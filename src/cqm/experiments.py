@@ -8,7 +8,7 @@ reports) are written to the experiment's own subdirectory when requested.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -620,7 +620,15 @@ def _suite_pathint(model_params: ModelParams, params: dict,
     free1 = LagrangianModel(ModelParams(1, 1, np.array([1.0]), hbar))
     grid = qgrid.GridSpec(((-15.0, 15.0, n),))
     scheme = pathint.SliceScheme(M, grid, 0.0, 1.0)
-    kernel = pathint.sliced_propagator(free1, scheme)
+    if M % 2 == 0 and M >= 4:
+        # same step: the half chain is the full one's state after M/2 - 1 steps
+        Kh, K = pathint._chain(grid, scheme.dt, 1.0, hbar, (M // 2, M))
+        kernel = pathint.PropagatorKernel(K, grid, 0.0, 1.0, 1.0, hbar)
+        half1 = pathint.PropagatorKernel(Kh, grid, 0.0, 0.5, 1.0, hbar)
+    else:
+        kernel = pathint.sliced_propagator(free1, scheme)
+        half1 = pathint.sliced_propagator(
+            free1, pathint.SliceScheme(M // 2, grid, 0.0, 0.5))
     x = grid.coords(0)
     cen = np.abs(x) <= 7.5
     exact = pathint.free_kernel_exact(grid, 1.0, 1.0, hbar)
@@ -636,8 +644,8 @@ def _suite_pathint(model_params: ModelParams, params: dict,
     checks.append(Check("classical-split-uniformity", "kernel-classical-split",
                         stats["max_rel_deviation"], 1e-3))
 
-    half1 = pathint.sliced_propagator(free1, pathint.SliceScheme(M // 2, grid, 0.0, 0.5))
-    half2 = pathint.sliced_propagator(free1, pathint.SliceScheme(M // 2, grid, 0.5, 1.0))
+    # the free kernel depends on the times only through the duration
+    half2 = replace(half1, t0=0.5, t1=1.0)
     semi = pathint.compose_kernels(half2, half1)
     Sc = semi.matrix[np.ix_(cen, cen)]
     checks.append(Check("kernel-semigroup", "kernel-semigroup",

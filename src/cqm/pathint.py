@@ -8,9 +8,14 @@ smooth taper on the outermost part of each intermediate integration; the
 result is sampled back onto the reporting grid.  On the uniform grid the
 one-step kernel depends only on x - x', so it is kept as its generating row
 and each step of the chain is applied as a Toeplitz convolution by FFT
-(Golub & Van Loan, Matrix Computations, sec. 4.7).  Comparisons against the
-closed-form kernel are meaningful on the central half-box, away from
-wrap-around artifacts.
+(Golub & Van Loan, Matrix Computations, sec. 4.7).  The chain
+K = K1 W K1 ... W K1 is complex symmetric (K = K^T), because K1 is symmetric
+Toeplitz and the taper W diagonal.  The taper is even about the box centre and
+vanishes at the first grid point, so the reflection K[i, j] = K[n - i, n - j]
+holds exactly for i, j >= 1; only the n//2 + 1 columns 0..n//2 are
+propagated.  A chain of fewer slices of the same step is a snapshot of a
+longer one on the way.  Comparisons against the closed-form kernel are
+meaningful on the central half-box, away from wrap-around artifacts.
 """
 from __future__ import annotations
 
@@ -130,32 +135,17 @@ def _alias_safe_oversampling(n_out: int, box: float, dt: float, mass: float,
     return n_int
 
 
-def sliced_propagator(model: LagrangianModel, scheme: SliceScheme,
-                      mass: float | None = None, frame: str = "bare",
-                      anchor: int | None = None) -> PropagatorKernel:
-    """Compose exact one-step free kernels into the full propagator.
+def _chain(grid: GridSpec, dt: float, mass: float, hbar: float,
+           counts: tuple[int, ...]) -> list[np.ndarray]:
+    """Kernel matrices of the chains of m slices of step dt, for each m >= 2
+    in the ascending counts, from one run of the longest.
 
-    Free model only.  One slice returns the exact one-step kernel sampled on
-    the grid; more slices run the quadrature chain on the oversampled grid,
-    holding the n_out propagated columns in O(n_out * n_int) memory.
+    A chain of m slices is the state of any longer chain of the same step
+    after m - 1 steps, bit for bit.  Only columns 0..n//2 are propagated; the
+    others come from K[i, j] = K[n - i, n - j] and row 0 from K = K^T (see
+    the module docstring).
     """
-    if model.potential is not None:
-        raise ValueError("sliced propagators are implemented for the free model")
-    hbar = model.params.hbar
-    if mass is None:
-        if model.params.dim != 1:
-            raise ValueError("bare slicing needs a one-dimensional configuration")
-        mass = float(model.params.masses[0])
-    grid = scheme.grid
     lo, hi, n_out = grid.axes[0]
-    M = scheme.n_slices
-    dt = scheme.dt
-
-    if M == 1:
-        K = free_kernel_exact(grid, dt, mass, hbar)
-        return PropagatorKernel(K, grid, scheme.t0, scheme.t1, mass, hbar,
-                                frame, anchor)
-
     n_int = _alias_safe_oversampling(n_out, hi - lo, dt, mass, hbar)
     fine = GridSpec(((lo, hi, n_int),))
     stride = n_int // n_out
@@ -169,18 +159,49 @@ def sliced_propagator(model: LagrangianModel, scheme: SliceScheme,
     circ[L - n_int + 1:] = g[:0:-1]
     G = fft(circ)
     # column c of the chain is row c here, so the FFTs run along the last axis
+    h = n_out // 2 + 1
     k = np.arange(n_int)
-    cols = np.zeros((n_out, L), dtype=complex)
-    cols[:, :n_int] = g[np.abs(k[None, :] - stride * np.arange(n_out)[:, None])]
+    cols = np.zeros((h, L), dtype=complex)
+    cols[:, :n_int] = g[np.abs(k[None, :] - stride * np.arange(h)[:, None])]
     weight = _quadrature_weight(fine)
-    for _ in range(M - 1):
+    kernels = []
+    for m in range(2, counts[-1] + 1):
         cols[:, :n_int] *= weight
         cols[:, n_int:] = 0.0
         spec = fft(cols, axis=-1, overwrite_x=True)
         spec *= G
         cols = ifft(spec, axis=-1, overwrite_x=True)
-    K = cols[:, :n_int:stride].T.copy()
-    return PropagatorKernel(K, grid, scheme.t0, scheme.t1, mass, hbar,
+        if m in counts:
+            K = np.empty((n_out, n_out), dtype=complex)
+            K[:, :h] = cols[:, :n_int:stride].T
+            K[1:, h:] = K[:0:-1, n_out - h:0:-1]
+            K[0, h:] = K[h:, 0]
+            kernels.append(K)
+    return kernels
+
+
+def sliced_propagator(model: LagrangianModel, scheme: SliceScheme,
+                      mass: float | None = None, frame: str = "bare",
+                      anchor: int | None = None) -> PropagatorKernel:
+    """Compose exact one-step free kernels into the full propagator.
+
+    Free model only.  One slice returns the exact one-step kernel sampled on
+    the grid; more slices run the quadrature chain on the oversampled grid,
+    holding n_out/2 + 1 propagated columns in O(n_out * n_int) memory.
+    """
+    if model.potential is not None:
+        raise ValueError("sliced propagators are implemented for the free model")
+    hbar = model.params.hbar
+    if mass is None:
+        if model.params.dim != 1:
+            raise ValueError("bare slicing needs a one-dimensional configuration")
+        mass = float(model.params.masses[0])
+    M = scheme.n_slices
+    if M == 1:
+        K = free_kernel_exact(scheme.grid, scheme.dt, mass, hbar)
+    else:
+        (K,) = _chain(scheme.grid, scheme.dt, mass, hbar, (M,))
+    return PropagatorKernel(K, scheme.grid, scheme.t0, scheme.t1, mass, hbar,
                             frame, anchor)
 
 

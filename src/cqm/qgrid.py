@@ -13,7 +13,6 @@ import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .classical import HPFSample
 from .cocycle import CocycleAccumulator
@@ -262,6 +261,8 @@ def covariant_derivative_residual(psi_series: list[WaveGrid], hpf: HPFSample,
 
 def _periodic_resample(spec: GridSpec, values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Cubic-spline resampling of a one-axis grid function, periodic wrap."""
+    from scipy.interpolate import CubicSpline
+
     lo, hi, _ = spec.axes[0]
     x = np.concatenate([spec.coords(0), [hi]])
     q = (points - lo) % (hi - lo) + lo

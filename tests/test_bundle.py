@@ -50,6 +50,17 @@ def test_gauge_apply_boost():
     assert np.allclose(p.x, [7.0], atol=1e-14)
 
 
+def test_gauge_apply_batches():
+    G = GaugeField.constant(np.array([1.0, -2.0]))
+    # a valid (3, 2) batch shifts row by row
+    p = Config(0.5, np.arange(6.0).reshape(3, 2))
+    assert np.array_equal(gauge_apply(p, G).x, p.x + [1.0, -2.0])
+    # a (2, 1) batch has as many entries as the field but a different last
+    # axis: it must not broadcast to (2, 2)
+    with pytest.raises(ValueError):
+        gauge_apply(Config(0.5, [[1.0], [2.0]]), G)
+
+
 def test_gauge_apply_zero_field():
     G = GaugeField.constant(np.zeros(2))
     p = Config(0.7, [1.0, -2.0])

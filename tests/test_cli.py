@@ -84,6 +84,9 @@ def test_suite_size_params_rejected(tmp_path):
     # zero probes and a single slice crashed the suites with no report
     bad = [("verify-cocycle", "n_probes", v) for v in (0, -3, 2.0, True, "10")]
     bad += [("pathint", "n_slices", v) for v in (1, 0, 8.0, True, None)]
+    # grid axes below 8 points crashed the pathint suite the same way
+    bad += [("pathint", key, v) for key in ("n_points", "n_points_2d")
+            for v in (7, 3, 0, 64.0, True)]
     for name, key, val in bad:
         cfg = {"model": MINI_MODEL, "experiment": name, "seed": 1,
                "params": {name: {key: val}}}
@@ -91,7 +94,8 @@ def test_suite_size_params_rejected(tmp_path):
         assert main(["run", str(_write(tmp_path, cfg)), "--out", str(out)]) == 2
         assert not (out / "report.json").exists()
     for name, key, val in (("verify-cocycle", "n_probes", 1),
-                           ("pathint", "n_slices", 2)):
+                           ("pathint", "n_slices", 2), ("pathint", "n_points", 8),
+                           ("pathint", "n_points_2d", 8)):
         validate_config({"model": MINI_MODEL, "experiment": name, "seed": 1,
                          "params": {name: {key: val}}})
     cfg = {"model": MINI_MODEL, "experiment": "verify-cocycle", "seed": 1,

@@ -6,8 +6,9 @@ import pytest
 from cqm.bundle import Config, ModelParams
 from cqm.classical import hpf_table
 from cqm.cocycle import LagrangianModel
-from cqm.pathint import (PropagatorKernel, SliceScheme,
-                         _alias_safe_oversampling, _quadrature_weight,
+from cqm.experiments import run_experiment
+from cqm.pathint import (PropagatorKernel, SliceScheme, _alias_safe_oversampling,
+                         _chain, _quadrature_weight,
                          classical_split, compose_kernels, free_kernel_exact,
                          kernel_slices_csv, propagate_wavefunction,
                          read_kernel, relational_propagator,
@@ -88,6 +89,49 @@ def test_fft_chain_matches_dense(n_out, M, T):
         cols = K1 @ (w * cols)
     dense = cols[::stride, :]
     assert np.abs(K - dense).max() <= 1e-11 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("n_out", [128, 257])
+def test_chain_symmetries(n_out):
+    # K = K^T, and the reflection i -> n - i for i, j >= 1: half the columns
+    # are propagated, the other half and row 0 are filled from them
+    grid = GridSpec(((-15.0, 15.0, n_out),))
+    free1 = LagrangianModel(ModelParams(1, 1, np.array([1.0])))
+    K = sliced_propagator(free1, SliceScheme(6, grid, 0.0, 1.0)).matrix
+    scale = np.abs(K).max()
+    assert np.abs(K - K.T).max() <= 1e-13 * scale
+    assert np.abs(K[1:, 1:] - K[:0:-1, :0:-1]).max() <= 1e-13 * scale
+
+
+def test_half_chain_is_a_snapshot():
+    grid = GridSpec(((-15.0, 15.0, 128),))
+    free1 = LagrangianModel(ModelParams(1, 1, np.array([1.0])))
+    half, full = _chain(grid, 1.0 / 8, 1.0, 1.0, (4, 8))
+    assert np.array_equal(
+        half, sliced_propagator(free1, SliceScheme(4, grid, 0.0, 0.5)).matrix)
+    assert np.array_equal(
+        full, sliced_propagator(free1, SliceScheme(8, grid, 0.0, 1.0)).matrix)
+
+
+@pytest.mark.parametrize("M", [8, 5])
+def test_suite_semigroup_matches_separate_halves(M):
+    # even M takes the half chain from the full run, odd M builds it apart;
+    # either way the check equals composing two independently built halves
+    params = {"n_points": 256, "n_slices": M, "n_points_2d": 32}
+    model = ModelParams(2, 1, np.array([1.0, 2.0]))
+    checks = run_experiment("pathint", model, params, seed=1, out=None)
+    (semi,) = [c for c in checks if c.name == "kernel-semigroup"]
+    grid = GridSpec(((-15.0, 15.0, 256),))
+    free1 = LagrangianModel(ModelParams(1, 1, np.array([1.0])))
+    full = sliced_propagator(free1, SliceScheme(M, grid, 0.0, 1.0))
+    h1 = sliced_propagator(free1, SliceScheme(M // 2, grid, 0.0, 0.5))
+    h2 = sliced_propagator(free1, SliceScheme(M // 2, grid, 0.5, 1.0))
+    comp = compose_kernels(h2, h1)
+    cen = _central(grid)
+    Kc = full.matrix[np.ix_(cen, cen)]
+    expected = (np.linalg.norm(comp.matrix[np.ix_(cen, cen)] - Kc)
+                / np.linalg.norm(Kc))
+    assert abs(semi.residual - expected) <= 1e-12
 
 
 def test_semigroup():
