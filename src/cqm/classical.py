@@ -104,6 +104,8 @@ class DiscretePath:
     def straight(cls, p0: Config, p1: Config, M: int) -> "DiscretePath":
         if not p1.t > p0.t:
             raise ValueError("endpoint times must satisfy t1 > t0")
+        if M < 1:
+            raise ValueError("a path needs at least one interval (M >= 1)")
         t = np.linspace(p0.t, p1.t, M + 1)
         s = ((t - p0.t) / (p1.t - p0.t))[:, None]
         x = p0.x[None, :] + s * (p1.x - p0.x)[None, :]
@@ -296,19 +298,44 @@ def hpf_table(model: LagrangianModel, p0: Config, t_grid, x_grid, M: int = 64,
               tol: float = 1e-10) -> HPFSample:
     """Tabulate the principal function over a rectangular (t, x) grid.
 
-    One-dimensional configuration space only (the table is a surface); each
-    entry re-solves the boundary-value problem.
+    One-dimensional configuration space only (the table is a surface).  With
+    a potential each entry re-solves the boundary-value problem.  A free
+    model's critical paths are the straight lines of ``DiscretePath.straight``,
+    so the whole table is built as one ``(nt, nx, M+1)`` array of nodes and
+    its discrete action is evaluated in one pass, with the same float
+    operations as ``hpf_value`` per entry (the table is bit-identical).
     """
-    if model.params.dim != 1:
+    if model.params.dim != 1 or p0.dim != 1:
         raise ValueError("hpf_table requires a one-dimensional configuration space")
     t_grid = np.asarray(t_grid, dtype=float)
     x_grid = np.asarray(x_grid, dtype=float)
+    if t_grid.ndim != 1 or x_grid.ndim != 1:
+        raise ValueError("table grids must be one-dimensional")
+    if not (np.all(np.isfinite(t_grid)) and np.all(np.isfinite(x_grid))):
+        raise ValueError("configuration entries must be finite")
     if np.any(t_grid <= p0.t):
         raise ValueError("table times must exceed the start time")
-    S = np.empty((t_grid.size, x_grid.size))
-    for i, tv in enumerate(t_grid):
-        for j, xv in enumerate(x_grid):
-            S[i, j] = hpf_value(model, p0, Config(tv, [xv]), M=M, tol=tol)
+    if model.potential is not None:
+        S = np.empty((t_grid.size, x_grid.size))
+        for i, tv in enumerate(t_grid):
+            for j, xv in enumerate(x_grid):
+                S[i, j] = hpf_value(model, p0, Config(tv, [xv]), M=M, tol=tol)
+        return HPFSample(p0.t, p0.x, t_grid, x_grid, S)
+    if M < 1:
+        raise ValueError("a path needs at least one interval (M >= 1)")
+    t = np.linspace(p0.t, t_grid, M + 1, axis=-1)
+    dt = np.diff(t, axis=-1)
+    if not np.all(dt > 0):
+        raise ValueError("times must be strictly increasing")
+    s = (t - p0.t) / (t_grid - p0.t)[:, None]
+    x0 = p0.x[0]
+    x = x0 + s[:, None, :] * (x_grid - x0)[None, :, None]
+    x[..., -1] = x_grid
+    dx = np.diff(x, axis=-1)
+    terms = ((0.5 * (dx * dx)) * model.params.mass_vector[0]) / dt[:, None, :]
+    # a row sum of the C-contiguous 2-D view is numpy's pairwise sum, the one
+    # action() takes per path; a last-axis sum over the 3-D array is not
+    S = terms.reshape(-1, M).sum(axis=-1).reshape(t_grid.size, x_grid.size)
     return HPFSample(p0.t, p0.x, t_grid, x_grid, S)
 
 

@@ -240,7 +240,8 @@ def classical_split(kernel: PropagatorKernel, hpf: HPFSample | None = None):
     between grid points is closed-form; stats report the normalization's
     spread over the central half-box, where it should be a constant.  If a
     principal-function table anchored at one grid column is supplied, that
-    column of S_c is cross-checked and the deviation reported.
+    column of S_c is cross-checked over the grid points the table covers and
+    the deviation reported; the table must cover the kernel's end time.
     """
     x = kernel.grid.coords(0)
     T = kernel.duration
@@ -259,6 +260,8 @@ def classical_split(kernel: PropagatorKernel, hpf: HPFSample | None = None):
         "modulus_std_over_mean": float(np.abs(block).std() / np.abs(block).mean()),
     }
     if hpf is not None:
+        if not hpf.t_grid[0] <= kernel.t1 <= hpf.t_grid[-1]:
+            raise ValueError("principal-function table does not cover the end time")
         j = int(np.argmin(np.abs(x - hpf.x0[0])))
         covered = (x >= hpf.x_grid[0]) & (x <= hpf.x_grid[-1])
         col = hpf.spline()(kernel.t1, x[covered])[0]

@@ -217,7 +217,9 @@ def _covariant_derivatives(psi_series: list[WaveGrid], hpf: HPFSample,
     and (d_t - (i/hbar) dS/dt) psi.
 
     d_x is the non-wrapping central difference (one-sided at the two edge
-    points), d_t the central difference across the neighbouring slices.
+    points), d_t the central difference across the neighbouring slices.  The
+    table must cover the middle slice's time and every grid point, because
+    its spline would extrapolate silently.
     """
     if len(psi_series) < 3:
         raise ValueError("need at least 3 time slices")
@@ -226,6 +228,10 @@ def _covariant_derivatives(psi_series: list[WaveGrid], hpf: HPFSample,
     if psi.spec.ndim != 1:
         raise ValueError("covariant derivatives are defined on one-axis grids")
     x = psi.spec.coords(0)
+    if not hpf.t_grid[0] <= psi.t <= hpf.t_grid[-1]:
+        raise ValueError("principal-function table does not cover the slice time")
+    if x[0] < hpf.x_grid[0] or x[-1] > hpf.x_grid[-1]:
+        raise ValueError("principal-function table does not cover the grid")
     spline = hpf.spline()
     amp = psi.amplitudes
     before, after = psi_series[mid - 1], psi_series[mid + 1]
@@ -251,9 +257,6 @@ def covariant_derivative_residual(psi_series: list[WaveGrid], hpf: HPFSample,
     boundary points carry one-sided stencils and are excluded from the norms.
     """
     psi, dx_psi, dt_psi = _covariant_derivatives(psi_series, hpf, hbar)
-    x = psi.spec.coords(0)
-    if x[0] < hpf.x_grid[0] or x[-1] > hpf.x_grid[-1]:
-        raise ValueError("principal-function table does not cover the grid")
     nrm = np.linalg.norm(psi.amplitudes[1:-1])
     return (float(np.linalg.norm(dx_psi[1:-1]) / nrm),
             float(np.linalg.norm(dt_psi[1:-1]) / nrm))

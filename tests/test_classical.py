@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from cqm.bundle import Config, GaugeField, Shift
+from cqm.bundle import Config, GaugeField, ModelParams, Shift
 from cqm.classical import (DiscretePath, HPFSample, action,
                            action_gauge_split, action_gauge_transformed,
                            el_residual, flat_connection, flat_connection_curl,
                            free_hpf, hpf_table, hpf_to_csv, hpf_value,
                            noether_charge, path_to_csv, shift_path_nodes,
                            solve_critical_path)
-from cqm.cocycle import path_cocycle
+from cqm.cocycle import LagrangianModel, path_cocycle
 from conftest import random_path
 
 
@@ -193,6 +193,71 @@ def test_hpf_table_matches_closed_form(free1):
 def test_hpf_table_rejects_early_times(free1):
     with pytest.raises(ValueError):
         hpf_table(free1, Config(1.0, [0.0]), [0.5, 2.0], [0.0, 1.0])
+
+
+def _hpf_loop(model, p0, t_grid, x_grid, M):
+    return np.array([[hpf_value(model, p0, Config(tv, [xv]), M=M) for xv in x_grid]
+                     for tv in t_grid])
+
+
+@pytest.mark.parametrize("M", [1, 5, 8, 16, 200])
+def test_free_hpf_table_equals_entry_loop(M):
+    for mass, t0, x0 in [(0.7, 0.0, 0.0), (1.0, 0.3, -0.4), (2.0, -2.0, 1.7)]:
+        model = LagrangianModel(ModelParams(1, 1, np.array([mass])))
+        p0 = Config(t0, [x0])
+        t_grid = np.linspace(t0 + 0.05, t0 + 3.0, 9)
+        x_grid = np.linspace(-2.5, 2.5, 8)
+        hpf = hpf_table(model, p0, t_grid, x_grid, M=M)
+        assert np.array_equal(hpf.S, _hpf_loop(model, p0, t_grid, x_grid, M))
+
+
+@pytest.mark.parametrize("p0, t_grid, x_grid, M", [
+    (Config(0.0, [0.0]), [1.0, np.nan], [0.0], 8),
+    (Config(0.0, [0.0]), [1.0, np.inf], [0.0], 8),
+    (Config(0.0, [0.0]), [1.0], [0.0, np.nan], 8),
+    (Config(0.0, [0.0]), [1.0], [-np.inf, 0.0], 8),
+    (Config(1.0, [0.0]), [2.0, 1.0], [0.0], 8),
+    (Config(0.0, [0.0]), [1.0], [0.0], 0),
+    (Config(0.0, [0.0]), [1.0], [0.0], -1),
+    (Config(1.0, [0.0]), [2.0, np.nextafter(1.0, 2.0)], [0.0], 64),
+    (Config(0.0, [0.0, 0.0]), [1.0], [0.0], 8),
+])
+def test_free_hpf_table_rejects_what_the_entry_loop_rejects(free1, p0, t_grid, x_grid, M):
+    with pytest.raises(ValueError):
+        _hpf_loop(free1, p0, t_grid, x_grid, M)
+    with pytest.raises(ValueError):
+        hpf_table(free1, p0, t_grid, x_grid, M=M)
+
+
+@pytest.mark.parametrize("t_grid, x_grid", [
+    (np.full((2, 3), 2.0), [0.0, 1.0]), (2.0, [0.0]), ([2.0], 1.0), ([2.0], np.zeros((2, 2))),
+])
+def test_hpf_table_grids_must_be_one_dimensional(free1, harmonic, t_grid, x_grid):
+    for model in (free1, harmonic):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            hpf_table(model, Config(0.0, [0.0]), t_grid, x_grid, M=4)
+
+
+def test_harmonic_hpf_table_equals_entry_loop(harmonic):
+    p0 = Config(0.2, [0.1])
+    t_grid = np.linspace(0.7, 1.3, 3)
+    x_grid = np.linspace(-0.5, 0.5, 4)
+    hpf = hpf_table(harmonic, p0, t_grid, x_grid, M=16)
+    assert np.array_equal(hpf.S, _hpf_loop(harmonic, p0, t_grid, x_grid, 16))
+
+
+@pytest.mark.parametrize("M", [0, -1])
+def test_paths_need_an_interval(free1, harmonic, M):
+    p0, p1 = Config(0.0, [0.0]), Config(1.0, [1.0])
+    with pytest.raises(ValueError):
+        DiscretePath.straight(p0, p1, M)
+    for model in (free1, harmonic):
+        with pytest.raises(ValueError):
+            solve_critical_path(model, p0, p1, M)
+        with pytest.raises(ValueError):
+            hpf_value(model, p0, p1, M=M)
+        with pytest.raises(ValueError):
+            hpf_table(model, p0, [1.0], [1.0], M=M)
 
 
 def test_hamilton_jacobi_residual(free1):

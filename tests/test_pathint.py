@@ -168,6 +168,14 @@ def test_classical_split(kernel256):
     assert np.abs(recon - kernel256.matrix).max() < 1e-12
 
 
+def test_classical_split_needs_table_time(kernel256):
+    free1 = LagrangianModel(ModelParams(1, 1, np.array([1.0])))
+    hpf = hpf_table(free1, Config(0.0, [kernel256.grid.coords(0)[128]]),
+                    np.linspace(1.2, 1.4, 5), np.linspace(-7.0, 7.0, 41), M=8)
+    with pytest.raises(ValueError, match="end time"):
+        classical_split(kernel256, hpf)
+
+
 def test_propagate_matches_evolve(grid256, kernel256):
     psi0 = gaussian_packet(grid256, 0.0, 1.0, 0.5)
     via_k = propagate_wavefunction(kernel256, psi0)

@@ -150,6 +150,21 @@ def test_covariant_residual_grows_with_perturbation(wkb_setup, rng):
         prev = rx
 
 
+def test_covariant_derivatives_need_table_coverage(free1, wkb_setup):
+    from cqm.qgrid import covariant_derivative_residual
+
+    hpf, wspec, _ = wkb_setup
+    late = _wkb_series(free1, Config(0.0, [0.0]), wspec, 25.0, 0.02)
+    with pytest.raises(ValueError, match="slice time"):
+        covariant_derivative_residual(late, hpf)
+    with pytest.raises(ValueError, match="slice time"):
+        meta_action(late, hpf, (1.0, 0.3))
+    wide = GridSpec(((-12.0, 12.0, 4096),))
+    series = _wkb_series(free1, Config(0.0, [0.0]), wide, 20.0, 0.02)
+    with pytest.raises(ValueError, match="grid"):
+        meta_action(series, hpf, (1.0, 0.3))
+
+
 def test_boost_covariance_zero_velocity(spec512, H1):
     psi = gaussian_packet(spec512, 0.0, 1.0)
     assert boost_covariance_check(psi, 0.0, 1.0, H1) < 1e-12
