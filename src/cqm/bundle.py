@@ -7,6 +7,8 @@ time-dependent shift X(t) is a gauge field (extended Galilean transformation,
 covering boosts X(t) = v*t and accelerations).  The shift group splits into an
 "external" diagonal part (all particles moved identically) and an "internal"
 remainder, with two anchoring conventions for the internal representative.
+A GaugeField may hold a stack of fields on one sample grid, evaluated at once
+for a stack of paths.
 """
 from __future__ import annotations
 
@@ -186,10 +188,12 @@ def _smooth_bump(s: np.ndarray) -> np.ndarray:
 class GaugeField:
     """A sampled time-dependent shift X(t), interpolated linearly.
 
-    If ``support=(t0, t1)`` is given, the field vanishes identically at and
-    outside the window (samples there must be exactly zero); this realises the
-    subgroup of transformations frozen at the path endpoints.  Outside the
-    sample range without a support window the edge value is held constant.
+    ``values`` has shape (n_samples, dim), or (n, n_samples, dim) for a stack
+    of n fields on one shared sample grid.  If ``support=(t0, t1)`` is given,
+    the field vanishes identically at and outside the window (samples there
+    must be exactly zero); this realises the subgroup of transformations
+    frozen at the path endpoints.  Outside the sample range without a support
+    window the edge value is held constant.
     """
 
     times: np.ndarray
@@ -199,8 +203,9 @@ class GaugeField:
     def __post_init__(self):
         times = _frozen_array(self.times)
         values = _frozen_array(self.values)
-        if values.ndim != 2 or values.shape[0] != times.size:
-            raise ValueError("values must have shape (n_samples, dim)")
+        if values.ndim not in (2, 3) or values.shape[-2] != times.size:
+            raise ValueError("values must have shape (n_samples, dim) or "
+                             "(n, n_samples, dim)")
         if times.size == 0:
             raise ValueError("gauge field needs at least one sample")
         if times.size > 1 and not np.all(np.diff(times) > 0):
@@ -212,31 +217,40 @@ class GaugeField:
             if not t0 < t1:
                 raise ValueError("support window must satisfy t0 < t1")
             outside = (times <= t0) | (times >= t1)
-            if np.any(values[outside] != 0.0):
+            if np.any(values[..., outside, :] != 0.0):
                 raise ValueError("samples at/outside the support window must be zero")
             object.__setattr__(self, "support", (float(t0), float(t1)))
 
     @property
     def dim(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     def value_at(self, t) -> np.ndarray:
-        """Evaluate X(t); scalar t gives (dim,), array t gives (nt, dim)."""
+        """Evaluate X(t); scalar t gives (..., dim), array t gives (..., nt, dim).
+
+        The leading ``...`` is the stack axis of a stacked field, else empty.
+        """
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty((t_arr.size, self.dim))
-        for j in range(self.dim):
-            out[:, j] = np.interp(t_arr, self.times, self.values[:, j])
+        fields = self.values.reshape(-1, self.times.size, self.dim)
+        out = np.empty((fields.shape[0], t_arr.size, self.dim))
+        for k, field in enumerate(fields):
+            for j in range(self.dim):
+                out[k, :, j] = np.interp(t_arr, self.times, field[:, j])
         if self.support is not None:
             t0, t1 = self.support
-            out[(t_arr <= t0) | (t_arr >= t1)] = 0.0
-        return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
+            out[:, (t_arr <= t0) | (t_arr >= t1)] = 0.0
+        out = out.reshape(self.values.shape[:-2] + out.shape[1:])
+        return out[..., 0, :] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
     @classmethod
     def boost(cls, v: np.ndarray, t0: float, t1: float, n: int = 2) -> "GaugeField":
-        """Linear-in-time field X(t) = v * t (exact under linear interpolation)."""
+        """Linear-in-time field X(t) = v * t (exact under linear interpolation).
+
+        An (m, dim) array of velocities gives a stack of m fields.
+        """
         v = np.asarray(v, dtype=float)
         times = np.linspace(t0, t1, n)
-        return cls(times, times[:, None] * v[None, :])
+        return cls(times, times[:, None] * v[..., None, :])
 
     @classmethod
     def constant(cls, v: np.ndarray, t0: float = 0.0, t1: float = 1.0) -> "GaugeField":
@@ -254,18 +268,27 @@ class GaugeField:
         return cls(times, prof[:, None] * direction[None, :], support=(t0, t1))
 
     @classmethod
+    def sine_modes(cls, coeffs, t0: float, t1: float, n: int = 65) -> "GaugeField":
+        """Superposition sum_k sin(k pi s) c_k / k, supported on (t0, t1).
+
+        ``coeffs`` holds the amplitudes c_k as an (n_modes, dim) array, or an
+        (m, n_modes, dim) stack of them, which gives a stack of m fields.
+        """
+        coeffs = np.asarray(coeffs, dtype=float)
+        times = np.linspace(t0, t1, n)
+        s = (times - t0) / (t1 - t0)
+        values = np.zeros(coeffs.shape[:-2] + (n, coeffs.shape[-1]))
+        for k in range(1, coeffs.shape[-2] + 1):
+            values += np.sin(k * np.pi * s)[:, None] * (coeffs[..., k - 1, None, :] / k)
+        values[..., 0, :] = 0.0
+        values[..., -1, :] = 0.0
+        return cls(times, values, support=(t0, t1))
+
+    @classmethod
     def random_bump(cls, dim: int, t0: float, t1: float, rng: np.random.Generator,
                     n_modes: int = 4, n: int = 65, scale: float = 1.0) -> "GaugeField":
         """Random superposition of sine modes vanishing at the window endpoints."""
-        times = np.linspace(t0, t1, n)
-        s = (times - t0) / (t1 - t0)
-        values = np.zeros((n, dim))
-        for k in range(1, n_modes + 1):
-            coeff = rng.normal(size=dim) * scale / k
-            values += np.sin(k * np.pi * s)[:, None] * coeff[None, :]
-        values[0] = 0.0
-        values[-1] = 0.0
-        return cls(times, values, support=(t0, t1))
+        return cls.sine_modes(rng.normal(size=(n_modes, dim)) * scale, t0, t1, n)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "GaugeField":

@@ -9,6 +9,10 @@ potential.  With this pairing the gauge transformation law of the action,
 holds exactly at the discrete level, and the critical path solves the
 central-difference Euler-Lagrange system (damped Newton on the gradient of
 the discretised action, a banded linear system per step).
+
+``action``, ``shift_path_nodes`` and ``gauge_transform_path`` also take a
+stack of histories on one shared time grid (``x`` of shape (n, M+1, dim)):
+a stack gives the per-history values, bit for bit.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .bundle import Config, GaugeField, Shift
-from .cocycle import LagrangianModel, path_cocycle
+from .cocycle import LagrangianModel, _float_or_array, path_cocycle
 
 __all__ = [
     "DiscretePath",
@@ -48,22 +52,24 @@ __all__ = [
 class DiscretePath:
     """A kinematical history sampled at M+1 parameter nodes.
 
-    ``deparametrized`` means t coincides with the parameter grid; ``anchor``
-    marks relational paths (coordinates relative to that particle, whose
-    block is identically zero).
+    ``x`` has shape (M+1, dim), or (n, M+1, dim) for a stack of n histories
+    on the shared grid.  ``deparametrized`` means t coincides with the
+    parameter grid; ``anchor`` marks relational paths (coordinates relative
+    to that particle, whose block is identically zero; a stack carries one
+    anchor per history).
     """
 
     tau: np.ndarray
     t: np.ndarray
     x: np.ndarray
     deparametrized: bool = True
-    anchor: int | None = None
+    anchor: int | np.ndarray | None = None
 
     def __post_init__(self):
         tau = np.array(self.tau, dtype=float)
         t = np.array(self.t, dtype=float)
         x = np.array(self.x, dtype=float)
-        if x.ndim != 2 or x.shape[0] != t.size or tau.size != t.size:
+        if x.ndim not in (2, 3) or x.shape[-2] != t.size or tau.size != t.size:
             raise ValueError("inconsistent path arrays")
         if not np.all(np.diff(tau) > 0):
             raise ValueError("parameter grid must be strictly increasing")
@@ -83,17 +89,17 @@ class DiscretePath:
 
     @property
     def dim(self) -> int:
-        return self.x.shape[1]
+        return self.x.shape[-1]
 
     def node(self, k: int) -> Config:
-        return Config(self.t[k], self.x[k])
+        return Config(self.t[k], self.x[..., k, :])
 
     def endpoint_configs(self) -> tuple[Config, Config]:
         return self.node(0), self.node(-1)
 
     def velocities(self) -> np.ndarray:
-        """Per-interval midpoint velocities dx/dt, shape (M, dim)."""
-        return np.diff(self.x, axis=0) / np.diff(self.t)[:, None]
+        """Per-interval midpoint velocities dx/dt, shape (..., M, dim)."""
+        return np.diff(self.x, axis=-2) / np.diff(self.t)[:, None]
 
     @classmethod
     def from_nodes(cls, t: Sequence[float], x: np.ndarray, anchor: int | None = None) -> "DiscretePath":
@@ -114,9 +120,13 @@ class DiscretePath:
 
 
 def shift_path_nodes(path: DiscretePath, values: np.ndarray) -> DiscretePath:
-    """New path with node positions shifted by the given (M+1, dim) samples."""
+    """New path with node positions shifted by (M+1, dim) or (n, M+1, dim) samples.
+
+    A single path shifted by a stack of samples gives a stack, and a single
+    set of samples shifts every path of a stack.
+    """
     values = np.asarray(values, dtype=float)
-    if values.shape != path.x.shape:
+    if values.ndim not in (2, 3) or values.shape[-2:] != path.x.shape[-2:]:
         raise ValueError("shift samples do not match path nodes")
     return replace(path, x=path.x + values)
 
@@ -126,28 +136,35 @@ def gauge_transform_path(path: DiscretePath, G: GaugeField) -> DiscretePath:
     return shift_path_nodes(path, G.value_at(path.t))
 
 
-def action(model: LagrangianModel, path: DiscretePath) -> float:
-    """Discrete action: midpoint-velocity kinetic term, trapezoid potential."""
+def action(model: LagrangianModel, path: DiscretePath) -> float | np.ndarray:
+    """Discrete action: midpoint-velocity kinetic term, trapezoid potential.
+
+    A float for one history, an (n,) array for a stack.  Each history's terms
+    are summed as one row of a C-contiguous (n, M) array, which is the
+    pairwise sum ``np.sum`` takes on a single history.
+    """
     if path.n_intervals < 1:
         raise ValueError("path needs at least 2 nodes")
     dt = np.diff(path.t)
     if np.any(dt <= 0):
         raise ValueError("degenerate grid: repeated times")
-    dx = np.diff(path.x, axis=0)
+    dx = np.diff(path.x, axis=-2)
     mv = model.params.mass_vector
-    kinetic = float(np.sum((0.5 * (dx * dx) @ mv) / dt))
-    if model.potential is None:
-        return kinetic
-    V = model.potential_values(path.x)
-    return kinetic - float(np.sum(0.5 * (V[:-1] + V[1:]) * dt))
+    S = ((0.5 * (dx * dx) @ mv) / dt).sum(axis=-1)
+    if model.potential is not None:
+        V = model.potential_values(path.x)
+        S = S - (0.5 * (V[..., :-1] + V[..., 1:]) * dt).sum(axis=-1)
+    return _float_or_array(S)
 
 
-def action_gauge_transformed(model: LagrangianModel, path: DiscretePath, G: GaugeField) -> float:
+def action_gauge_transformed(model: LagrangianModel, path: DiscretePath,
+                             G: GaugeField) -> float | np.ndarray:
     """Action of the gauge-transformed path, evaluated directly."""
     return action(model, gauge_transform_path(path, G))
 
 
-def action_gauge_split(model: LagrangianModel, path: DiscretePath, G: GaugeField) -> float:
+def action_gauge_split(model: LagrangianModel, path: DiscretePath,
+                       G: GaugeField) -> float | np.ndarray:
     """Right-hand side of the transformation law: S[path] + cocycle integral."""
     return action(model, path) + path_cocycle(model, path, G).real_value
 

@@ -41,8 +41,9 @@ def _is_positive_number(val) -> bool:
 
 
 # suite parameters that size an array, a grid axis or a slice count: below the
-# minimum the suite cannot run at all
-_INT_MINIMUM = {("verify-cocycle", "n_probes"): 1, ("pathint", "n_slices"): 2,
+# minimum the suite cannot run at all, or checks nothing and still passes
+_INT_MINIMUM = {("verify-cocycle", "n_probes"): 1, ("classical", "n_pairs"): 1,
+                ("dress", "n_probes"): 1, ("pathint", "n_slices"): 2,
                 ("pathint", "n_points"): 8, ("pathint", "n_points_2d"): 8}
 
 

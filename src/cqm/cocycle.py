@@ -14,6 +14,9 @@ Discrete convention: path integrals of the cocycle use per-interval finite
 differences of both the positions and the shift samples at the path's own
 nodes, so the composition law, the action splitting and the boost boundary
 term all hold exactly in exact arithmetic (roundoff only in floating point).
+The path integrals take one history or a stack of histories on a shared time
+grid (``x`` of shape (n, M+1, dim)); a stack gives the per-history values,
+bit for bit.
 """
 from __future__ import annotations
 
@@ -99,19 +102,31 @@ class LagrangianModel:
 
 @dataclass(frozen=True)
 class CocycleAccumulator:
-    """Path-integrated cocycle value and its unit-modulus phase."""
+    """Path-integrated cocycle value and its unit-modulus phase.
 
-    real_value: float
+    For a stack of paths ``real_value`` and ``phase`` are (n,) arrays.
+    """
+
+    real_value: float | np.ndarray
     hbar: float
-    phase: complex
+    phase: complex | np.ndarray
 
     @classmethod
-    def from_value(cls, value: float, hbar: float) -> "CocycleAccumulator":
-        return cls(float(value), float(hbar), np.exp(-1j * value / hbar))
+    def from_value(cls, value, hbar: float) -> "CocycleAccumulator":
+        value = _float_or_array(np.asarray(value, dtype=float))
+        # divide before going complex: for a float this is the exponent
+        # -1j * value / hbar rounds to, while numpy's complex division of an
+        # array multiplies by 1/hbar and rounds differently
+        return cls(value, float(hbar), np.exp(-1j * (value / hbar)))
 
     @property
     def inverse_phase(self) -> complex:
         return np.conj(self.phase)
+
+
+def _float_or_array(values: np.ndarray) -> float | np.ndarray:
+    """One path's value as a float, a stack's as its array."""
+    return float(values) if values.ndim == 0 else values
 
 
 def _as_vec(v, dim: int) -> np.ndarray:
@@ -174,17 +189,24 @@ def _field_at_nodes(field, t: np.ndarray, dim: int) -> np.ndarray:
         return field.value_at(t)
     values = getattr(field, "values", field)
     values = np.asarray(values, dtype=float)
-    if values.shape != (t.size, dim):
+    if values.ndim not in (2, 3) or values.shape[-2:] != (t.size, dim):
         raise ValueError("sampled shift does not match path nodes")
     return values
 
+
+# The path integrals below act on the last two axes of path.x and of the
+# field's node samples: either may be one history or an (n, M+1, dim) stack,
+# and a single field applies to every path of a stack.  Each path's terms are
+# summed as one row of a C-contiguous (n, M) array, the pairwise sum np.sum
+# takes on a single path, so a stack reproduces the per-path values exactly.
 
 def path_cocycle(model: LagrangianModel, path, field) -> CocycleAccumulator:
     """Integrate the cocycle of a time-dependent shift along a discrete path.
 
     ``field`` may be a GaugeField, a FrameShift-like object with per-node
-    samples, or a raw (M+1, dim) array of node values.  Velocities of both the
-    path and the shift are per-interval finite differences at the path nodes.
+    samples, or a raw (M+1, dim) or (n, M+1, dim) array of node values.
+    Velocities of both the path and the shift are per-interval finite
+    differences at the path nodes.
     """
     t = np.asarray(path.t, dtype=float)
     x = np.asarray(path.x, dtype=float)
@@ -192,26 +214,26 @@ def path_cocycle(model: LagrangianModel, path, field) -> CocycleAccumulator:
         raise ValueError("path needs at least 2 samples")
     Xn = _field_at_nodes(field, t, model.params.dim)
     dt = np.diff(t)
-    dx = np.diff(x, axis=0)
-    dX = np.diff(Xn, axis=0)
+    dx = np.diff(x, axis=-2)
+    dX = np.diff(Xn, axis=-2)
     mv = model.params.mass_vector
-    kinetic = float(np.sum(((dx * dX + 0.5 * dX * dX) @ mv) / dt))
-    value = kinetic
+    value = (((dx * dX + 0.5 * dX * dX) @ mv) / dt).sum(axis=-1)
     if model.potential is not None:
         g = -(model.potential_values(x + Xn) - model.potential_values(x))
-        value += float(np.sum(0.5 * (g[:-1] + g[1:]) * dt))
+        value = value + (0.5 * (g[..., :-1] + g[..., 1:]) * dt).sum(axis=-1)
     return CocycleAccumulator.from_value(value, model.params.hbar)
 
 
-def path_linear_cocycle(model: LagrangianModel, path, field) -> float:
+def path_linear_cocycle(model: LagrangianModel, path, field) -> float | np.ndarray:
     """Integral of the linearised cocycle sum_k m_k <x'_k, chi'_k> along a path."""
     t = np.asarray(path.t, dtype=float)
     x = np.asarray(path.x, dtype=float)
     chin = _field_at_nodes(field, t, model.params.dim)
     dt = np.diff(t)
-    dx = np.diff(x, axis=0)
-    dchi = np.diff(chin, axis=0)
-    return float(np.sum(((dx * dchi) @ model.params.mass_vector) / dt))
+    dx = np.diff(x, axis=-2)
+    dchi = np.diff(chin, axis=-2)
+    return _float_or_array(
+        (((dx * dchi) @ model.params.mass_vector) / dt).sum(axis=-1))
 
 
 def boost_phase(model: LagrangianModel, p: Config, vboost) -> complex:

@@ -12,6 +12,11 @@ Changing the anchor from particle i to particle j is the frame shift
 Z_ij(t) = x_i(t) - x_j(t) replicated across blocks; all transformation laws
 under internal shifts and frame changes reduce to the cocycle composition
 rule and hold exactly at the discrete level.
+
+The path functions take one history or a stack of histories on a shared time
+grid (``x`` of shape (n, M+1, dim)); with a stack, an anchor may be an (n,)
+integer array, one per history.  ``identity_suite`` on a stack returns one
+residual array per identity, equal bit for bit to the per-history values.
 """
 from __future__ import annotations
 
@@ -22,7 +27,7 @@ import numpy as np
 from .bundle import Config, GaugeField, ModelParams
 from .classical import (DiscretePath, action, shift_path_nodes,
                         solve_critical_path)
-from .cocycle import LagrangianModel, path_cocycle
+from .cocycle import LagrangianModel, _float_or_array, path_cocycle
 
 __all__ = [
     "RelationalConfig",
@@ -38,17 +43,40 @@ __all__ = [
 ]
 
 
-def _anchor_index(anchor, params: ModelParams) -> int:
-    i = int(anchor)
-    if not 0 <= i < params.n_particles:
+def _anchor_index(anchor, params: ModelParams) -> int | np.ndarray:
+    """One anchor as an int, or an integer array of anchors (one per path)."""
+    i = np.asarray(anchor)
+    if i.ndim == 0:
+        i = int(anchor)
+    elif i.dtype.kind not in "iu":
+        raise TypeError(f"anchors must be integers, got dtype {i.dtype}")
+    if np.any((i < 0) | (i >= params.n_particles)):
         raise IndexError(f"anchor particle {i} out of range")
     return i
 
 
-def _internal_part(params: ModelParams, values: np.ndarray, i: int) -> np.ndarray:
-    """Subtract block i from every block of (n, dim) node samples."""
-    vb = values.reshape(values.shape[0], params.n_particles, params.spatial_dim)
-    return (vb - vb[:, i:i + 1, :]).reshape(values.shape)
+def _blocks(params: ModelParams, values: np.ndarray, i):
+    """Per-particle view (..., n_nodes, N, d) of node samples, and its block i.
+
+    Block i keeps a length-1 particle axis, (..., n_nodes, 1, d); ``i`` is one
+    anchor or an (n,) array that picks a block per stacked path.
+    """
+    vb = values.reshape(values.shape[:-1] + (params.n_particles, params.spatial_dim))
+    idx = np.reshape(i, np.shape(i) + (1,) * (vb.ndim - np.ndim(i)))
+    return vb, np.take_along_axis(vb, idx, axis=-2)
+
+
+def _internal_part(params: ModelParams, values: np.ndarray, i) -> np.ndarray:
+    """Subtract block i from every block of (..., n_nodes, dim) node samples."""
+    vb, anchor = _blocks(params, values, i)
+    return (vb - anchor).reshape(values.shape)
+
+
+def _frame_samples(params: ModelParams, values: np.ndarray, i, j) -> np.ndarray:
+    """Block i minus block j of node samples, replicated across all blocks."""
+    vb, block_i = _blocks(params, values, i)
+    _, block_j = _blocks(params, values, j)
+    return np.broadcast_to(block_i - block_j, vb.shape).reshape(values.shape)
 
 
 @dataclass(frozen=True)
@@ -101,35 +129,37 @@ def dress_path(params: ModelParams, path: DiscretePath, anchor) -> DiscretePath:
 def dressing_field_along(params: ModelParams, path: DiscretePath, anchor) -> np.ndarray:
     """Node samples X(t) = -x_i(t), replicated; feeds the cocycle integrals."""
     i = _anchor_index(anchor, params)
-    xb = path.x.reshape(path.t.size, params.n_particles, params.spatial_dim)
-    return np.tile(-xb[:, i, :], (1, params.n_particles))
+    vb, block = _blocks(params, path.x, i)
+    return np.broadcast_to(-block, vb.shape).reshape(path.x.shape)
 
 
 def frame_shift(params: ModelParams, path: DiscretePath, i, j) -> FrameShift:
     """Anchor-change samples Z_ij(t) = x_i(t) - x_j(t), replicated per block."""
     i = _anchor_index(i, params)
     j = _anchor_index(j, params)
-    xb = path.x.reshape(path.t.size, params.n_particles, params.spatial_dim)
-    z = np.tile(xb[:, i, :] - xb[:, j, :], (1, params.n_particles))
-    return FrameShift(path.t, z)
+    return FrameShift(path.t, _frame_samples(params, path.x, i, j))
 
 
-def dressed_action(model: LagrangianModel, path: DiscretePath, anchor) -> float:
+def dressed_action(model: LagrangianModel, path: DiscretePath,
+                   anchor) -> float | np.ndarray:
     """Action of the relational history.
 
     Computed two ways and cross-checked: (a) the bare action functional on the
     dressed path (the anchor's kinetic term vanishes with its block), and
     (b) bare action plus the cocycle integral of the anchor field -x_i(t);
-    a disagreement above 1e-9 relative raises RuntimeError.
+    a disagreement above 1e-9 relative on any path raises RuntimeError.
     """
     i = _anchor_index(anchor, model.params)
     direct = action(model, dress_path(model.params, path, i))
     split = action(model, path) + path_cocycle(
         model, path, dressing_field_along(model.params, path, i)).real_value
     scale = 1.0 + abs(direct) + abs(split)
-    if abs(direct - split) > 1e-9 * scale:
+    bad = np.flatnonzero(abs(direct - split) > 1e-9 * scale)
+    if bad.size:
+        k = bad[0]
         raise RuntimeError(
-            f"dressed action cross-check failed: {direct!r} vs {split!r}")
+            f"dressed action cross-check failed: {float(np.ravel(direct)[k])!r} "
+            f"vs {float(np.ravel(split)[k])!r}")
     return direct
 
 
@@ -147,18 +177,20 @@ def residual_first_kind(params: ModelParams, rel_path: DiscretePath,
 
 
 def identity_suite(model: LagrangianModel, path: DiscretePath, i, j,
-                   G: GaugeField) -> dict[str, float]:
+                   G: GaugeField) -> dict[str, float | np.ndarray]:
     """Residuals of the dressed-cocycle transformation laws on one path.
 
     Every law is evaluated as path-integrated cocycle values, left and right
     sides computed independently; residuals are pure quadrature roundoff.
     Requires i != j.  ``G`` supplies internal-shift samples Y(t); its external
-    part is split off with the particle-i anchoring.
+    part is split off with the particle-i anchoring.  On a stack of paths,
+    ``i`` and ``j`` may be (n,) arrays and ``G`` a stack of n fields; each
+    residual is then an (n,) array of the per-path values.
     """
     params = model.params
     i = _anchor_index(i, params)
     j = _anchor_index(j, params)
-    if i == j:
+    if np.any(i == j):
         raise ValueError("identity suite needs two distinct anchors")
     t = path.t
     Y = G.value_at(t)
@@ -171,8 +203,14 @@ def identity_suite(model: LagrangianModel, path: DiscretePath, i, j,
     z_ij = frame_shift(params, path, i, j).values
     ybar_i = _internal_part(params, Y, i)
     ybar_j = _internal_part(params, Y, j)
+    # terms shared by several laws, each evaluated once
+    c_u_i = pc(path, u_i)
+    c_u_ybar = pc(path, u_i + ybar_i)
+    c_rel_z = pc(rel_i, z_ij)
+    c_rel_ybar = pc(rel_i, ybar_i)
+    s_i = dressed_action(model, path, i)
 
-    out: dict[str, float] = {}
+    out: dict[str, float | np.ndarray] = {}
 
     # external shift of the dressing cocycle: c(u)^X = c(u) - c(X)
     ext = params.replicate(np.linspace(0.3, -0.2, params.spatial_dim)
@@ -180,47 +218,41 @@ def identity_suite(model: LagrangianModel, path: DiscretePath, i, j,
     Xext = np.outer(np.sin(1.7 * t) + 0.4 * t, ext)
     path_X = shift_path_nodes(path, Xext)
     lhs = pc(path_X, dressing_field_along(params, path_X, i))
-    rhs = pc(path, u_i) - pc(path, Xext)
+    rhs = c_u_i - pc(path, Xext)
     out["dressing-cocycle-external-shift"] = abs(lhs - rhs)
 
     # internal shift: c(u)^Y = c(u + Ybar) - c(Y)
     path_Y = shift_path_nodes(path, Y)
     lhs = pc(path_Y, dressing_field_along(params, path_Y, i))
-    rhs = pc(path, u_i + ybar_i) - pc(path, Y)
+    rhs = c_u_ybar - pc(path, Y)
     out["dressing-cocycle-internal-shift"] = abs(lhs - rhs)
 
     # expanded form: c(u + Ybar) = c(u) + c(f_u(.), Ybar)
-    lhs = pc(path, u_i + ybar_i)
-    rhs = pc(path, u_i) + pc(rel_i, ybar_i)
-    out["dressing-cocycle-internal-shift-expanded"] = abs(lhs - rhs)
+    out["dressing-cocycle-internal-shift-expanded"] = abs(
+        c_u_ybar - (c_u_i + c_rel_ybar))
 
     # frame change of the dressing cocycle: c(u_j) = c(u_i) + c(f_{u_i}(.), Z)
-    lhs = pc(path, u_j)
-    rhs = pc(path, u_i) + pc(rel_i, z_ij)
-    out["dressing-cocycle-frame-shift"] = abs(lhs - rhs)
+    out["dressing-cocycle-frame-shift"] = abs(pc(path, u_j) - (c_u_i + c_rel_z))
 
     # internal transformation of the frame shift: Z^Y = Z + (Y_i - Y_j)
     z_transformed = frame_shift(params, path_Y, i, j).values
-    diff = Y.reshape(t.size, params.n_particles, params.spatial_dim)
-    yi_minus_yj = np.tile(diff[:, i, :] - diff[:, j, :], (1, params.n_particles))
-    out["frame-shift-internal-transform"] = float(
-        np.abs(z_transformed - (z_ij + yi_minus_yj)).max())
+    yi_minus_yj = _frame_samples(params, Y, i, j)
+    out["frame-shift-internal-transform"] = _float_or_array(
+        np.abs(z_transformed - (z_ij + yi_minus_yj)).max(axis=(-2, -1)))
 
     # c(f_{u_i}(.), Z)^Y = c(f_{u_i}(.), Z) + c(f_{u_j}(.), Ybar^j) - c(f_{u_i}(.), Ybar^i)
     rel_i_Y = dress_path(params, path_Y, i)
     lhs = pc(rel_i_Y, z_transformed)
-    rhs = pc(rel_i, z_ij) + pc(rel_j, ybar_j) - pc(rel_i, ybar_i)
+    rhs = c_rel_z + pc(rel_j, ybar_j) - c_rel_ybar
     out["frame-cocycle-internal-shift"] = abs(lhs - rhs)
 
     # frame covariance of the dressed action: S^{u_j} = S^{u_i} + c(f_{u_i}(.), Z)
-    lhs = dressed_action(model, path, j)
-    rhs = dressed_action(model, path, i) + pc(rel_i, z_ij)
-    out["dressed-action-frame-covariance"] = abs(lhs - rhs)
+    out["dressed-action-frame-covariance"] = abs(
+        dressed_action(model, path, j) - (s_i + c_rel_z))
 
     # first-kind residual of the dressed action: S[(gamma^u)^Ybar] = S^u + c_{gamma^u}(Ybar)
     lhs = action(model, shift_path_nodes(rel_i, ybar_i))
-    rhs = dressed_action(model, path, i) + pc(rel_i, ybar_i)
-    out["dressed-action-internal-shift"] = abs(lhs - rhs)
+    out["dressed-action-internal-shift"] = abs(lhs - (s_i + c_rel_ybar))
 
     return out
 

@@ -241,7 +241,9 @@ def classical_split(kernel: PropagatorKernel, hpf: HPFSample | None = None):
     spread over the central half-box, where it should be a constant.  If a
     principal-function table anchored at one grid column is supplied, that
     column of S_c is cross-checked over the grid points the table covers and
-    the deviation reported; the table must cover the kernel's end time.
+    the deviation reported; the table must start at the kernel's start time,
+    from a grid point (to 1e-9 of a grid step), and cover the kernel's end
+    time.
     """
     x = kernel.grid.coords(0)
     T = kernel.duration
@@ -260,9 +262,15 @@ def classical_split(kernel: PropagatorKernel, hpf: HPFSample | None = None):
         "modulus_std_over_mean": float(np.abs(block).std() / np.abs(block).mean()),
     }
     if hpf is not None:
+        if hpf.t0 != kernel.t0:
+            raise ValueError(f"principal-function table starts at t = {hpf.t0!r}, "
+                             f"the kernel at t = {kernel.t0!r}")
         if not hpf.t_grid[0] <= kernel.t1 <= hpf.t_grid[-1]:
             raise ValueError("principal-function table does not cover the end time")
         j = int(np.argmin(np.abs(x - hpf.x0[0])))
+        if abs(x[j] - hpf.x0[0]) > 1e-9 * (x[1] - x[0]):
+            raise ValueError(f"principal-function table starts at x = "
+                             f"{float(hpf.x0[0])!r}, not a grid point")
         covered = (x >= hpf.x_grid[0]) & (x <= hpf.x_grid[-1])
         col = hpf.spline()(kernel.t1, x[covered])[0]
         stats["hpf_column_deviation"] = float(

@@ -47,3 +47,20 @@ def random_path(rng, dim, t0=0.0, t1=1.0, M=40, scale=0.2):
     x = rng.normal(size=(1, dim)) + np.cumsum(
         rng.normal(scale=scale, size=(M + 1, dim)), axis=0)
     return DiscretePath.from_nodes(t, x)
+
+
+def suite_path(rng, dim):
+    """One random history drawn as the experiment suites draw theirs."""
+    from cqm.classical import DiscretePath
+
+    t = np.linspace(0.0, 1.0, 49)
+    x = rng.normal(scale=1.0, size=(1, dim)) + np.cumsum(
+        rng.normal(scale=0.15, size=(49, dim)), axis=0)
+    return DiscretePath.from_nodes(t, x)
+
+
+def suite_rng(name, seed):
+    """The generator ``run_experiment`` hands to suite ``name``."""
+    from cqm.experiments import REGISTRY
+
+    return np.random.default_rng([seed, list(REGISTRY).index(name)])

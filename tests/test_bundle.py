@@ -89,6 +89,26 @@ def test_gauge_field_validation():
         # nonzero sample at the support boundary
         GaugeField(np.array([0.0, 1.0]), np.array([[1.0], [0.0]]),
                    support=(0.0, 1.0))
+    with pytest.raises(ValueError):
+        # the same in the second field of a stack
+        GaugeField(np.array([0.0, 1.0]), np.array([[[0.0], [0.0]], [[0.0], [1.0]]]),
+                   support=(0.0, 1.0))
+    with pytest.raises(ValueError):
+        GaugeField(np.array([0.0, 1.0]), np.zeros((1, 1, 2, 1)))
+
+
+def test_gauge_field_stack_evaluates_each_field():
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=(4, 2))
+    stacks = [GaugeField.boost(v, -0.5, 1.5),
+              GaugeField.sine_modes(rng.normal(size=(4, 3, 2)), 0.0, 1.0)]
+    t = np.linspace(-0.2, 1.2, 15)
+    for G in stacks:
+        fields = [GaugeField(G.times, G.values[k], G.support) for k in range(4)]
+        assert G.dim == 2
+        assert np.array_equal(G.value_at(t), [f.value_at(t) for f in fields])
+        assert np.array_equal(G.value_at(0.3), [f.value_at(0.3) for f in fields])
+    assert np.array_equal(stacks[0].values[1], GaugeField.boost(v[1], -0.5, 1.5).values)
 
 
 def test_gauge_field_json_roundtrip():

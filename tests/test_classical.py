@@ -323,3 +323,54 @@ def test_solver_reports_nonconvergence():
     with pytest.raises(RuntimeError, match="did not converge|residual"):
         solve_critical_path(rough, Config(0.0, [0.0]), Config(1.0, [4.0]),
                             40, tol=1e-12, max_iter=1)
+
+
+def test_classical_suite_matches_per_path_loop():
+    # the suite evaluates its random probes as stacks; this is the loop that
+    # draws and evaluates one path at a time, on the same stream
+    from conftest import suite_path, suite_rng
+    from cqm.cocycle import path_linear_cocycle
+    from cqm.experiments import _harmonic_model, run_experiment
+
+    mp = ModelParams(2, 1, np.array([1.0, 2.0]))
+    model = LagrangianModel(mp)
+    checks = {c.name: c.residual
+              for c in run_experiment("classical", mp, {"n_pairs": 20}, 7, None)}
+    rng = suite_rng("classical", 7)
+    split = boost = var = stat = 0.0
+    for _ in range(20):
+        path = suite_path(rng, 2)
+        G = GaugeField.random_bump(2, -0.1, 1.1, rng)
+        direct = action_gauge_transformed(model, path, G)
+        split = max(split, abs(direct - action_gauge_split(model, path, G))
+                    / (1.0 + abs(direct)))
+    for _ in range(20):
+        path = suite_path(rng, 2)
+        v = rng.normal(size=2)
+        c = path_cocycle(model, path, GaugeField.boost(v, -0.5, 1.5)).real_value
+        delta = [float(np.dot(mp.mass_vector * p.x, v)
+                       + 0.5 * np.dot(mp.mass_vector * v, v) * p.t)
+                 for p in path.endpoint_configs()]
+        boost = max(boost, abs(c - (delta[1] - delta[0])) / (1.0 + abs(c)))
+    eps = 1e-6
+    for _ in range(20):
+        path = suite_path(rng, 2)
+        chi = GaugeField.random_bump(2, 0.0, 1.0, rng)
+        chin = chi.value_at(path.t)
+        fd = (action(model, shift_path_nodes(path, eps * chin))
+              - action(model, shift_path_nodes(path, -eps * chin))) / (2 * eps)
+        lin = path_linear_cocycle(model, path, chi)
+        var = max(var, abs(fd - lin) / (1.0 + abs(lin)))
+    harm = _harmonic_model()
+    crit = solve_critical_path(harm, Config(0.0, [0.0]), Config(np.pi / 2, [1.0]),
+                               200, tol=1e-11)
+    for _ in range(20):
+        chin = GaugeField.random_bump(1, 0.0, np.pi / 2, rng).value_at(crit.t)
+        stat = max(stat, abs((action(harm, shift_path_nodes(crit, eps * chin))
+                              - action(harm, shift_path_nodes(crit, -eps * chin)))
+                             / (2 * eps)))
+    assert checks["gauge-split"] == split
+    assert checks["boost-boundary-term"] == boost
+    assert checks["infinitesimal-gauge-variation"] == var
+    assert checks["harmonic-stationarity"] == stat
+    assert split > 0 and var > 0 and stat > 0

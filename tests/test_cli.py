@@ -83,6 +83,10 @@ def test_unknown_experiment_rejected():
 def test_suite_size_params_rejected(tmp_path):
     # zero probes and a single slice crashed the suites with no report
     bad = [("verify-cocycle", "n_probes", v) for v in (0, -3, 2.0, True, "10")]
+    # zero pairs or probes checked nothing and still passed
+    bad += [(name, key, v) for name, key in (("classical", "n_pairs"),
+                                             ("dress", "n_probes"))
+            for v in (0, -3, 2.5, True)]
     bad += [("pathint", "n_slices", v) for v in (1, 0, 8.0, True, None)]
     # grid axes below 8 points crashed the pathint suite the same way
     bad += [("pathint", key, v) for key in ("n_points", "n_points_2d")
@@ -94,14 +98,19 @@ def test_suite_size_params_rejected(tmp_path):
         assert main(["run", str(_write(tmp_path, cfg)), "--out", str(out)]) == 2
         assert not (out / "report.json").exists()
     for name, key, val in (("verify-cocycle", "n_probes", 1),
+                           ("classical", "n_pairs", 1), ("dress", "n_probes", 1),
                            ("pathint", "n_slices", 2), ("pathint", "n_points", 8),
                            ("pathint", "n_points_2d", 8)):
         validate_config({"model": MINI_MODEL, "experiment": name, "seed": 1,
                          "params": {name: {key: val}}})
-    cfg = {"model": MINI_MODEL, "experiment": "verify-cocycle", "seed": 1,
-           "params": {"verify-cocycle": {"n_probes": 1}}}
-    main(["run", str(_write(tmp_path, cfg)), "--out", str(tmp_path / "one")])
-    assert (tmp_path / "one" / "report.json").exists()
+    # a single probe is a stack of one
+    for name, key in (("verify-cocycle", "n_probes"), ("classical", "n_pairs"),
+                      ("dress", "n_probes")):
+        cfg = {"model": MINI_MODEL, "experiment": name, "seed": 1,
+               "params": {name: {key: 1}}}
+        main(["run", str(_write(tmp_path, cfg)), "--out", str(tmp_path / name)])
+        report = json.loads((tmp_path / name / "report.json").read_text())
+        assert len(report["experiments"][name]["checks"]) > 1
 
 
 def test_bad_model_rejected():

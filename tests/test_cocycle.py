@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cqm.bundle import Config, GaugeField, ModelParams
-from cqm.classical import DiscretePath, gauge_transform_path
+from cqm.classical import (DiscretePath, action, gauge_transform_path,
+                           shift_path_nodes)
 from cqm.cocycle import (CocycleAccumulator, LagrangianModel, boost_phase,
                          cocycle_density, cocycle_property_residual,
                          linear_cocycle, path_cocycle, path_linear_cocycle,
@@ -277,3 +278,48 @@ def test_batch_last_axis_mismatch(free2, rng, width):
     for call in calls:
         with pytest.raises(ValueError, match="last axis"):
             call()
+
+
+# stack contract: an (n, M+1, dim) stack of paths on one time grid gives the
+# per-path values, bit for bit
+STACK_MODELS = {"free2": LagrangianModel(ModelParams(2, 1, np.array([1.0, 2.0]))),
+                **BATCH_MODELS}
+
+
+@pytest.mark.parametrize("kind", sorted(STACK_MODELS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_path_stack_equals_per_path(kind, data):
+    model = STACK_MODELS[kind]
+    dim = model.params.dim
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    M = data.draw(st.integers(min_value=1, max_value=40))
+    t = np.cumsum(data.draw(arrays(np.float64, M + 1,
+                                   elements=st.floats(min_value=0.01, max_value=1.0))))
+    x, X = data.draw(arrays(np.float64, (2, n, M + 1, dim), elements=finite))
+    modes = data.draw(arrays(np.float64, (n, 3, dim), elements=finite))
+    stack = DiscretePath.from_nodes(t, x)
+    paths = [DiscretePath.from_nodes(t, x[k]) for k in range(n)]
+    G = GaugeField.sine_modes(modes, t[0] - 0.1, t[-1] + 0.1)
+    fields = [GaugeField.sine_modes(modes[k], t[0] - 0.1, t[-1] + 0.1)
+              for k in range(n)]
+    cases = [
+        (action(model, stack), [action(model, p) for p in paths]),
+        (path_cocycle(model, stack, X).real_value,
+         [path_cocycle(model, p, X[k]).real_value for k, p in enumerate(paths)]),
+        (path_cocycle(model, stack, G).real_value,
+         [path_cocycle(model, p, f).real_value for p, f in zip(paths, fields)]),
+        (path_linear_cocycle(model, stack, X),
+         [path_linear_cocycle(model, p, X[k]) for k, p in enumerate(paths)]),
+    ]
+    for stacked, per_path in cases:
+        assert type(per_path[0]) is float
+        assert stacked.shape == (n,)
+        assert np.array_equal(stacked, per_path)
+    assert np.array_equal(shift_path_nodes(stack, X).x,
+                          [shift_path_nodes(p, X[k]).x for k, p in enumerate(paths)])
+    assert np.array_equal(gauge_transform_path(stack, G).x,
+                          [gauge_transform_path(p, f).x for p, f in zip(paths, fields)])
+    # one field shifts every path of a stack, one path by a stack of samples
+    assert np.array_equal(shift_path_nodes(stack, X[0]).x, x + X[0])
+    assert np.array_equal(shift_path_nodes(paths[0], X).x, x[0] + X)

@@ -270,3 +270,113 @@ def test_substitution_rule_pointwise_density(free3, rng):
     dressed = 0.5 * (vr * vr) @ mp.mass_vector
     scale = 1 + np.abs(dressed).max()
     assert np.abs(dressed - (bare + coc)).max() < 1e-12 * scale
+
+
+@pytest.mark.parametrize("n_particles, spatial_dim", [(3, 1), (3, 2)])
+def test_identity_suite_stack_mixed_anchors(rng, n_particles, spatial_dim):
+    mp = ModelParams(n_particles, spatial_dim, np.array([1.0, 2.0, 0.5]))
+    model = LagrangianModel(mp)
+    anchors = np.array([(0, 1), (2, 0), (1, 2), (0, 2), (2, 1), (1, 0)])
+    i, j = anchors[:, 0], anchors[:, 1]
+    paths = [random_path(rng, mp.dim) for _ in anchors]
+    stack = DiscretePath.from_nodes(paths[0].t, np.stack([p.x for p in paths]))
+    modes = rng.normal(size=(len(anchors), 4, mp.dim))
+    G = GaugeField.sine_modes(modes, 0.0, 1.0)
+    res = identity_suite(model, stack, i, j, G)
+    per_probe = [identity_suite(model, p, int(a), int(b),
+                                GaugeField.sine_modes(m, 0.0, 1.0))
+                 for p, a, b, m in zip(paths, i, j, modes)]
+    assert sorted(res) == sorted(per_probe[0])
+    for name, values in res.items():
+        assert values.shape == (len(anchors),)
+        assert np.array_equal(values, [d[name] for d in per_probe]), name
+    for k, (p, a, b) in enumerate(zip(paths, i, j)):
+        assert np.array_equal(dress_path(mp, stack, i).x[k], dress_path(mp, p, a).x)
+        assert np.array_equal(dressing_field_along(mp, stack, j)[k],
+                              dressing_field_along(mp, p, b))
+        assert np.array_equal(frame_shift(mp, stack, i, j).values[k],
+                              frame_shift(mp, p, a, b).values)
+        assert dressed_action(model, stack, j)[k] == dressed_action(model, p, b)
+    with pytest.raises(ValueError, match="distinct"):
+        identity_suite(model, stack, i, np.where(np.arange(len(i)) == 3, i, j), G)
+
+
+def test_stacked_anchors_are_checked(free3, rng):
+    stack = DiscretePath.from_nodes(np.linspace(0, 1, 5),
+                                    rng.normal(size=(2, 5, 3)))
+    with pytest.raises(IndexError):
+        dress_path(free3.params, stack, np.array([0, 3]))
+    with pytest.raises(TypeError):
+        dress_path(free3.params, stack, np.array([0.0, 1.0]))
+
+
+def test_dressed_action_stack_raises_on_one_failed_probe(free3, rng, monkeypatch):
+    from cqm import dressing
+    from cqm.cocycle import CocycleAccumulator
+
+    stack = DiscretePath.from_nodes(np.linspace(0, 1, 9),
+                                    rng.normal(size=(4, 9, 3)))
+    anchors = np.array([0, 1, 2, 0])
+    dressed_action(free3, stack, anchors)
+    real = dressing.path_cocycle
+
+    def skewed(model, path, field):
+        acc = real(model, path, field)
+        return CocycleAccumulator.from_value(
+            acc.real_value + np.array([0.0, 0.0, 1.0, 0.0]), acc.hbar)
+
+    monkeypatch.setattr(dressing, "path_cocycle", skewed)
+    with pytest.raises(RuntimeError, match="cross-check failed"):
+        dressed_action(free3, stack, anchors)
+
+
+@pytest.mark.parametrize("n_particles, hbar", [(1, 1.0), (2, 0.7)])
+def test_dress_suite_matches_per_probe_loop(n_particles, hbar):
+    # the suite evaluates its random probes as stacks; this is the loop that
+    # draws and evaluates one probe at a time, on the same stream
+    from conftest import suite_path, suite_rng
+    from cqm.experiments import run_experiment
+
+    masses = np.array([1.0, 2.0])[:n_particles]
+    checks = {c.name: c.residual for c in run_experiment(
+        "dress", ModelParams(n_particles, 1, masses, hbar), {"n_probes": 20}, 11,
+        None)}
+    # a one-particle model is dressed as the suite's three-particle stand-in
+    mp = (ModelParams(2, 1, masses, hbar) if n_particles == 2
+          else ModelParams(3, 1, np.array([1.0, 2.0, 3.0]), hbar))
+    model = LagrangianModel(mp)
+    rng = suite_rng("dress", 11)
+    agg: dict[str, float] = {}
+    for _ in range(20):
+        path = suite_path(rng, mp.dim)
+        i, j = rng.choice(mp.n_particles, size=2, replace=False)
+        G = GaugeField.random_bump(mp.dim, 0.0, 1.0, rng)
+        for name, res in identity_suite(model, path, int(i), int(j), G).items():
+            agg[name] = max(agg.get(name, 0.0), res)
+    lag = ext = rule = 0.0
+    mv = mp.mass_vector
+    for _ in range(20):
+        path = suite_path(rng, mp.dim)
+        i, j = (int(a) for a in rng.choice(mp.n_particles, size=2, replace=False))
+        v = dress_path(mp, path, j).velocities()
+        rel_i = dress_path(mp, path, i)
+        vi = rel_i.velocities()
+        dz = np.diff(frame_shift(mp, path, i, j).values, axis=0) / np.diff(path.t)[:, None]
+        lag = max(lag, float(np.abs(0.5 * (v * v) @ mv - (
+            0.5 * (vi * vi) @ mv + (vi * dz + 0.5 * dz * dz) @ mv)).max()))
+        boost = GaugeField.boost(mp.replicate(rng.normal(size=1)), -0.5, 1.5)
+        moved = gauge_transform_path(path, boost)
+        s_dressed = dressed_action(model, path, i)
+        ext = max(ext, float(np.abs(dress_path(mp, moved, i).x - rel_i.x).max()),
+                  abs(dressed_action(model, moved, i) - s_dressed))
+        s_bare = action(model, path)
+        c_u = path_cocycle(model, path, dressing_field_along(mp, path, i))
+        phase = np.exp(-1j * (s_dressed - s_bare) / mp.hbar)
+        rule = max(rule, abs(s_dressed - (s_bare + c_u.real_value)),
+                   abs(phase - c_u.phase))
+    for name, res in agg.items():
+        assert checks[name] == res, name
+    assert len(agg) == 8 and max(agg.values()) > 0
+    assert checks["relational-lagrangian-pointwise"] == lag
+    assert checks["external-shift-invariance"] == ext
+    assert checks["gauge-substitution-rule"] == rule

@@ -176,6 +176,18 @@ def test_classical_split_needs_table_time(kernel256):
         classical_split(kernel256, hpf)
 
 
+@pytest.mark.parametrize("dx0, t0", [(0.5, 0.0), (0.4, 0.0), (0.0, 0.1)])
+def test_classical_split_needs_table_start(kernel256, dx0, t0):
+    # a start off the grid compared the table with the nearest column and
+    # reported a deviation of 0.41 (half a step) or 0.33 (0.4 of a step)
+    free1 = LagrangianModel(ModelParams(1, 1, np.array([1.0])))
+    x = kernel256.grid.coords(0)
+    hpf = hpf_table(free1, Config(t0, [x[128] + dx0 * (x[1] - x[0])]),
+                    np.linspace(0.9, 1.1, 5), np.linspace(-7.0, 7.0, 41), M=8)
+    with pytest.raises(ValueError, match="not a grid point|starts at t"):
+        classical_split(kernel256, hpf)
+
+
 def test_propagate_matches_evolve(grid256, kernel256):
     psi0 = gaussian_packet(grid256, 0.0, 1.0, 0.5)
     via_k = propagate_wavefunction(kernel256, psi0)
