@@ -618,12 +618,10 @@ def _suite_frame(model_params: ModelParams, params: dict,
     H2 = qgrid.HamiltonianSpec((m_anchor, 1.0), hbar=hbar)
     T = float(params.get("T", 0.5))
     steps = int(params.get("steps", 50))
-    psi2 = _relative_state(spec2, 2.0, 1.0)
-    evolved2 = qgrid.evolve(psi2, H2, T / steps, steps)
+    evolved2 = qgrid.evolve(f, H2, T / steps, steps)
     slice_after = qgrid.dress_wavefunction(evolved2, 0)
-    slice_before = qgrid.dress_wavefunction(psi2, 0)
     H_rel = qgrid.HamiltonianSpec((1.0,), hbar=hbar, frame="relational", anchor=0)
-    evolved_rel = qgrid.evolve(slice_before, H_rel, T / steps, steps)
+    evolved_rel = qgrid.evolve(sliced, H_rel, T / steps, steps)
     err = (np.linalg.norm(slice_after.amplitudes - evolved_rel.amplitudes)
            / np.linalg.norm(evolved_rel.amplitudes))
     checks.append(Check("dress-evolve-commutation", "relational-schrodinger",

@@ -2,7 +2,9 @@
 
 Wave functions live on periodic rectangular grids (one axis per configuration
 coordinate).  Evolution is Strang-split: exact spectral kinetic steps between
-half potential steps, so the L2 norm is preserved to roundoff.  The same
+half potential steps, so the L2 norm is preserved to roundoff.  The steps run
+in two reused buffers, bit for bit the same as `ifftn(expK * fftn(amp))`
+with its fresh arrays.  The same
 grids carry the relational (anchored) states; dressing a bare N-particle
 state restricts it to the zero-anchor slice, and changing the anchor is an
 exact index permutation of the reduced grid times a unit-modulus phase.
@@ -132,6 +134,8 @@ class HamiltonianSpec:
         object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
         if any(m <= 0 for m in self.masses):
             raise ValueError("masses must be positive")
+        if not (np.isfinite(self.hbar) and self.hbar > 0):
+            raise ValueError("hbar must be finite and positive")
         if self.potential is not None:
             pot = np.asarray(self.potential, dtype=float)
             object.__setattr__(self, "potential", pot)
@@ -162,16 +166,23 @@ def _kinetic_phase(spec: GridSpec, H: HamiltonianSpec, dt: float) -> np.ndarray:
 
 
 def evolve(psi: WaveGrid, H: HamiltonianSpec, dt: float, steps: int) -> WaveGrid:
-    """Strang-split spectral propagation over ``steps`` steps of size dt."""
+    """Strang-split spectral propagation over ``steps`` steps of size dt.
+
+    The steps run in two buffers allocated once, the amplitudes and their
+    spectrum, and give the same bits as ``expV * ifftn(expK * fftn(expV * amp))``
+    per step; the input amplitudes are not written to.
+    """
     spec = psi.spec
     if spec.ndim > 3:
         raise ValueError("propagation supports at most 3 grid axes")
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     if steps < 0:
         raise ValueError("steps must be non-negative")
     if len(H.masses) != spec.ndim:
         raise ValueError("one mass per grid axis required")
+    if H.potential is not None and H.potential.shape != spec.shape:
+        raise ValueError("potential shape does not match grid")
     if H.frame != psi.frame or H.anchor != psi.anchor:
         raise ValueError("Hamiltonian frame does not match the state")
     e_max = sum((H.hbar * (np.pi / spec.spacing(a))) ** 2 / (2 * H.masses[a])
@@ -179,14 +190,28 @@ def evolve(psi: WaveGrid, H: HamiltonianSpec, dt: float, steps: int) -> WaveGrid
     if dt * e_max / H.hbar >= np.pi:
         raise ValueError("dt too large for the spectral kinetic phase bound")
     expK = _kinetic_phase(spec, H, dt)
-    amp = psi.amplitudes
-    if H.potential is None:
-        for _ in range(steps):
-            amp = np.fft.ifftn(expK * np.fft.fftn(amp))
-    else:
-        expV = np.exp(-0.5j * dt * H.potential / H.hbar)
-        for _ in range(steps):
-            amp = expV * np.fft.ifftn(expK * np.fft.fftn(expV * amp))
+    expV = None if H.potential is None else np.exp(-0.5j * dt * H.potential / H.hbar)
+    amp = psi.amplitudes.copy()
+    spectrum = np.empty_like(amp)
+    axes = range(spec.ndim - 1, -1, -1)
+    # numpy elides a temporary of 256 KiB or more into `tmp *= phase`, and the
+    # SIMD complex multiply is not bitwise commutative: keep the order it gives
+    elided = amp.nbytes >= 256 * 1024
+    kinetic = (spectrum, expK) if elided else (expK, spectrum)
+    potential = (amp, expV) if elided else (expV, amp)
+    for _ in range(steps):
+        if expV is not None:
+            np.multiply(expV, amp, out=amp)
+        src = amp
+        for ax in axes:
+            np.fft.fft(src, axis=ax, out=spectrum)
+            src = spectrum
+        np.multiply(*kinetic, out=spectrum)
+        for ax in axes:
+            np.fft.ifft(src, axis=ax, out=amp)
+            src = amp
+        if expV is not None:
+            np.multiply(*potential, out=amp)
     return replace(psi, t=psi.t + steps * dt, amplitudes=amp)
 
 

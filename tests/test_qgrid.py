@@ -9,7 +9,7 @@ from cqm.qgrid import (GridSpec, HamiltonianSpec, WaveGrid,
                        boost_covariance_check, commutator_expectation,
                        density_csv, dress_wavefunction, evolve, frame_change,
                        gaussian_packet, meta_action, momentum_apply,
-                       read_wavegrid, write_wavegrid)
+                       read_wavegrid, write_wavegrid, _kinetic_phase)
 
 
 @pytest.fixture
@@ -70,6 +70,52 @@ def test_evolve_validation(spec512, H1):
     psi4 = WaveGrid(spec4, 0.0, np.ones(spec4.shape, dtype=complex))
     with pytest.raises(ValueError):
         evolve(psi4, HamiltonianSpec((1.0,) * 4), dt=1e-4, steps=1)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        evolve(psi, H1, dt=float("nan"), steps=10)
+    column = HamiltonianSpec((1.0,), potential=np.zeros((512, 1)))
+    with pytest.raises(ValueError, match="potential shape"):
+        evolve(psi, column, dt=1e-3, steps=1)
+
+
+@pytest.mark.parametrize("hbar", [0.0, -1.0, float("nan"), float("inf")])
+def test_hamiltonian_rejects_hbar(hbar):
+    with pytest.raises(ValueError, match="hbar"):
+        HamiltonianSpec((1.0,), hbar=hbar)
+
+
+def _fftn_loop(psi, H, dt, steps):
+    """The spectral step written with fftn/ifftn and fresh arrays."""
+    expK = _kinetic_phase(psi.spec, H, dt)
+    amp = psi.amplitudes
+    if H.potential is None:
+        for _ in range(steps):
+            amp = np.fft.ifftn(expK * np.fft.fftn(amp))
+    else:
+        expV = np.exp(-0.5j * dt * H.potential / H.hbar)
+        for _ in range(steps):
+            amp = expV * np.fft.ifftn(expK * np.fft.fftn(expV * amp))
+    return amp
+
+
+# 512 points is 8 KiB, below numpy's 256 KiB temporary-elision size; 256^2 is
+# 1 MiB, above it, where the fftn loop multiplies in the other operand order
+@pytest.mark.parametrize("shape", [(512,), (256, 256), (16, 12, 10)])
+@pytest.mark.parametrize("with_potential", [False, True])
+@pytest.mark.parametrize("steps", [0, 1, 37])
+def test_evolve_matches_fftn_loop(shape, with_potential, steps):
+    spec = GridSpec(tuple((-20.0, 20.0, n) for n in shape))
+    ndim = len(shape)
+    psi = gaussian_packet(spec, [0.5] * ndim, [1.5] * ndim, [0.8] * ndim)
+    before = psi.amplitudes.copy()
+    pot = (0.05 * sum(X ** 2 for X in spec.meshgrid())
+           if with_potential else None)
+    H = HamiltonianSpec(tuple(1.0 + 0.5 * a for a in range(ndim)),
+                        potential=pot, hbar=0.8)
+    out = evolve(psi, H, 1e-3, steps)
+    assert np.array_equal(out.amplitudes, _fftn_loop(psi, H, 1e-3, steps))
+    assert out.t == steps * 1e-3
+    assert np.array_equal(psi.amplitudes, before)
+    assert not np.shares_memory(out.amplitudes, psi.amplitudes)
 
 
 def test_momentum_plane_wave(spec512):
