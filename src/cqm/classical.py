@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .bundle import Config, GaugeField, Shift
 from .cocycle import LagrangianModel, _float_or_array, path_cocycle
@@ -192,6 +191,8 @@ def el_residual(model: LagrangianModel, path: DiscretePath) -> np.ndarray:
 def _newton_banded(model: LagrangianModel, t: np.ndarray, x: np.ndarray,
                    tol: float, max_iter: int) -> np.ndarray:
     """Damped Newton on the interior gradient of the discrete action."""
+    from scipy.linalg import solve_banded
+
     dim = x.shape[1]
     h = t[1] - t[0]
     mv = model.params.mass_vector

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -44,7 +45,10 @@ def _is_positive_number(val) -> bool:
 # minimum the suite cannot run at all, or checks nothing and still passes
 _INT_MINIMUM = {("verify-cocycle", "n_probes"): 1, ("classical", "n_pairs"): 1,
                 ("dress", "n_probes"): 1, ("pathint", "n_slices"): 2,
-                ("pathint", "n_points"): 8, ("pathint", "n_points_2d"): 8}
+                ("pathint", "n_points"): 8, ("pathint", "n_points_2d"): 8,
+                ("quantum", "n_points"): 8, ("frame", "n_points"): 8}
+# a duration and a mass: the free phase needs both finite and positive
+_POSITIVE_FINITE = {("frame", "T"), ("frame", "anchor_mass")}
 
 
 def validate_config(cfg: dict) -> None:
@@ -81,6 +85,12 @@ def validate_config(cfg: dict) -> None:
             low = _INT_MINIMUM.get((name, key))
             if low is not None and not (type(val) is int and val >= low):
                 raise ConfigError(f"{name}.{key} must be an integer >= {low}")
+            # frame_change maps the anchor flip onto the grid by index
+            if (name, key) == ("frame", "n_points") and val % 2:
+                raise ConfigError("frame.n_points must be even")
+            if ((name, key) in _POSITIVE_FINITE
+                    and not (_is_positive_number(val) and math.isfinite(val))):
+                raise ConfigError(f"{name}.{key} must be a finite positive number")
 
 
 def run_from_config(cfg: dict, out_dir: Path | None, seed: int | None = None) -> dict:

@@ -23,7 +23,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
 
 from .classical import HPFSample
 from .cocycle import LagrangianModel
@@ -145,6 +144,8 @@ def _chain(grid: GridSpec, dt: float, mass: float, hbar: float,
     others come from K[i, j] = K[n - i, n - j] and row 0 from K = K^T (see
     the module docstring).
     """
+    from scipy.fft import fft, ifft, next_fast_len
+
     lo, hi, n_out = grid.axes[0]
     n_int = _alias_safe_oversampling(n_out, hi - lo, dt, mass, hbar)
     fine = GridSpec(((lo, hi, n_int),))

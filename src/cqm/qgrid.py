@@ -4,10 +4,15 @@ Wave functions live on periodic rectangular grids (one axis per configuration
 coordinate).  Evolution is Strang-split: exact spectral kinetic steps between
 half potential steps, so the L2 norm is preserved to roundoff.  The steps run
 in two reused buffers, bit for bit the same as `ifftn(expK * fftn(amp))`
-with its fresh arrays.  The same
-grids carry the relational (anchored) states; dressing a bare N-particle
-state restricts it to the zero-anchor slice, and changing the anchor is an
-exact index permutation of the reduced grid times a unit-modulus phase.
+with its fresh arrays, every complex product taken in one operand order
+(phase first) whatever the array size.  A free evolution (no potential) is
+one exact spectral phase exp(-i E_k T / hbar) rather than a run of steps; the
+`frame`, `pathint` and `boost` suites propagate that way, and `evolve` is
+left to the `quantum` suite, whose norm check gates the stepper itself.  The
+same grids carry the relational (anchored) states; dressing a bare
+N-particle state restricts it to the zero-anchor slice, and changing the
+anchor is an exact index permutation of the reduced grid times a
+unit-modulus phase.
 """
 from __future__ import annotations
 
@@ -132,8 +137,8 @@ class HamiltonianSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
-        if any(m <= 0 for m in self.masses):
-            raise ValueError("masses must be positive")
+        if not all(np.isfinite(m) and m > 0 for m in self.masses):
+            raise ValueError("masses must be finite and positive")
         if not (np.isfinite(self.hbar) and self.hbar > 0):
             raise ValueError("hbar must be finite and positive")
         if self.potential is not None:
@@ -165,26 +170,71 @@ def _kinetic_phase(spec: GridSpec, H: HamiltonianSpec, dt: float) -> np.ndarray:
     return np.exp(-1j * kin * dt / H.hbar)
 
 
+def _check_hamiltonian(psi: WaveGrid, H: HamiltonianSpec) -> None:
+    if psi.spec.ndim > 3:
+        raise ValueError("propagation supports at most 3 grid axes")
+    if len(H.masses) != psi.spec.ndim:
+        raise ValueError("one mass per grid axis required")
+    if H.frame != psi.frame or H.anchor != psi.anchor:
+        raise ValueError("Hamiltonian frame does not match the state")
+
+
+def _apply_kinetic(amp: np.ndarray, phase: np.ndarray, spectrum: np.ndarray,
+                   out: np.ndarray) -> None:
+    """out = ifftn(phase * fftn(amp)), by per-axis transforms into `spectrum`.
+
+    `out` may be `amp` or `spectrum`.  The product is always
+    ``np.multiply(phase, spectrum)``: the SIMD complex multiply is not bitwise
+    commutative, so one operand order keeps the bits independent of size.
+    """
+    axes = range(amp.ndim - 1, -1, -1)
+    src = amp
+    for ax in axes:
+        np.fft.fft(src, axis=ax, out=spectrum)
+        src = spectrum
+    np.multiply(phase, spectrum, out=spectrum)
+    for ax in axes:
+        np.fft.ifft(src, axis=ax, out=out)
+        src = out
+
+
+def _free_propagate(psi: WaveGrid, H: HamiltonianSpec, T: float) -> WaveGrid:
+    """Exact free propagation over T: one multiply by exp(-i E_k T / hbar).
+
+    For a Hamiltonian without a potential a Strang step is this phase at
+    dt, so ``steps`` steps are the same operator with ``steps`` times the
+    rounding and a dt bound.  The input amplitudes are not written to.
+    """
+    _check_hamiltonian(psi, H)
+    if H.potential is not None:
+        raise ValueError("exact propagation holds for the free Hamiltonian")
+    if not T > 0:
+        raise ValueError("T must be positive")
+    # the phase's temporaries are freed before the one work array exists, so
+    # the peak holds one complex grid fewer; that array is spectrum and result
+    expK = _kinetic_phase(psi.spec, H, T)
+    amp = np.empty_like(psi.amplitudes)
+    _apply_kinetic(psi.amplitudes, expK, amp, amp)
+    return replace(psi, t=psi.t + T, amplitudes=amp)
+
+
 def evolve(psi: WaveGrid, H: HamiltonianSpec, dt: float, steps: int) -> WaveGrid:
     """Strang-split spectral propagation over ``steps`` steps of size dt.
 
     The steps run in two buffers allocated once, the amplitudes and their
-    spectrum, and give the same bits as ``expV * ifftn(expK * fftn(expV * amp))``
-    per step; the input amplitudes are not written to.
+    spectrum, and give the same bits as
+    ``expV * ifftn(expK * fftn(expV * amp))`` per step, each product taken
+    with the phase as its first operand; the input amplitudes are not written
+    to.
     """
     spec = psi.spec
-    if spec.ndim > 3:
-        raise ValueError("propagation supports at most 3 grid axes")
+    _check_hamiltonian(psi, H)
     if not dt > 0:
         raise ValueError("dt must be positive")
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    if len(H.masses) != spec.ndim:
-        raise ValueError("one mass per grid axis required")
     if H.potential is not None and H.potential.shape != spec.shape:
         raise ValueError("potential shape does not match grid")
-    if H.frame != psi.frame or H.anchor != psi.anchor:
-        raise ValueError("Hamiltonian frame does not match the state")
     e_max = sum((H.hbar * (np.pi / spec.spacing(a))) ** 2 / (2 * H.masses[a])
                 for a in range(spec.ndim))
     if dt * e_max / H.hbar >= np.pi:
@@ -193,25 +243,12 @@ def evolve(psi: WaveGrid, H: HamiltonianSpec, dt: float, steps: int) -> WaveGrid
     expV = None if H.potential is None else np.exp(-0.5j * dt * H.potential / H.hbar)
     amp = psi.amplitudes.copy()
     spectrum = np.empty_like(amp)
-    axes = range(spec.ndim - 1, -1, -1)
-    # numpy elides a temporary of 256 KiB or more into `tmp *= phase`, and the
-    # SIMD complex multiply is not bitwise commutative: keep the order it gives
-    elided = amp.nbytes >= 256 * 1024
-    kinetic = (spectrum, expK) if elided else (expK, spectrum)
-    potential = (amp, expV) if elided else (expV, amp)
     for _ in range(steps):
         if expV is not None:
             np.multiply(expV, amp, out=amp)
-        src = amp
-        for ax in axes:
-            np.fft.fft(src, axis=ax, out=spectrum)
-            src = spectrum
-        np.multiply(*kinetic, out=spectrum)
-        for ax in axes:
-            np.fft.ifft(src, axis=ax, out=amp)
-            src = amp
+        _apply_kinetic(amp, expK, spectrum, amp)
         if expV is not None:
-            np.multiply(*potential, out=amp)
+            np.multiply(expV, amp, out=amp)
     return replace(psi, t=psi.t + steps * dt, amplitudes=amp)
 
 
@@ -314,27 +351,20 @@ def boost_covariance_check(psi0: WaveGrid, vboost: float, T: float,
     """
     if psi0.spec.ndim != 1:
         raise ValueError("boost check is defined on one-axis grids")
-    if H.potential is not None:
-        raise ValueError("boost covariance holds for the free Hamiltonian")
-    if len(H.masses) != 1 or (H.frame, H.anchor) != (psi0.frame, psi0.anchor):
-        raise ValueError("Hamiltonian does not match the state")
-    if not T > 0:
-        raise ValueError("T must be positive")
+    psi_T = _free_propagate(psi0, H, T).amplitudes
     lo, hi, _ = psi0.spec.axes[0]
     if abs(vboost * T) >= 0.5 * (hi - lo):
         raise ValueError("boost displacement exceeds half the box")
     m = H.masses[0]
     hbar = H.hbar
-    expK = _kinetic_phase(psi0.spec, H, T)
     x = psi0.spec.coords(0)
 
-    psi_T = np.fft.ifftn(expK * np.fft.fftn(psi0.amplitudes))
     shifted = _periodic_resample(psi0.spec, psi_T, x - vboost * T)
     phase = np.exp(1j * m * (vboost * x - 0.5 * vboost ** 2 * T) / hbar)
     route_a = phase * shifted
 
     boosted0 = np.exp(1j * m * vboost * x / hbar) * psi0.amplitudes
-    route_b = np.fft.ifftn(expK * np.fft.fftn(boosted0))
+    route_b = _free_propagate(replace(psi0, amplitudes=boosted0), H, T).amplitudes
 
     return float(np.linalg.norm(route_a - route_b) / np.linalg.norm(route_b))
 

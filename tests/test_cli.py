@@ -100,7 +100,9 @@ def test_suite_size_params_rejected(tmp_path):
     for name, key, val in (("verify-cocycle", "n_probes", 1),
                            ("classical", "n_pairs", 1), ("dress", "n_probes", 1),
                            ("pathint", "n_slices", 2), ("pathint", "n_points", 8),
-                           ("pathint", "n_points_2d", 8)):
+                           ("pathint", "n_points_2d", 8),
+                           ("quantum", "n_points", 8), ("frame", "n_points", 8),
+                           ("frame", "T", 0.25), ("frame", "anchor_mass", 10)):
         validate_config({"model": MINI_MODEL, "experiment": name, "seed": 1,
                          "params": {name: {key: val}}})
     # a single probe is a stack of one
@@ -111,6 +113,20 @@ def test_suite_size_params_rejected(tmp_path):
         main(["run", str(_write(tmp_path, cfg)), "--out", str(tmp_path / name)])
         report = json.loads((tmp_path / name / "report.json").read_text())
         assert len(report["experiments"][name]["checks"]) > 1
+
+
+@pytest.mark.parametrize("name, key, val", [
+    ("frame", "n_points", 0), ("frame", "n_points", 7), ("frame", "n_points", 9),
+    ("quantum", "n_points", 0), ("quantum", "n_points", 7),
+    ("frame", "T", 0), ("frame", "T", -1), ("frame", "anchor_mass", 0),
+])
+def test_frame_and_quantum_params_rejected(tmp_path, name, key, val):
+    # each crashed its suite with "run failed" and exit 1
+    cfg = {"model": MINI_MODEL, "experiment": name, "seed": 1,
+           "params": {name: {key: val}}}
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, cfg)), "--out", str(out)]) == 2
+    assert not (out / "report.json").exists()
 
 
 def test_bad_model_rejected():
@@ -189,6 +205,18 @@ def test_pathint_suite_reports_kernel_check(tmp_path):
     assert checks["kernel-vs-analytic"]["tol"] == 1e-2
     assert checks["kernel-vs-analytic"]["passed"]
     assert checks["kernel-modulus-uniformity"]["passed"]
+
+
+def test_all_suites_run_at_hbar_2(tmp_path):
+    # the stepped free evolutions of frame and pathint aborted this run on
+    # the spectral kinetic phase bound, and no report was written
+    cfg = {"model": dict(MINI_MODEL, hbar=2.0), "experiment": "all", "seed": 2}
+    rc = main(["run", str(_write(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    failing = [f"{name}/{c['name']}" for name, e in report["experiments"].items()
+               for c in e["checks"] if not c["passed"]]
+    assert failing == ["classical/harmonic-node-error-M200"]
 
 
 def test_all_expands_to_registry():

@@ -9,7 +9,8 @@ from cqm.qgrid import (GridSpec, HamiltonianSpec, WaveGrid,
                        boost_covariance_check, commutator_expectation,
                        density_csv, dress_wavefunction, evolve, frame_change,
                        gaussian_packet, meta_action, momentum_apply,
-                       read_wavegrid, write_wavegrid, _kinetic_phase)
+                       read_wavegrid, write_wavegrid, _free_propagate,
+                       _kinetic_phase, _periodic_resample)
 
 
 @pytest.fixture
@@ -83,22 +84,34 @@ def test_hamiltonian_rejects_hbar(hbar):
         HamiltonianSpec((1.0,), hbar=hbar)
 
 
+@pytest.mark.parametrize("mass", [0.0, -1.0, float("nan"), float("inf")])
+def test_hamiltonian_rejects_mass(mass):
+    with pytest.raises(ValueError, match="masses"):
+        HamiltonianSpec((1.0, mass))
+
+
 def _fftn_loop(psi, H, dt, steps):
-    """The spectral step written with fftn/ifftn and fresh arrays."""
+    """The spectral step written with fftn/ifftn and fresh arrays.
+
+    Each product is an explicit np.multiply(phase, array): the `*` operator
+    lets numpy elide a temporary of 256 KiB or more into `tmp *= phase`,
+    which swaps the operands of a multiply that is not bitwise commutative.
+    """
     expK = _kinetic_phase(psi.spec, H, dt)
     amp = psi.amplitudes
     if H.potential is None:
         for _ in range(steps):
-            amp = np.fft.ifftn(expK * np.fft.fftn(amp))
+            amp = np.fft.ifftn(np.multiply(expK, np.fft.fftn(amp)))
     else:
         expV = np.exp(-0.5j * dt * H.potential / H.hbar)
         for _ in range(steps):
-            amp = expV * np.fft.ifftn(expK * np.fft.fftn(expV * amp))
+            kicked = np.fft.fftn(np.multiply(expV, amp))
+            amp = np.multiply(expV, np.fft.ifftn(np.multiply(expK, kicked)))
     return amp
 
 
 # 512 points is 8 KiB, below numpy's 256 KiB temporary-elision size; 256^2 is
-# 1 MiB, above it, where the fftn loop multiplies in the other operand order
+# 1 MiB, above it: one operand order at both sizes
 @pytest.mark.parametrize("shape", [(512,), (256, 256), (16, 12, 10)])
 @pytest.mark.parametrize("with_potential", [False, True])
 @pytest.mark.parametrize("steps", [0, 1, 37])
@@ -209,6 +222,62 @@ def test_covariant_derivatives_need_table_coverage(free1, wkb_setup):
     series = _wkb_series(free1, Config(0.0, [0.0]), wide, 20.0, 0.02)
     with pytest.raises(ValueError, match="grid"):
         meta_action(series, hpf, (1.0, 0.3))
+
+
+@pytest.mark.parametrize("shape, masses, dt, steps", [
+    ((512,), (1.0,), 1.0 / 2048, 2048),
+    ((256, 256), (2000.0, 1.0), 0.5 / 64, 64),
+])
+def test_free_propagate_matches_evolve(shape, masses, dt, steps):
+    spec = GridSpec(tuple((-15.0, 15.0, n) for n in shape))
+    ndim = len(shape)
+    psi = gaussian_packet(spec, [0.5] * ndim, [1.5] * ndim, [0.5] * ndim)
+    before = psi.amplitudes.copy()
+    H = HamiltonianSpec(masses)
+    exact = _free_propagate(psi, H, steps * dt)
+    stepped = evolve(psi, H, dt, steps)
+    assert exact.t == psi.t + steps * dt
+    assert (np.linalg.norm(exact.amplitudes - stepped.amplitudes)
+            < 1e-12 * np.linalg.norm(stepped.amplitudes))
+    assert np.array_equal(psi.amplitudes, before)
+    assert not np.shares_memory(exact.amplitudes, psi.amplitudes)
+
+
+def test_free_propagate_validation(spec512, H1):
+    psi = gaussian_packet(spec512, 0.0, 1.0)
+    x = spec512.coords(0)
+    with pytest.raises(ValueError, match="free Hamiltonian"):
+        _free_propagate(psi, HamiltonianSpec((1.0,), potential=0.5 * x ** 2), 1.0)
+    with pytest.raises(ValueError, match="one mass per grid axis"):
+        _free_propagate(psi, HamiltonianSpec((1.0, 2.0)), 1.0)
+    rel = HamiltonianSpec((1.0,), frame="relational", anchor=0)
+    with pytest.raises(ValueError, match="frame does not match"):
+        _free_propagate(psi, rel, 1.0)
+    anchored = WaveGrid(spec512, 0.0, psi.amplitudes, frame="relational", anchor=1)
+    with pytest.raises(ValueError, match="frame does not match"):
+        _free_propagate(anchored, rel, 1.0)
+    for T in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="T must be positive"):
+            _free_propagate(psi, H1, T)
+
+
+def _boost_inline(psi0, vboost, T, H):
+    """The boost check with its free phase applied inline, per route."""
+    m, hbar = H.masses[0], H.hbar
+    expK = _kinetic_phase(psi0.spec, H, T)
+    x = psi0.spec.coords(0)
+    psi_T = np.fft.ifftn(expK * np.fft.fftn(psi0.amplitudes))
+    shifted = _periodic_resample(psi0.spec, psi_T, x - vboost * T)
+    route_a = np.exp(1j * m * (vboost * x - 0.5 * vboost ** 2 * T) / hbar) * shifted
+    boosted0 = np.exp(1j * m * vboost * x / hbar) * psi0.amplitudes
+    route_b = np.fft.ifftn(expK * np.fft.fftn(boosted0))
+    return float(np.linalg.norm(route_a - route_b) / np.linalg.norm(route_b))
+
+
+@pytest.mark.parametrize("n", [512, 1024, 2048])
+def test_boost_covariance_matches_inline_phase(n, H1):
+    psi = gaussian_packet(GridSpec(((-20.0, 20.0, n),)), 0.0, 1.0)
+    assert boost_covariance_check(psi, 1.0, 1.0, H1) == _boost_inline(psi, 1.0, 1.0, H1)
 
 
 def test_boost_covariance_zero_velocity(spec512, H1):
