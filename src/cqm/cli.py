@@ -1,7 +1,7 @@
 """Command line front end: run verification suites from a JSON config.
 
-Exit codes: 0 all checks passed, 1 a check failed or a solver gave up,
-2 the config could not be read or validated.
+Exit codes: 0 all checks passed, 1 a check failed or a suite raised (its report
+entry is then one failed ``suite-error`` check), 2 a bad or unreadable config.
 """
 from __future__ import annotations
 
@@ -10,12 +10,13 @@ import json
 import math
 import sys
 import time
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .bundle import ModelParams
-from .experiments import EXPERIMENT_KINDS, REGISTRY, run_experiment
+from .experiments import EXPERIMENT_KINDS, REGISTRY, Check, Param, run_experiment
 
 __all__ = ["main", "load_config", "run_from_config", "ConfigError"]
 
@@ -37,18 +38,23 @@ def load_config(path) -> dict:
 
 
 # JSON true/false load as bool, a subclass of int; neither is a number here
-def _is_positive_number(val) -> bool:
-    return type(val) in (int, float) and val > 0
+def _is_finite_number(val) -> bool:
+    return type(val) is int or (type(val) is float and math.isfinite(val))
 
 
-# suite parameters that size an array, a grid axis or a slice count: below the
-# minimum the suite cannot run at all, or checks nothing and still passes
-_INT_MINIMUM = {("verify-cocycle", "n_probes"): 1, ("classical", "n_pairs"): 1,
-                ("dress", "n_probes"): 1, ("pathint", "n_slices"): 2,
-                ("pathint", "n_points"): 8, ("pathint", "n_points_2d"): 8,
-                ("quantum", "n_points"): 8, ("frame", "n_points"): 8}
-# a duration and a mass: the free phase needs both finite and positive
-_POSITIVE_FINITE = {("frame", "T"), ("frame", "anchor_mass")}
+def _param_error(p: Param, val) -> str | None:
+    """Why ``val`` is not a valid value of the declared parameter ``p``, or None."""
+    if p.type is int and not (type(val) is int and val >= p.minimum
+                              and not (p.even and val % 2)):
+        return f"must be an {'even ' * p.even}integer >= {p.minimum}"
+    if p.type is float and not (_is_finite_number(val) and val > p.minimum):
+        return f"must be a finite number > {p.minimum}"
+    if p.type is dict:
+        try:
+            p.build(val)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            return f"cannot be built: {exc!r}"
+    return None
 
 
 def validate_config(cfg: dict) -> None:
@@ -68,8 +74,9 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("randomized suites require a 'seed'")
     if type(cfg["seed"]) is not int:  # bool too
         raise ConfigError("'seed' must be an integer")
-    if "tol_scale" in cfg and not _is_positive_number(cfg["tol_scale"]):
-        raise ConfigError("'tol_scale' must be a positive number")
+    tol_scale = cfg.get("tol_scale", 1.0)
+    if not (_is_finite_number(tol_scale) and tol_scale > 0):
+        raise ConfigError("'tol_scale' must be a finite positive number")
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("'params' must be an object keyed by experiment")
@@ -79,18 +86,12 @@ def validate_config(cfg: dict) -> None:
                               f"choose from {', '.join(REGISTRY)}")
         if not isinstance(sub, dict):
             raise ConfigError(f"params for {name!r} must be an object")
+        declared = {p.name: p for p in REGISTRY[name].params}
         for key, val in sub.items():
-            if key.startswith("tol") and not _is_positive_number(val):
-                raise ConfigError(f"tolerance {name}.{key} must be positive")
-            low = _INT_MINIMUM.get((name, key))
-            if low is not None and not (type(val) is int and val >= low):
-                raise ConfigError(f"{name}.{key} must be an integer >= {low}")
-            # frame_change maps the anchor flip onto the grid by index
-            if (name, key) == ("frame", "n_points") and val % 2:
-                raise ConfigError("frame.n_points must be even")
-            if ((name, key) in _POSITIVE_FINITE
-                    and not (_is_positive_number(val) and math.isfinite(val))):
-                raise ConfigError(f"{name}.{key} must be a finite positive number")
+            if key.startswith("tol"):
+                raise ConfigError(f"{name}.{key}: tolerances are pinned; use tol_scale")
+            if key in declared and (error := _param_error(declared[key], val)):
+                raise ConfigError(f"{name}.{key} {error}")
 
 
 def run_from_config(cfg: dict, out_dir: Path | None, seed: int | None = None) -> dict:
@@ -114,17 +115,19 @@ def run_from_config(cfg: dict, out_dir: Path | None, seed: int | None = None) ->
     for name in names:
         sub_out = (out_dir / name) if out_dir is not None else None
         t0 = time.perf_counter()
-        checks = run_experiment(name, model_params, params.get(name, {}),
-                                seed, sub_out)
+        entry = report["experiments"][name] = {"laws": list(REGISTRY[name].laws)}
+        try:
+            checks = run_experiment(name, model_params, params.get(name, {}),
+                                    seed, sub_out)
+        except Exception as exc:  # a crashing suite is one failed check
+            traceback.print_exc()
+            checks = [Check("suite-error", type(exc).__name__, 1.0, 0.0)]
+            entry["error"] = str(exc)
         report["timing"][name] = time.perf_counter() - t0
         scaled = [replace(c, residual=float(c.residual), tol=float(c.tol * tol_scale))
                   for c in checks]
         exp_passed = all(c.passed for c in scaled)
-        report["experiments"][name] = {
-            "laws": list(REGISTRY[name].laws),
-            "checks": [c.to_dict() for c in scaled],
-            "passed": exp_passed,
-        }
+        entry.update(checks=[c.to_dict() for c in scaled], passed=exp_passed)
         report["passed"] = report["passed"] and exp_passed
     report["timing"]["total"] = time.perf_counter() - total0
     return report
@@ -150,12 +153,11 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    for name, sub in cfg.get("params", {}).items():
+        for key in sorted(set(sub) - {p.name for p in REGISTRY[name].params}):
+            print(f"warning: unknown parameter {name}.{key} ignored", file=sys.stderr)
     out_dir = Path(args.out if args.out is not None else cfg.get("out_dir", "results"))
-    try:
-        report = run_from_config(cfg, out_dir)
-    except Exception as exc:  # solver failures are reported, not swallowed
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 1
+    report = run_from_config(cfg, out_dir)
     path = _write_report(report, out_dir)
     n_checks = sum(len(e["checks"]) for e in report["experiments"].values())
     n_fail = sum(1 for e in report["experiments"].values()
@@ -164,8 +166,8 @@ def _cmd_run(args) -> int:
     for ename, e in report["experiments"].items():
         for c in e["checks"]:
             if not c["passed"]:
-                print(f"  FAIL {ename}/{c['name']}: residual {c['residual']:.3e} "
-                      f"vs tol {c['tol']:.1e}")
+                print(f"  FAIL {ename}/{c['name']}: " + e.get(
+                    "error", f"residual {c['residual']:.3e} vs tol {c['tol']:.1e}"))
     return 0 if report["passed"] else 1
 
 
@@ -173,6 +175,10 @@ def _cmd_list(_args) -> int:
     for name, exp in REGISTRY.items():
         print(f"{name}: {exp.description}")
         print(f"    laws: {', '.join(exp.laws)}")
+        for p in exp.params:
+            low = {int: f" >= {p.minimum}", float: f" > {p.minimum}"}.get(p.type, "")
+            print(f"    {p.name}: {'even ' * p.even}{p.type.__name__}{low}, "
+                  f"default {p.default!r}")
     print("all: every suite above")
     return 0
 

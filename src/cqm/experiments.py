@@ -22,7 +22,7 @@ from .bundle import Config, GaugeField, ModelParams, Shift
 from .classical import DiscretePath
 from .cocycle import LagrangianModel
 
-__all__ = ["Check", "Experiment", "REGISTRY", "EXPERIMENT_KINDS", "run_experiment"]
+__all__ = ["Check", "Experiment", "Param", "REGISTRY", "EXPERIMENT_KINDS", "run_experiment"]
 
 
 @dataclass(frozen=True)
@@ -44,11 +44,24 @@ class Check:
 
 
 @dataclass(frozen=True)
-class Experiment:
+class Param:
+    """A suite parameter: an ``int`` >= ``minimum`` (even if ``even``), a
+    finite ``float`` > ``minimum``, or a ``dict`` that ``build`` accepts."""
+
     name: str
+    type: type
+    default: object
+    minimum: float | None = None
+    even: bool = False
+    build: Callable | None = None
+
+
+@dataclass(frozen=True)
+class Experiment:
     description: str
     laws: tuple[str, ...]
     fn: Callable
+    params: tuple[Param, ...] = ()
 
 
 def _path_draws(rng: np.random.Generator, dim: int, M=48):
@@ -82,7 +95,7 @@ def _draw_stack(n: int, draw: Callable[[], tuple]) -> list[np.ndarray]:
 def _suite_verify_cocycle(model_params: ModelParams, params: dict,
                           rng: np.random.Generator, out: Path | None):
     model = LagrangianModel(model_params)
-    n_probes = int(params.get("n_probes", 10000))
+    n_probes = params["n_probes"]
     dim = model_params.dim
 
     # each probe family is drawn and checked as one (n, dim) batch
@@ -169,7 +182,7 @@ def _suite_classical(model_params: ModelParams, params: dict,
     checks = []
 
     # per pair: a random path and the four mode amplitudes of a random bump
-    start, steps, modes = _draw_stack(int(params.get("n_pairs", 100)), lambda: (
+    start, steps, modes = _draw_stack(params["n_pairs"], lambda: (
         *_path_draws(rng, dim), rng.normal(size=(4, dim))))
     paths = _walk(start, steps)
     G = GaugeField.sine_modes(modes, -0.1, 1.1)
@@ -178,7 +191,7 @@ def _suite_classical(model_params: ModelParams, params: dict,
     split_worst = float(np.max(np.abs(direct - split) / (1.0 + np.abs(direct))))
     checks.append(Check("gauge-split", "action-gauge-split", split_worst, 1e-10))
 
-    if "gauge_field" in params:
+    if params["gauge_field"] is not None:
         # user-supplied field from the config, exercised on random paths
         G_cfg = GaugeField.from_dict(params["gauge_field"])
         m_cfg = model if G_cfg.dim == dim else LagrangianModel(
@@ -222,7 +235,7 @@ def _suite_classical(model_params: ModelParams, params: dict,
                         "action-infinitesimal-variation", var_worst, 1e-6))
 
     free1 = LagrangianModel(ModelParams(1, 1, np.array([1.0])))
-    M200 = int(params.get("M", 200))
+    M200 = params["M"]
     straight = classical.solve_critical_path(
         free1, Config(0.0, [0.0]), Config(1.0, [1.0]), M200)
     checks.append(Check("free-critical-action", "variational-stationarity",
@@ -288,8 +301,7 @@ def _suite_hpf(model_params: ModelParams, params: dict,
     free1 = LagrangianModel(ModelParams(1, 1, np.array([1.0]),
                                         hbar=model_params.hbar))
     p0 = Config(0.0, [0.0])
-    nt = int(params.get("nt", 50))
-    nx = int(params.get("nx", 50))
+    nt, nx = params["nt"], params["nx"]
     t_grid = np.linspace(10.0, 11.0, nt)
     x_grid = np.linspace(-1.0, 1.0, nx)
     hpf = classical.hpf_table(free1, p0, t_grid, x_grid, M=16)
@@ -332,14 +344,14 @@ def _suite_hpf(model_params: ModelParams, params: dict,
 def _suite_quantum(model_params: ModelParams, params: dict,
                    rng: np.random.Generator, out: Path | None):
     hbar = model_params.hbar
-    n = int(params.get("n_points", 512))
+    n = params["n_points"]
     spec = qgrid.GridSpec(((-20.0, 20.0, n),))
     H = qgrid.HamiltonianSpec((1.0,), hbar=hbar)
     psi0 = qgrid.gaussian_packet(spec, 0.0, 1.0)
     checks = []
 
     dt = 1e-3
-    steps = int(params.get("norm_steps", 1000))
+    steps = params["norm_steps"]
     spread_steps = 2000
     # one run serves both checks: evolve is a deterministic per-step loop, so
     # continuing from the shorter count is bit for bit the longer run
@@ -457,7 +469,7 @@ def _suite_dress(model_params: ModelParams, params: dict,
         mp = ModelParams(3, 1, np.array([1.0, 2.0, 3.0]), model_params.hbar)
     model = LagrangianModel(mp)
     dim = mp.dim
-    n_probes = int(params.get("n_probes", 100))
+    n_probes = params["n_probes"]
     checks = []
 
     # per probe: a random path, two distinct anchors and a random bump
@@ -553,7 +565,7 @@ def _relative_state(spec2: qgrid.GridSpec, sigma: float, k0: float) -> qgrid.Wav
 def _suite_frame(model_params: ModelParams, params: dict,
                  rng: np.random.Generator, out: Path | None):
     hbar = model_params.hbar
-    n = int(params.get("n_points", 256))
+    n = params["n_points"]
     checks = []
 
     # two-particle relational state; frame change is the coordinate flip
@@ -614,9 +626,9 @@ def _suite_frame(model_params: ModelParams, params: dict,
                         abs(sliced.norm() - direct_norm), 1e-8))
 
     # heavy anchor: dressing commutes with evolution (m_rel -> m_other)
-    m_anchor = float(params.get("anchor_mass", 2000.0))
+    m_anchor = float(params["anchor_mass"])
     H2 = qgrid.HamiltonianSpec((m_anchor, 1.0), hbar=hbar)
-    T = float(params.get("T", 0.5))
+    T = float(params["T"])
     slice_after = qgrid.dress_wavefunction(qgrid._free_propagate(f, H2, T), 0)
     H_rel = qgrid.HamiltonianSpec((1.0,), hbar=hbar, frame="relational", anchor=0)
     evolved_rel = qgrid._free_propagate(sliced, H_rel, T)
@@ -636,8 +648,7 @@ def _suite_frame(model_params: ModelParams, params: dict,
 def _suite_pathint(model_params: ModelParams, params: dict,
                    rng: np.random.Generator, out: Path | None):
     hbar = model_params.hbar
-    n = int(params.get("n_points", 512))
-    M = int(params.get("n_slices", 8))
+    n, M = params["n_points"], params["n_slices"]
     free1 = LagrangianModel(ModelParams(1, 1, np.array([1.0]), hbar))
     grid = qgrid.GridSpec(((-15.0, 15.0, n),))
     scheme = pathint.SliceScheme(M, grid, 0.0, 1.0)
@@ -699,7 +710,8 @@ def _suite_pathint(model_params: ModelParams, params: dict,
                         float(np.linalg.norm(Rc - exact_m2[np.ix_(cen, cen)])
                               / np.linalg.norm(exact_m2[np.ix_(cen, cen)])), 1e-2))
 
-    rel_b = pathint.relational_propagator(free2, scheme, anchor=1)
+    # anchored on particle 1 the reduced coordinate carries mass 1: the bare chain
+    rel_b = replace(kernel, frame="relational", anchor=1)
     flip = (-np.arange(n)) % n
     aligned = rel.matrix[np.ix_(flip, flip)] * np.exp(
         1j * (free2.params.masses[0] - free2.params.masses[1])
@@ -711,7 +723,7 @@ def _suite_pathint(model_params: ModelParams, params: dict,
                         float(1.0 - num / den), 1e-3))
 
     # dressed propagation vs dressing the bare evolution (heavy anchor)
-    n2 = int(params.get("n_points_2d", 256))
+    n2 = params["n_points_2d"]
     spec2 = qgrid.GridSpec(((-15.0, 15.0, n2), (-15.0, 15.0, n2)))
     heavy = LagrangianModel(ModelParams(2, 1, np.array([2000.0, 1.0]), hbar))
     psi_b = _relative_state(spec2, 1.5, 0.5)
@@ -735,56 +747,56 @@ def _suite_pathint(model_params: ModelParams, params: dict,
 
 REGISTRY: dict[str, Experiment] = {
     "verify-cocycle": Experiment(
-        "verify-cocycle",
         "composition law, linearity and U(1) lift of the translation cocycle",
         ("cocycle-defining-identity", "cocycle-linearity",
          "u1-cocycle-composition", "group-action-law"),
-        _suite_verify_cocycle),
+        _suite_verify_cocycle, (Param("n_probes", int, 10000, 1),)),
     "classical": Experiment(
-        "classical",
         "action transformation law, variational principle, conserved charge",
         ("action-gauge-split", "boost-quasi-invariance",
          "action-infinitesimal-variation", "variational-stationarity",
          "euler-lagrange-residual", "noether-charge-conservation"),
-        _suite_classical),
+        _suite_classical,
+        (Param("n_pairs", int, 100, 1), Param("M", int, 200, 2),
+         Param("gauge_field", dict, None, build=GaugeField.from_dict))),
     "hpf": Experiment(
-        "hpf",
         "principal function table, Hamilton-Jacobi residual, flat connection",
         ("hamilton-principal-function", "hamilton-jacobi-equation",
          "flat-connection-closedness", "momentum-prescription"),
-        _suite_hpf),
+        _suite_hpf, (Param("nt", int, 50, 3), Param("nx", int, 50, 3))),
     "quantum": Experiment(
-        "quantum",
         "spectral propagation, momentum operator, covariant constancy",
         ("schrodinger-unitarity", "packet-spreading", "momentum-prescription",
          "canonical-commutator", "covariant-constancy",
          "meta-action-stationarity"),
-        _suite_quantum),
+        _suite_quantum,
+        (Param("n_points", int, 512, 8), Param("norm_steps", int, 1000, 1))),
     "boost": Experiment(
-        "boost",
         "Galilean boost covariance of free evolution",
         ("boost-wavefunction-phase",),
         _suite_boost),
     "dress": Experiment(
-        "dress",
         "relational dressing identities and the dressed variational principle",
         ("dressed-cocycle-transformations", "relational-lagrangian-form",
          "dressing-external-invariance", "dressing-substitution-rule",
          "dressed-variational-consistency"),
-        _suite_dress),
+        _suite_dress, (Param("n_probes", int, 100, 1),)),
     "frame": Experiment(
-        "frame",
         "relational wave functions, anchor changes, dressed evolution",
         ("frame-change-unitarity", "relational-wavefunction",
          "relational-schrodinger"),
-        _suite_frame),
+        _suite_frame,
+        # frame_change maps the anchor flip onto the grid by index
+        (Param("n_points", int, 256, 8, even=True), Param("T", float, 0.5, 0),
+         Param("anchor_mass", float, 2000.0, 0))),
     "pathint": Experiment(
-        "pathint",
         "time-sliced propagators, classical splitting, relational kernel",
         ("kernel-analytic-free", "kernel-modulus-uniformity",
          "kernel-classical-split", "kernel-semigroup",
          "kernel-wave-propagation", "relational-kernel-mass"),
-        _suite_pathint),
+        _suite_pathint,
+        (Param("n_points", int, 512, 8), Param("n_slices", int, 8, 2),
+         Param("n_points_2d", int, 256, 8))),
 }
 
 EXPERIMENT_KINDS = tuple(REGISTRY) + ("all",)
@@ -792,8 +804,9 @@ EXPERIMENT_KINDS = tuple(REGISTRY) + ("all",)
 
 def run_experiment(name: str, model_params: ModelParams, params: dict,
                    seed: int, out: Path | None) -> list[Check]:
-    """Run one registered experiment with its derived deterministic stream."""
+    """Run one registered experiment; declared defaults fill in ``params``."""
     exp = REGISTRY[name]
+    params = {**{p.name: p.default for p in exp.params}, **params}
     idx = list(REGISTRY).index(name)
     rng = np.random.default_rng([seed, idx])
     if out is not None:

@@ -17,8 +17,11 @@ def _write(tmp_path, cfg, name="cfg.json"):
 def test_list_command(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    for name in REGISTRY:
+    for name, exp in REGISTRY.items():
         assert name in out
+        for p in exp.params:
+            assert f"    {p.name}: " in out
+            assert f"default {p.default!r}" in out
     assert "laws:" in out
     assert "all:" in out
 
@@ -29,10 +32,12 @@ def test_registry_laws_nonempty():
 
 
 def test_run_single_suite(tmp_path, capsys):
+    # an undeclared key is ignored with a warning that names it
     cfg = {"model": MINI_MODEL, "experiment": "verify-cocycle", "seed": 7,
-           "params": {"verify-cocycle": {"n_probes": 300}}}
+           "params": {"verify-cocycle": {"n_probes": 300, "n_probe": 5}}}
     rc = main(["run", str(_write(tmp_path, cfg)), "--out", str(tmp_path / "out")])
     assert rc == 0
+    assert "verify-cocycle.n_probe ignored" in capsys.readouterr().err
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["passed"] is True
     assert report["experiments"]["verify-cocycle"]["passed"] is True
@@ -50,18 +55,24 @@ def test_run_invalid_json(tmp_path):
 
 
 def test_run_negative_tolerance(tmp_path):
-    # JSON true loads as a bool, which Python counts as the integer 1
-    for tol in (-1.0, True):
+    # JSON true loads as a bool, which Python counts as the integer 1; no
+    # suite reads a tolerance key, so a positive one is rejected as well
+    for tol in (-1.0, True, 1e-3):
         cfg = {"model": MINI_MODEL, "experiment": "verify-cocycle", "seed": 1,
                "params": {"verify-cocycle": {"tol_boost": tol}}}
         assert main(["run", str(_write(tmp_path, cfg))]) == 2
+        with pytest.raises(ConfigError, match="tolerances are pinned"):
+            validate_config(cfg)
 
 
 def test_run_bad_tol_scale(tmp_path):
+    # an infinite scale passed every check, the known red included
     cfg = {"model": MINI_MODEL, "experiment": "verify-cocycle", "seed": 1}
-    assert main(["run", str(_write(tmp_path, cfg)), "--tol-scale", "-2"]) == 2
-    cfg["tol_scale"] = True
-    assert main(["run", str(_write(tmp_path, cfg))]) == 2
+    for flag in ("-2", "inf", "nan"):
+        assert main(["run", str(_write(tmp_path, cfg)), "--tol-scale", flag]) == 2
+    for val in (True, float("inf"), float("nan")):
+        cfg["tol_scale"] = val
+        assert main(["run", str(_write(tmp_path, cfg))]) == 2
 
 
 def test_missing_seed_rejected():
@@ -91,6 +102,9 @@ def test_suite_size_params_rejected(tmp_path):
     # grid axes below 8 points crashed the pathint suite the same way
     bad += [("pathint", key, v) for key in ("n_points", "n_points_2d")
             for v in (7, 3, 0, 64.0, True)]
+    # one Newton interval, or two table rows or columns, crashed their suites
+    bad += [("classical", "M", v) for v in (1, 0, 200.0)]
+    bad += [("hpf", key, v) for key in ("nt", "nx") for v in (2, 0, 50.0)]
     for name, key, val in bad:
         cfg = {"model": MINI_MODEL, "experiment": name, "seed": 1,
                "params": {name: {key: val}}}
@@ -102,7 +116,9 @@ def test_suite_size_params_rejected(tmp_path):
                            ("pathint", "n_slices", 2), ("pathint", "n_points", 8),
                            ("pathint", "n_points_2d", 8),
                            ("quantum", "n_points", 8), ("frame", "n_points", 8),
-                           ("frame", "T", 0.25), ("frame", "anchor_mass", 10)):
+                           ("frame", "T", 0.25), ("frame", "anchor_mass", 10),
+                           ("classical", "M", 2), ("hpf", "nt", 3), ("hpf", "nx", 3),
+                           ("quantum", "norm_steps", 1)):
         validate_config({"model": MINI_MODEL, "experiment": name, "seed": 1,
                          "params": {name: {key: val}}})
     # a single probe is a stack of one
@@ -119,9 +135,12 @@ def test_suite_size_params_rejected(tmp_path):
     ("frame", "n_points", 0), ("frame", "n_points", 7), ("frame", "n_points", 9),
     ("quantum", "n_points", 0), ("quantum", "n_points", 7),
     ("frame", "T", 0), ("frame", "T", -1), ("frame", "anchor_mass", 0),
+    ("frame", "T", float("inf")), ("frame", "anchor_mass", float("nan")),
+    ("quantum", "norm_steps", -5), ("quantum", "norm_steps", 0),
 ])
 def test_frame_and_quantum_params_rejected(tmp_path, name, key, val):
-    # each crashed its suite with "run failed" and exit 1
+    # each crashed its suite with "run failed" and exit 1, or (zero norm
+    # steps) checked nothing and passed
     cfg = {"model": MINI_MODEL, "experiment": name, "seed": 1,
            "params": {name: {key: val}}}
     out = tmp_path / "out"
@@ -181,6 +200,11 @@ def test_gauge_field_loadable_from_config(tmp_path):
     check = next(c for c in rep["experiments"]["classical"]["checks"]
                  if c["name"] == "gauge-split-configured-field")
     assert check["passed"]
+    # a field the loader cannot build is a config error, not a crashed suite
+    for bad in ({"times": [0, 1]}, [0.5], None):
+        cfg["params"]["classical"]["gauge_field"] = bad
+        with pytest.raises(ConfigError, match="gauge_field"):
+            validate_config(cfg)
 
 
 def test_report_determinism_single_suite(tmp_path):
@@ -217,6 +241,30 @@ def test_all_suites_run_at_hbar_2(tmp_path):
     failing = [f"{name}/{c['name']}" for name, e in report["experiments"].items()
                for c in e["checks"] if not c["passed"]]
     assert failing == ["classical/harmonic-node-error-M200"]
+
+
+def test_crashing_suite_is_a_failed_check(tmp_path, capsys):
+    # 1024 points break quantum's fixed-step phase bound; every other suite
+    # still runs and a report is written
+    params = {"verify-cocycle": {"n_probes": 100}, "classical": {"n_pairs": 2, "M": 20},
+              "hpf": {"nt": 8, "nx": 8}, "quantum": {"n_points": 1024, "norm_steps": 10},
+              "dress": {"n_probes": 2}, "frame": {"n_points": 32},
+              "pathint": {"n_points": 64, "n_points_2d": 16}}
+    cfg = {"model": MINI_MODEL, "experiment": "all", "seed": 4, "params": params}
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, cfg)), "--out", str(out)]) == 1
+    assert "FAIL quantum/suite-error: dt too large" in capsys.readouterr().out
+    report = json.loads((out / "report.json").read_text())
+    assert set(report["experiments"]) == set(REGISTRY)
+    quantum = report["experiments"]["quantum"]
+    assert quantum["checks"] == [{"name": "suite-error", "law": "ValueError",
+                                  "residual": 1.0, "tol": 0.0, "passed": False}]
+    assert "spectral kinetic phase bound" in quantum["error"]
+    for name in REGISTRY:
+        if name != "quantum":
+            alone = run_from_config(dict(cfg, experiment=name), None)
+            assert report["experiments"][name] == alone["experiments"][name]
+            assert "error" not in report["experiments"][name]
 
 
 def test_all_expands_to_registry():

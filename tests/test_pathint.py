@@ -265,6 +265,15 @@ def test_anchor_swap_alignment(grid256):
     assert fid > 1 - 1e-3
 
 
+def test_anchor_one_kernel_is_the_bare_mass_one_chain(grid256, kernel256):
+    # anchored on particle 1 the reduced coordinate carries masses[0] = 1, so
+    # the pathint suite reuses its bare kernel instead of a second chain
+    free2 = LagrangianModel(ModelParams(2, 1, np.array([1.0, 2.0])))
+    k1 = relational_propagator(free2, SliceScheme(8, grid256, 0.0, 1.0), anchor=1)
+    assert np.array_equal(k1.matrix, kernel256.matrix)
+    assert (k1.mass, k1.frame, k1.anchor) == (1.0, "relational", 1)
+
+
 def test_refinement_levels_stay_converged():
     # simultaneous grid/slice refinement: the free composition is exact in the
     # slice count, so every level sits on the same quadrature floor (~5e-6),
