@@ -208,6 +208,8 @@ class GaugeField:
                              "(n, n_samples, dim)")
         if times.size == 0:
             raise ValueError("gauge field needs at least one sample")
+        if not (np.isfinite(times).all() and np.isfinite(values).all()):
+            raise ValueError("gauge field samples must be finite")
         if times.size > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("sample times must be strictly increasing")
         object.__setattr__(self, "times", times)

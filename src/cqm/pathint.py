@@ -6,16 +6,20 @@ so the composition runs on an internally oversampled copy of the grid (chosen
 so that quadrature-alias stationary points fall outside the box) with a
 smooth taper on the outermost part of each intermediate integration; the
 result is sampled back onto the reporting grid.  On the uniform grid the
-one-step kernel depends only on x - x', so it is kept as its generating row
-and each step of the chain is applied as a Toeplitz convolution by FFT
-(Golub & Van Loan, Matrix Computations, sec. 4.7).  The chain
+one-step kernel K1 is a chirp in k - l, so the two-slice kernel K1 W K1 is a
+chirp in each index times a Hankel matrix in k + l, whose generating sequence
+is one chirp-z transform of the taper (Bluestein's convolution).  The chain
+advances two slices per step, each step one circular convolution by FFT
+(Golub & Van Loan, Matrix Computations, sec. 4.7); an even slice count starts
+from the closed-form two-slice kernel, an odd one from K1.  The chain
 K = K1 W K1 ... W K1 is complex symmetric (K = K^T), because K1 is symmetric
 Toeplitz and the taper W diagonal.  The taper is even about the box centre and
 vanishes at the first grid point, so the reflection K[i, j] = K[n - i, n - j]
 holds exactly for i, j >= 1; only the n//2 + 1 columns 0..n//2 are
-propagated.  A chain of fewer slices of the same step is a snapshot of a
-longer one on the way.  Comparisons against the closed-form kernel are
-meaningful on the central half-box, away from wrap-around artifacts.
+propagated.  A chain of fewer slices of the same step and parity is a
+snapshot of a longer one on the way.  Comparisons against the closed-form
+kernel are meaningful on the central half-box, away from wrap-around
+artifacts.
 """
 from __future__ import annotations
 
@@ -23,6 +27,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .classical import HPFSample
 from .cocycle import LagrangianModel
@@ -137,48 +142,112 @@ def _alias_safe_oversampling(n_out: int, box: float, dt: float, mass: float,
 def _chain(grid: GridSpec, dt: float, mass: float, hbar: float,
            counts: tuple[int, ...]) -> list[np.ndarray]:
     """Kernel matrices of the chains of m slices of step dt, for each m >= 2
-    in the ascending counts, from one run of the longest.
+    in the ascending counts.
 
-    A chain of m slices is the state of any longer chain of the same step
-    after m - 1 steps, bit for bit.  Only columns 0..n//2 are propagated; the
-    others come from K[i, j] = K[n - i, n - j] and row 0 from K = K^T (see
-    the module docstring).
+    On the fine grid (spacing h, n points), with alpha = mass h^2 / (2 hbar dt),
+    p = sqrt(mass / (2 pi i hbar dt)) and indices counted from the box centre,
+    k' = k - n/2, K1[k, l] = p exp(i alpha (k' - l')^2) and the two-slice
+    kernel is chirp times Hankel:
+    K2[k, j] = p^2 exp(i alpha (k'^2 + j'^2)) F(k' + j'), with
+    F(s) = sum_l w_l exp(2 i alpha l'^2) exp(-2 i alpha l' s) from one
+    Bluestein convolution.  So (K2 W v)[k] = p^2 exp(i alpha k'^2)
+    sum_j F(k' + j') exp(i alpha j'^2) w_j v_j is one circular convolution,
+    and one FFT pair advances the chain two slices.  Even counts start from
+    K2's closed-form columns, odd counts from K1's; the counts of one parity
+    are snapshots of one run, so the kernel of m slices is the same bits
+    whatever else is requested.  Only columns 0..n_out//2 are propagated; the
+    others come from K[i, j] = K[n_out - i, n_out - j] and row 0 from K = K^T
+    (see the module docstring).  The centred chirps are even under that
+    reflection, so the rounding of their phases keeps it.
     """
     from scipy.fft import fft, ifft, next_fast_len
 
     lo, hi, n_out = grid.axes[0]
-    n_int = _alias_safe_oversampling(n_out, hi - lo, dt, mass, hbar)
-    fine = GridSpec(((lo, hi, n_int),))
-    stride = n_int // n_out
+    n = _alias_safe_oversampling(n_out, hi - lo, dt, mass, hbar)
+    fine = GridSpec(((lo, hi, n),))
+    stride = n // n_out
+    alpha = mass * fine.spacing(0) ** 2 / (2 * hbar * dt)
+    p2 = mass / (2j * np.pi * hbar * dt)
+    weight = _quadrature_weight(fine)
 
-    # embed the one-step kernel K1[i, j] = g[|i - j|] in a circulant C of
-    # length L: the first n_int entries of C @ [v; 0] are K1 @ v
-    g = _free_kernel_row(fine, dt, mass, hbar)
-    L = next_fast_len(2 * n_int - 1)
-    circ = np.zeros(L, dtype=complex)
-    circ[:n_int] = g
-    circ[L - n_int + 1:] = g[:0:-1]
-    G = fft(circ)
+    def chirp(u):
+        # exp(i alpha (u/2)^2), u = 2k' an integer also for odd n
+        return np.exp(1j * (0.25 * alpha * u.astype(float) ** 2))
+
+    # F(k' + j') = exp(-i alpha (k' + j')^2)
+    #              sum_l (w_l exp(i alpha l'^2)) exp(i alpha (k' + j' - l')^2),
+    # held as F[s] at s = k + j = 0..2n - 2: a linear convolution over
+    # s - l = -(n - 1)..2n - 2, which a circular length of 3n - 2 keeps free
+    # of wrap-around
+    s = np.arange(2 * n - 1)
+    centred = chirp(2 * s[:n] - n)
+    L3 = next_fast_len(3 * n - 2)
+    a = np.zeros(L3, dtype=complex)
+    a[:n] = weight * centred
+    b = np.zeros(L3, dtype=complex)
+    b[:2 * n - 1] = chirp(2 * s - n)
+    b[L3 - n + 1:] = chirp(2 * np.arange(1 - n, 0) - n)
+    F = ifft(fft(a) * fft(b))[:2 * n - 1] * chirp(2 * s - 2 * n).conj()
+
+    # a column held reversed (u_j at n - 1 - j) convolved with
+    # hank[t] = F[n - 1 + t], t = -(n - 1)..n - 1, gives sum_j F[k + j] u_j
+    # at k; one held in order needs hank[-t] and comes out reversed, so the
+    # orientation flips with every pair.  L >= 2n - 1 keeps 0..n - 1 clean.
+    L = next_fast_len(2 * n - 1)
+    hank = np.zeros(L, dtype=complex)
+    hank[:n] = F[n - 1:]
+    hank[L - n + 1:] = F[:n - 1]
+    to_normal = fft(hank)
+    to_reversed = to_normal[-np.arange(L) % L]
+    # between pairs the buffer holds y = K2 W v without its output chirp
+    # p^2 exp(i alpha k'^2), which joins the next step's taper; the zeros
+    # past n clear the wrap-around
+    diag = np.zeros(L, dtype=complex)
+    diag[:n] = p2 * weight * centred ** 2
+    diag_rev = np.zeros(L, dtype=complex)
+    diag_rev[:n] = diag[n - 1::-1]
+    out_chirp = p2 * centred[::stride]
+
     # column c of the chain is row c here, so the FFTs run along the last axis
     h = n_out // 2 + 1
-    k = np.arange(n_int)
-    cols = np.zeros((h, L), dtype=complex)
-    cols[:, :n_int] = g[np.abs(k[None, :] - stride * np.arange(h)[:, None])]
-    weight = _quadrature_weight(fine)
-    kernels = []
-    for m in range(2, counts[-1] + 1):
-        cols[:, :n_int] *= weight
-        cols[:, n_int:] = 0.0
-        spec = fft(cols, axis=-1, overwrite_x=True)
-        spec *= G
-        cols = ifft(spec, axis=-1, overwrite_x=True)
-        if m in counts:
-            K = np.empty((n_out, n_out), dtype=complex)
-            K[:, :h] = cols[:, :n_int:stride].T
-            K[1:, h:] = K[:0:-1, n_out - h:0:-1]
-            K[0, h:] = K[h:, 0]
-            kernels.append(K)
-    return kernels
+    cols = np.empty((h, L), dtype=complex)
+    found = {}
+    for first in (1, 2):
+        wanted = [m for m in counts if m % 2 == first % 2]
+        if not wanted:
+            continue
+        cols[:, n:] = 0.0
+        if first == 1:
+            # K1[k, c] = g[|k - c|] is a window of the row mirrored about 0;
+            # these columns hold v itself, so the first step takes
+            # w_j exp(i alpha j'^2)
+            g = _free_kernel_row(fine, dt, mass, hbar)
+            mirrored = np.concatenate((g[:0:-1], g))
+            cols[:, :n] = sliding_window_view(mirrored, n)[n - 1::-stride][:h]
+            step = np.zeros(L, dtype=complex)
+            step[:n] = weight * centred
+        else:
+            # K2's columns without their row chirp: exp(i alpha c'^2) F[k + c]
+            np.multiply(centred[:stride * h:stride, None],
+                        sliding_window_view(F, n)[::stride][:h], out=cols[:, :n])
+            step = diag
+        flipped = False
+        for m in range(first, wanted[-1] + 1, 2):
+            if m > first:
+                cols *= step
+                spec = fft(cols, axis=-1, overwrite_x=True)
+                spec *= to_normal if flipped else to_reversed
+                cols = ifft(spec, axis=-1, overwrite_x=True)
+                flipped = not flipped
+                step = diag_rev if flipped else diag
+            if m in wanted:
+                rows = cols[:, n - 1::-stride] if flipped else cols[:, :n:stride]
+                K = np.empty((n_out, n_out), dtype=complex)
+                K[:, :h] = (rows * out_chirp).T
+                K[1:, h:] = K[:0:-1, n_out - h:0:-1]
+                K[0, h:] = K[h:, 0]
+                found[m] = K
+    return [found[m] for m in counts]
 
 
 def sliced_propagator(model: LagrangianModel, scheme: SliceScheme,
@@ -188,7 +257,9 @@ def sliced_propagator(model: LagrangianModel, scheme: SliceScheme,
 
     Free model only.  One slice returns the exact one-step kernel sampled on
     the grid; more slices run the quadrature chain on the oversampled grid,
-    holding n_out/2 + 1 propagated columns in O(n_out * n_int) memory.
+    two slices per FFT pair from the closed-form two-slice kernel (even
+    counts) or the one-step kernel (odd counts), holding n_out/2 + 1
+    propagated columns in O(n_out * n_int) memory.
     """
     if model.potential is not None:
         raise ValueError("sliced propagators are implemented for the free model")

@@ -97,6 +97,17 @@ def test_gauge_field_validation():
         GaugeField(np.array([0.0, 1.0]), np.zeros((1, 1, 2, 1)))
 
 
+@pytest.mark.parametrize("times, values", [
+    ([0.0, 1.0], [[1.0], [np.inf]]),
+    ([0.0, 1.0], [[np.nan], [0.0]]),
+    ([0.0, np.inf], [[0.0], [1.0]]),
+    ([0.0, 1.0], [[[0.0], [0.0]], [[-np.inf], [1.0]]]),
+])
+def test_gauge_field_rejects_non_finite_samples(times, values):
+    with pytest.raises(ValueError, match="finite"):
+        GaugeField(np.array(times), np.array(values))
+
+
 def test_gauge_field_stack_evaluates_each_field():
     rng = np.random.default_rng(3)
     v = rng.normal(size=(4, 2))

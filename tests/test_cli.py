@@ -200,11 +200,61 @@ def test_gauge_field_loadable_from_config(tmp_path):
     check = next(c for c in rep["experiments"]["classical"]["checks"]
                  if c["name"] == "gauge-split-configured-field")
     assert check["passed"]
-    # a field the loader cannot build is a config error, not a crashed suite
-    for bad in ({"times": [0, 1]}, [0.5], None):
+    # a field the loader cannot build is a config error, not a crashed suite;
+    # an infinite sample overflowed the actions to NaN, which passed
+    for bad in ({"times": [0, 1]}, [0.5], None,
+                {"times": [0, 1], "values": [[1], [float("inf")]]},
+                {"times": [0, float("nan")], "values": [[1], [0]]}):
         cfg["params"]["classical"]["gauge_field"] = bad
         with pytest.raises(ConfigError, match="gauge_field"):
             validate_config(cfg)
+
+
+def test_infinite_gauge_field_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, {"model": MINI_MODEL, "experiment": "classical", "seed": 1,
+                            "params": {"classical": {"gauge_field": {
+                                "times": [0, 1], "values": [[1], [float("inf")]]}}}})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "samples must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("suite, module, func, names", [
+    ("verify-cocycle", "cocycle", "path_cocycle",
+     ["phase-composition", "phase-unit-modulus"]),
+    ("classical", "cocycle", "path_cocycle", ["boost-boundary-term"]),
+    ("classical", "classical", "action_gauge_split", ["gauge-split-configured-field"]),
+    ("dress", "dressing", "dressed_action",
+     ["external-shift-invariance", "gauge-substitution-rule"]),
+])
+def test_nan_residual_fails_its_check(monkeypatch, suite, module, func, names):
+    # Python's max(0.0, nan) is 0.0: a probe evaluating to NaN passed these
+    import importlib
+
+    import numpy as np
+
+    from cqm.bundle import GaugeField, ModelParams
+    from cqm.experiments import run_experiment
+
+    mod = importlib.import_module(f"cqm.{module}")
+    real = getattr(mod, func)
+
+    def poisoned(model, *args):
+        out = real(model, *args)
+        if func == "path_cocycle":
+            return mod.CocycleAccumulator.from_value(np.nan * out.real_value,
+                                                     model.params.hbar)
+        return np.nan * out
+
+    monkeypatch.setattr(mod, func, poisoned)
+    field = GaugeField.bump(np.array([0.5, -0.3]), 0.0, 1.0, n=17)
+    params = {"n_probes": 100, "n_pairs": 2, "M": 20, "gauge_field": field.to_dict()}
+    model = ModelParams(2, 1, np.array([1.0, 2.0]))
+    # each suite reads only the keys it declares
+    checks = {c.name: c for c in run_experiment(suite, model, params, 3, None)}
+    for name in names:
+        assert np.isnan(checks[name].residual)
+        assert not checks[name].passed
 
 
 def test_report_determinism_single_suite(tmp_path):

@@ -8,7 +8,7 @@ from cqm.classical import hpf_table
 from cqm.cocycle import LagrangianModel
 from cqm.experiments import run_experiment
 from cqm.pathint import (PropagatorKernel, SliceScheme, _alias_safe_oversampling,
-                         _chain, _quadrature_weight,
+                         _chain, _free_kernel_row, _quadrature_weight,
                          classical_split, compose_kernels, free_kernel_exact,
                          kernel_slices_csv, propagate_wavefunction,
                          read_kernel, relational_propagator,
@@ -69,26 +69,109 @@ def test_free_kernel_exact_matches_closed_form(n):
     assert np.array_equal(K, K.T)
 
 
-@pytest.mark.parametrize("n_out, M, T", [
-    (128, 4, 1.0),   # oversampled: n_int 896
-    (256, 3, 3.0),   # factor 1: n_int = n_out
-    (257, 3, 1.0),   # prime n_out: the circulant is padded past 2 n_int - 1
-])
-def test_fft_chain_matches_dense(n_out, M, T):
-    grid = GridSpec(((-15.0, 15.0, n_out),))
-    free1 = LagrangianModel(ModelParams(1, 1, np.array([1.0])))
-    K = sliced_propagator(free1, SliceScheme(M, grid, 0.0, T)).matrix
-    # the dense chain K1 @ (w * cols) on the oversampled grid
-    n_int = _alias_safe_oversampling(n_out, 30.0, T / M, 1.0, 1.0)
+def _dense_chain(n_out, M, T, mass):
+    """The chain K1 @ (w * cols) with dense K1 on the oversampled grid,
+    sampled back onto n_out points."""
+    n_int = _alias_safe_oversampling(n_out, 30.0, T / M, mass, 1.0)
     fine = GridSpec(((-15.0, 15.0, n_int),))
-    K1 = _closed_form(fine, T / M, 1.0)
+    K1 = _closed_form(fine, T / M, mass)
     stride = n_int // n_out
     cols = K1[:, ::stride]
     w = _quadrature_weight(fine)[:, None]
     for _ in range(M - 1):
         cols = K1 @ (w * cols)
-    dense = cols[::stride, :]
+    return cols[::stride, :]
+
+
+@pytest.mark.parametrize("n_out, M, T", [
+    (128, 4, 1.0),   # oversampled: n_int 896
+    (256, 3, 3.0),   # factor 1: n_int = n_out
+    (257, 3, 1.0),   # prime n_out: the circulant is padded past 2 n_int - 1
+    (128, 2, 1.0),   # the closed-form two-slice kernel, no FFT step
+])
+def test_fft_chain_matches_dense(n_out, M, T):
+    grid = GridSpec(((-15.0, 15.0, n_out),))
+    free1 = LagrangianModel(ModelParams(1, 1, np.array([1.0])))
+    K = sliced_propagator(free1, SliceScheme(M, grid, 0.0, T)).matrix
+    dense = _dense_chain(n_out, M, T, 1.0)
     assert np.abs(K - dense).max() <= 1e-11 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("M", [2, 3, 4])
+def test_fft_chain_matches_dense_mass_two(M):
+    # n_int 896, 1408 and 1792: the chirps run to twice mass 1's phases
+    grid = GridSpec(((-15.0, 15.0, 128),))
+    free1 = LagrangianModel(ModelParams(1, 1, np.array([1.0])))
+    K = sliced_propagator(free1, SliceScheme(M, grid, 0.0, 1.0), mass=2.0).matrix
+    dense = _dense_chain(128, M, 1.0, 2.0)
+    assert np.abs(K - dense).max() <= 1e-11 * np.abs(dense).max()
+
+
+def _single_step_chain(grid, dt, mass, hbar, counts):
+    """The chain one slice per FFT pair: K1 applied as a Toeplitz convolution
+    through its circulant embedding, from K1's columns, every count a
+    snapshot of one run."""
+    from scipy.fft import fft, ifft, next_fast_len
+
+    lo, hi, n_out = grid.axes[0]
+    n_int = _alias_safe_oversampling(n_out, hi - lo, dt, mass, hbar)
+    fine = GridSpec(((lo, hi, n_int),))
+    stride = n_int // n_out
+    g = _free_kernel_row(fine, dt, mass, hbar)
+    L = next_fast_len(2 * n_int - 1)
+    circ = np.zeros(L, dtype=complex)
+    circ[:n_int] = g
+    circ[L - n_int + 1:] = g[:0:-1]
+    G = fft(circ)
+    h = n_out // 2 + 1
+    k = np.arange(n_int)
+    cols = np.zeros((h, L), dtype=complex)
+    cols[:, :n_int] = g[np.abs(k[None, :] - stride * np.arange(h)[:, None])]
+    weight = _quadrature_weight(fine)
+    kernels = []
+    for m in range(2, counts[-1] + 1):
+        cols[:, :n_int] *= weight
+        cols[:, n_int:] = 0.0
+        cols = ifft(fft(cols, axis=-1) * G, axis=-1)
+        if m in counts:
+            K = np.empty((n_out, n_out), dtype=complex)
+            K[:, :h] = cols[:, :n_int:stride].T
+            K[1:, h:] = K[:0:-1, n_out - h:0:-1]
+            K[0, h:] = K[h:, 0]
+            kernels.append(K)
+    return kernels
+
+
+@pytest.mark.parametrize("n_out, dt, mass, counts", [
+    (512, 1.0 / 8, 2.0, (2, 3, 4, 8)),   # n_int 3584, the relational chain
+    (128, 1.0 / 6, 1.0, (3, 6)),         # both parities in one call
+    (256, 1.0, 1.0, (2, 3, 4, 5)),       # factor 1: n_int = n_out
+    (257, 1.0 / 3, 1.0, (2, 3, 4, 5)),   # prime n_out
+])
+def test_two_slice_chain_matches_single_step(n_out, dt, mass, counts):
+    grid = GridSpec(((-15.0, 15.0, n_out),))
+    got = _chain(grid, dt, mass, 1.0, counts)
+    ref = _single_step_chain(grid, dt, mass, 1.0, counts)
+    for K, R in zip(got, ref, strict=True):
+        assert np.abs(K - R).max() <= 1e-11 * np.abs(R).max()
+
+
+@pytest.mark.parametrize("mass", [1.0, 2.0])
+def test_two_slice_kernel_closed_form(mass):
+    # K2[k, j] = p^2 exp(i alpha (k^2 + j^2)) F(k + j) against K1 @ (w * K1)
+    grid = GridSpec(((-15.0, 15.0, 64),))
+    (K2,) = _chain(grid, 0.5, mass, 1.0, (2,))
+    dense = _dense_chain(64, 2, 1.0, mass)
+    assert np.abs(K2 - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("counts", [(4, 8), (3, 6), (2, 3, 5, 8)])
+def test_kernel_bits_do_not_depend_on_other_counts(counts):
+    grid = GridSpec(((-15.0, 15.0, 128),))
+    together = _chain(grid, 1.0 / 8, 1.0, 1.0, counts)
+    for m, K in zip(counts, together, strict=True):
+        (alone,) = _chain(grid, 1.0 / 8, 1.0, 1.0, (m,))
+        assert np.array_equal(K, alone)
 
 
 @pytest.mark.parametrize("n_out", [128, 257])
