@@ -52,10 +52,10 @@ class ModelParams:
             raise ValueError("spatial_dim must be >= 1")
         if self.masses.shape != (self.n_particles,):
             raise ValueError("need one mass per particle")
-        if not np.all(self.masses > 0):
-            raise ValueError("masses must be positive")
-        if not self.hbar > 0:
-            raise ValueError("hbar must be positive")
+        if not np.all(np.isfinite(self.masses) & (self.masses > 0)):
+            raise ValueError("masses must be finite and positive")
+        if not (np.isfinite(self.hbar) and self.hbar > 0):
+            raise ValueError("hbar must be finite and positive")
 
     @property
     def dim(self) -> int:
@@ -82,9 +82,12 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ModelParams":
+        for key in ("n_particles", "spatial_dim"):
+            if type(obj[key]) is not int:  # bool too
+                raise TypeError(f"{key} must be an integer, got {obj[key]!r}")
         return cls(
-            n_particles=int(obj["n_particles"]),
-            spatial_dim=int(obj["spatial_dim"]),
+            n_particles=obj["n_particles"],
+            spatial_dim=obj["spatial_dim"],
             masses=np.asarray(obj["masses"], dtype=float),
             hbar=float(obj.get("hbar", 1.0)),
         )
@@ -233,15 +236,21 @@ class GaugeField:
         The leading ``...`` is the stack axis of a stacked field, else empty.
         """
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        fields = self.values.reshape(-1, self.times.size, self.dim)
-        out = np.empty((fields.shape[0], t_arr.size, self.dim))
-        for k, field in enumerate(fields):
-            for j in range(self.dim):
-                out[k, :, j] = np.interp(t_arr, self.times, field[:, j])
+        # np.interp's arithmetic on every column at once: the sample value at
+        # or beyond either end and at a sample time, else slope * (t - t_j)
+        # + f_j on the bracket t_j <= t < t_{j+1}
+        j = np.searchsorted(self.times, t_arr, side="right") - 1
+        k = np.clip(j, 0, self.times.size - 1)
+        out = np.take(self.values, k, axis=-2)
+        lin = (j >= 0) & (j < self.times.size - 1) & (self.times[k] != t_arr)
+        k = k[lin]
+        slope = (np.diff(self.values, axis=-2)[..., k, :]
+                 / np.diff(self.times)[k, None])
+        out[..., lin, :] = (slope * (t_arr[lin] - self.times[k])[:, None]
+                            + self.values[..., k, :])
         if self.support is not None:
             t0, t1 = self.support
-            out[:, (t_arr <= t0) | (t_arr >= t1)] = 0.0
-        out = out.reshape(self.values.shape[:-2] + out.shape[1:])
+            out[..., (t_arr <= t0) | (t_arr >= t1), :] = 0.0
         return out[..., 0, :] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
     @classmethod

@@ -184,7 +184,7 @@ def el_residual(model: LagrangianModel, path: DiscretePath) -> np.ndarray:
     xpp = 2 * (h0 * x[2:] - (h0 + h1) * x[1:-1] + h1 * x[:-2]) / (h0 * h1 * (h0 + h1))
     res = model.params.mass_vector[None, :] * xpp
     if model.potential is not None:
-        res = res + np.stack([model.gradient(xk) for xk in x[1:-1]])
+        res = res + model.gradient(x[1:-1])
     return res
 
 
@@ -200,7 +200,7 @@ def _newton_banded(model: LagrangianModel, t: np.ndarray, x: np.ndarray,
     def grad(xf):
         inner = xf[1:-1]
         g = mv[None, :] * (2 * inner - xf[2:] - xf[:-2]) / h
-        g -= h * np.stack([model.gradient(xk) for xk in inner])
+        g -= h * model.gradient(inner)
         return g.ravel()
 
     def resid(xf):
@@ -210,25 +210,21 @@ def _newton_banded(model: LagrangianModel, t: np.ndarray, x: np.ndarray,
     xf = x.copy()
     n_int = x.shape[0] - 2
     nz = n_int * dim
+    # banded Hessian, half-bandwidth dim: coordinate i = k*dim + c of node k
+    # couples to the other coordinates of node k (the potential's Hessian)
+    # and to the same coordinate of nodes k - 1 and k + 1 (the kinetic term)
+    i = np.arange(nz).reshape(n_int, dim)
+    rows = dim + i[:, :, None] - i[:, None, :]
+    cols = np.broadcast_to(i[:, None, :], rows.shape)
     for _ in range(max_iter):
         g = grad(xf)
         if np.abs(g / h).max() < tol:
             return xf
-        # banded Hessian, half-bandwidth dim
+        hess = model.hessian(xf[1:-1])
         ab = np.zeros((2 * dim + 1, nz))
-        for k in range(n_int):
-            hess = model.hessian(xf[k + 1])
-            for c in range(dim):
-                i = k * dim + c
-                ab[dim, i] = 2 * mv[c] / h - h * hess[c, c]
-                for c2 in range(dim):
-                    if c2 != c:
-                        j = k * dim + c2
-                        ab[dim + i - j, j] = -h * hess[c, c2]
-                if k + 1 < n_int:
-                    j = (k + 1) * dim + c
-                    ab[dim + i - j, j] = -mv[c] / h
-                    ab[dim + j - i, i] = -mv[c] / h
+        ab[rows, cols] = -h * hess
+        ab[dim] = (2 * mv / h - h * np.diagonal(hess, axis1=-2, axis2=-1)).ravel()
+        ab[0, dim:] = ab[2 * dim, :-dim] = np.tile(-mv / h, n_int - 1)
         step = solve_banded((dim, dim), ab, -g).reshape(n_int, dim)
         base = np.abs(g).max()
         alpha = 1.0

@@ -94,12 +94,12 @@ def validate_config(cfg: dict) -> None:
                 raise ConfigError(f"{name}.{key} {error}")
 
 
-def run_from_config(cfg: dict, out_dir: Path | None, seed: int | None = None) -> dict:
+def run_from_config(cfg: dict, out_dir: Path | None) -> dict:
     """Execute the configured suites and assemble the report structure."""
     model_params = ModelParams.from_dict(cfg["model"])
     kind = cfg.get("experiment", "all")
     names = list(REGISTRY) if kind == "all" else [kind]
-    seed = cfg.get("seed", 0) if seed is None else seed
+    seed = cfg["seed"]
     tol_scale = float(cfg.get("tol_scale", 1.0))
     params = cfg.get("params", {})
 
@@ -137,7 +137,7 @@ def _write_report(report: dict, out_dir: Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "report.json"
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return path
 
@@ -166,8 +166,9 @@ def _cmd_run(args) -> int:
     for ename, e in report["experiments"].items():
         for c in e["checks"]:
             if not c["passed"]:
+                residual = math.nan if c["residual"] is None else c["residual"]
                 print(f"  FAIL {ename}/{c['name']}: " + e.get(
-                    "error", f"residual {c['residual']:.3e} vs tol {c['tol']:.1e}"))
+                    "error", f"residual {residual:.3e} vs tol {c['tol']:.1e}"))
     return 0 if report["passed"] else 1
 
 

@@ -44,60 +44,59 @@ __all__ = [
 class LagrangianModel:
     """Free kinetic model, optionally with a potential V(x).
 
-    A translation-invariant potential (one depending only on coordinate
-    differences) drops out of the cocycle for external shifts; the flag is
-    probe-checked at construction.
+    The potential and its derivatives act on whole arrays of configurations:
+    ``potential`` maps an (..., dim) array to (...), ``potential_grad`` to
+    (..., dim) and ``potential_hess`` to (..., dim, dim); any other shape
+    raises ValueError.  Without ``potential_grad`` (``potential_hess``) the
+    gradient (Hessian) is a central difference of the potential (gradient),
+    taken in one evaluation.
     """
 
     params: ModelParams
-    potential: Callable[[np.ndarray], float] | None = None
+    potential: Callable[[np.ndarray], np.ndarray] | None = None
     potential_grad: Callable[[np.ndarray], np.ndarray] | None = None
     potential_hess: Callable[[np.ndarray], np.ndarray] | None = None
-    translation_invariant: bool = True
-
-    def __post_init__(self):
-        if self.potential is not None and self.translation_invariant:
-            rng = np.random.default_rng(171)
-            for _ in range(8):
-                x = rng.normal(size=self.params.dim)
-                a = rng.normal(size=self.params.spatial_dim)
-                shifted = x + self.params.replicate(a)
-                if abs(self.potential(shifted) - self.potential(x)) > 1e-12 * (
-                    1.0 + abs(self.potential(x))
-                ):
-                    raise ValueError(
-                        "potential marked translation-invariant fails probe check"
-                    )
 
     def potential_values(self, xs: np.ndarray) -> np.ndarray:
-        """Evaluate V on an array of configurations, shape (..., dim)."""
+        """Evaluate V on an array of configurations, shape (..., dim) -> (...).
+
+        The values come back in C order: the action and cocycle sums take
+        numpy's pairwise sum along contiguous rows only.
+        """
         xs = np.asarray(xs, dtype=float)
-        flat = xs.reshape(-1, xs.shape[-1])
-        vals = np.array([self.potential(x) for x in flat])
-        return vals.reshape(xs.shape[:-1])
+        return _shaped(self.potential(xs), xs.shape[:-1], "potential")
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
+        """Gradient of V at (..., dim) configurations, shape (..., dim)."""
+        x = np.asarray(x, dtype=float)
         if self.potential_grad is not None:
-            return np.asarray(self.potential_grad(x), dtype=float)
+            return _shaped(self.potential_grad(x), x.shape, "potential_grad")
         # central differences, adequate for smooth test potentials
         eps = 1e-6
-        g = np.empty_like(x)
-        for c in range(x.size):
-            e = np.zeros_like(x)
-            e[c] = eps
-            g[c] = (self.potential(x + e) - self.potential(x - e)) / (2 * eps)
-        return g
+        step = eps * np.eye(x.shape[-1])
+        x = x[..., None, :]
+        return (self.potential_values(x + step)
+                - self.potential_values(x - step)) / (2 * eps)
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
+        """Hessian of V at (..., dim) configurations, shape (..., dim, dim)."""
+        x = np.asarray(x, dtype=float)
         if self.potential_hess is not None:
-            return np.asarray(self.potential_hess(x), dtype=float)
+            return _shaped(self.potential_hess(x), x.shape + x.shape[-1:],
+                           "potential_hess")
         eps = 1e-5
-        h = np.empty((x.size, x.size))
-        for c in range(x.size):
-            e = np.zeros_like(x)
-            e[c] = eps
-            h[:, c] = (self.gradient(x + e) - self.gradient(x - e)) / (2 * eps)
-        return 0.5 * (h + h.T)
+        step = eps * np.eye(x.shape[-1])
+        x = x[..., None, :]
+        h = (self.gradient(x + step) - self.gradient(x - step)) / (2 * eps)
+        return 0.5 * (h + np.swapaxes(h, -1, -2))
+
+
+def _shaped(values, shape: tuple, name: str) -> np.ndarray:
+    """``values`` as a C-order float array, or ValueError if not of ``shape``."""
+    values = np.asarray(values, dtype=float, order="C")
+    if values.shape != shape:
+        raise ValueError(f"{name} must return shape {shape}, got {values.shape}")
+    return values
 
 
 @dataclass(frozen=True)

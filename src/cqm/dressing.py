@@ -270,36 +270,27 @@ def dressed_critical_path(model: LagrangianModel, q0: RelationalConfig,
         raise ValueError("endpoints must share the anchor")
     params = model.params
     i = q0.anchor
-    d = params.spatial_dim
-    keep = [k for k in range(params.n_particles) if k != i]
 
     if model.potential is None:
         path = DiscretePath.straight(q0.as_config(), q1.as_config(), M)
         return replace(path, anchor=i)
 
     # reduced model over the non-anchor blocks, anchor block pinned at zero
-    red_params = ModelParams(params.n_particles - 1, d,
-                             params.masses[keep], params.hbar)
+    red_params = ModelParams(params.n_particles - 1, params.spatial_dim,
+                             np.delete(params.masses, i), params.hbar)
+    sel = np.flatnonzero(np.arange(params.dim) // params.spatial_dim != i)
 
     def embed(xred: np.ndarray) -> np.ndarray:
-        full = np.zeros(params.dim)
-        for a, k in enumerate(keep):
-            full[k * d:(k + 1) * d] = xred[a * d:(a + 1) * d]
+        full = np.zeros(xred.shape[:-1] + (params.dim,))
+        full[..., sel] = xred
         return full
-
-    def restrict(g: np.ndarray) -> np.ndarray:
-        return np.concatenate([g[k * d:(k + 1) * d] for k in keep])
 
     red_model = LagrangianModel(
         red_params,
         potential=lambda xr: model.potential(embed(xr)),
-        potential_grad=lambda xr: restrict(model.gradient(embed(xr))),
-        translation_invariant=False,
+        potential_grad=lambda xr: model.gradient(embed(xr))[..., sel],
     )
-    sel = np.concatenate([np.arange(k * d, (k + 1) * d) for k in keep])
     red_path = solve_critical_path(
         red_model, Config(q0.t, q0.xbar[sel]), Config(q1.t, q1.xbar[sel]),
         M, tol=tol)
-    xfull = np.zeros((M + 1, params.dim))
-    xfull[:, sel] = red_path.x
-    return DiscretePath.from_nodes(red_path.t, xfull, anchor=i)
+    return DiscretePath.from_nodes(red_path.t, embed(red_path.x), anchor=i)

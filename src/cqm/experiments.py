@@ -39,7 +39,9 @@ class Check:
         return self.residual < self.tol
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "law": self.law, "residual": self.residual,
+        """JSON-ready entry; a NaN or infinite residual is written as null."""
+        residual = self.residual if np.isfinite(self.residual) else None
+        return {"name": self.name, "law": self.law, "residual": residual,
                 "tol": self.tol, "passed": self.passed}
 
 
@@ -172,10 +174,9 @@ def _harmonic_model(m: float = 1.0) -> LagrangianModel:
     params = ModelParams(1, 1, np.array([m]))
     return LagrangianModel(
         params,
-        potential=lambda x: 0.5 * float(x @ x),
+        potential=lambda x: 0.5 * np.sum(x * x, axis=-1),
         potential_grad=lambda x: x,
-        potential_hess=lambda x: np.eye(1),
-        translation_invariant=False,
+        potential_hess=lambda x: np.ones(x.shape + (1,)),
     )
 
 

@@ -33,10 +33,9 @@ def harmonic():
     """Unit-mass, unit-frequency oscillator."""
     return LagrangianModel(
         ModelParams(1, 1, np.array([1.0])),
-        potential=lambda x: 0.5 * float(x @ x),
+        potential=lambda x: 0.5 * np.sum(x * x, axis=-1),
         potential_grad=lambda x: x,
-        potential_hess=lambda x: np.eye(1),
-        translation_invariant=False,
+        potential_hess=lambda x: np.ones(x.shape + (1,)),
     )
 
 

@@ -81,10 +81,9 @@ def test_criterion_03_variational_principle():
     free1 = LagrangianModel(ModelParams(1, 1, np.array([1.0])))
     harmonic = LagrangianModel(
         ModelParams(1, 1, np.array([1.0])),
-        potential=lambda x: 0.5 * float(x @ x),
+        potential=lambda x: 0.5 * np.sum(x * x, axis=-1),
         potential_grad=lambda x: x,
-        potential_hess=lambda x: np.eye(1),
-        translation_invariant=False)
+        potential_hess=lambda x: np.ones(x.shape + (1,)))
 
     straight = solve_critical_path(free1, Config(0.0, [0.0]), Config(1.0, [1.0]), 200)
     free_node = float(np.abs(straight.x[:, 0] - straight.t).max())

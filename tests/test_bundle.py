@@ -122,6 +122,47 @@ def test_gauge_field_stack_evaluates_each_field():
     assert np.array_equal(stacks[0].values[1], GaugeField.boost(v[1], -0.5, 1.5).values)
 
 
+def _interp_per_column(G, t):
+    """X(t) as one np.interp call per (field, coordinate) column."""
+    fields = G.values.reshape(-1, G.times.size, G.dim)
+    out = np.stack([np.stack([np.interp(t, G.times, f[:, j]) for j in range(G.dim)],
+                             axis=-1) for f in fields])
+    if G.support is not None:
+        out[:, (t <= G.support[0]) | (t >= G.support[1])] = 0.0
+    return out.reshape(G.values.shape[:-2] + out.shape[1:])
+
+
+@st.composite
+def gauge_fields(draw):
+    times = np.array(draw(st.lists(finite, min_size=1, max_size=7, unique=True)))
+    times.sort()
+    stack = draw(st.sampled_from([(), (1,), (3,)]))
+    dim = draw(st.integers(1, 3))
+    values = draw(arrays(np.float64, stack + (times.size, dim), elements=finite))
+    support = None
+    if times.size > 1 and draw(st.booleans()):
+        support = tuple(sorted(draw(st.lists(finite, min_size=2, max_size=2,
+                                             unique=True))))
+        values[..., (times <= support[0]) | (times >= support[1]), :] = 0.0
+    return GaugeField(times, values, support)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gauge_fields(), st.lists(finite, max_size=6))
+def test_value_at_is_per_column_interp(G, extra):
+    # sample times, both ends, points beyond them and arbitrary points
+    t = np.concatenate([G.times, G.times[[0, -1]] + [-1.0, 1.0], extra])
+    got = G.value_at(t)
+    assert got.flags["C_CONTIGUOUS"]
+    assert np.array_equal(got.view(np.uint64), _interp_per_column(G, t).view(np.uint64))
+    for tk in (t[0], t[-1]):
+        one = G.value_at(tk)
+        assert one.flags["C_CONTIGUOUS"]
+        assert np.array_equal(one.view(np.uint64),
+                              _interp_per_column(G, np.array([tk]))[..., 0, :]
+                              .view(np.uint64))
+
+
 def test_gauge_field_json_roundtrip():
     G = GaugeField.bump(np.array([1.0, 2.0]), 0.0, 1.0, n=9)
     G2 = GaugeField.from_dict(G.to_dict())

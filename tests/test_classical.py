@@ -59,8 +59,7 @@ def test_gauge_split_with_potential(rng):
 
     model = LagrangianModel(
         ModelParams(2, 1, np.array([1.0, 2.0])),
-        potential=lambda z: float(np.cos(z[1] - z[0])),
-        translation_invariant=True)
+        potential=lambda z: np.cos(z[..., 1] - z[..., 0]))
     for _ in range(10):
         path = random_path(rng, 2)
         G = GaugeField.random_bump(2, -0.2, 1.2, rng)
@@ -311,15 +310,39 @@ def test_csv_exports(tmp_path, free1):
     assert len(rows) == 10
 
 
+def test_newton_solve_coupled_quadratic():
+    # V = x.A.x/2 couples the coordinates, so the banded Hessian has entries
+    # off its diagonal; it is taken by central differences (no potential_hess).
+    # The discrete Euler-Lagrange system is linear, so one Newton step with
+    # the right Hessian solves it: compare with a dense solve.
+    from cqm.bundle import ModelParams
+    from cqm.cocycle import LagrangianModel
+
+    A = np.array([[1.0, 0.3, -0.2], [0.3, 2.0, 0.4], [-0.2, 0.4, 0.5]])
+    model = LagrangianModel(ModelParams(3, 1, np.array([1.0, 2.0, 0.5])),
+                            potential=lambda x: 0.5 * np.sum((x @ A) * x, axis=-1),
+                            potential_grad=lambda x: x @ A)
+    p0, p1, M = Config(0.0, [0.2, -0.5, 1.0]), Config(1.0, [1.0, 0.3, -0.4]), 20
+    crit = solve_critical_path(model, p0, p1, M, max_iter=1)
+
+    h, mv, n = 1.0 / M, model.params.mass_vector, M - 1
+    second = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    K = np.kron(second, np.diag(mv) / h) - h * np.kron(np.eye(n), A)
+    rhs = np.zeros((n, 3))
+    rhs[0], rhs[-1] = mv * p0.x / h, mv * p1.x / h
+    inner = np.linalg.solve(K, rhs.ravel()).reshape(n, 3)
+    assert np.abs(crit.x[1:-1] - inner).max() < 1e-12
+    assert np.array_equal(crit.x[[0, -1]], [p0.x, p1.x])
+
+
 def test_solver_reports_nonconvergence():
     from cqm.bundle import ModelParams
     from cqm.cocycle import LagrangianModel
 
     rough = LagrangianModel(
         ModelParams(1, 1, np.array([1.0])),
-        potential=lambda x: float(np.cos(3 * x[0])),
-        potential_grad=lambda x: np.array([-3 * np.sin(3 * x[0])]),
-        translation_invariant=False)
+        potential=lambda x: np.cos(3 * x[..., 0]),
+        potential_grad=lambda x: -3 * np.sin(3 * x))
     with pytest.raises(RuntimeError, match="did not converge|residual"):
         solve_critical_path(rough, Config(0.0, [0.0]), Config(1.0, [4.0]),
                             40, tol=1e-12, max_iter=1)

@@ -148,10 +148,23 @@ def test_frame_and_quantum_params_rejected(tmp_path, name, key, val):
     assert not (out / "report.json").exists()
 
 
-def test_bad_model_rejected():
-    with pytest.raises(ConfigError):
-        validate_config({"model": {"n_particles": 0, "spatial_dim": 1,
-                                   "masses": []}, "seed": 1})
+def test_bad_model_rejected(tmp_path):
+    inf = float("inf")
+    for change in ({"n_particles": 0, "masses": []},
+                   {"n_particles": 2.7},
+                   {"n_particles": True},
+                   {"spatial_dim": 1.0},
+                   {"spatial_dim": False},
+                   {"hbar": inf},
+                   {"hbar": float("nan")},
+                   {"masses": [1.0, inf]},
+                   {"masses": [1.0, -2.0]}):
+        cfg = {"model": dict(MINI_MODEL, **change), "seed": 1}
+        with pytest.raises(ConfigError):
+            validate_config(cfg)
+        path = _write(tmp_path, cfg)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_classical_suite_documents_known_red(tmp_path):
@@ -178,9 +191,8 @@ def test_tol_scale_loosens(tmp_path):
 def test_seed_override(tmp_path):
     cfg = {"model": MINI_MODEL, "experiment": "verify-cocycle", "seed": 7,
            "params": {"verify-cocycle": {"n_probes": 100}}}
-    path = _write(tmp_path, cfg)
-    r1 = run_from_config(load_config(path), None, seed=11)
-    r2 = run_from_config(load_config(path), None, seed=12)
+    r1 = run_from_config(load_config(_write(tmp_path, dict(cfg, seed=11))), None)
+    r2 = run_from_config(load_config(_write(tmp_path, dict(cfg, seed=12))), None)
     c1 = r1["experiments"]["verify-cocycle"]["checks"][0]["residual"]
     c2 = r2["experiments"]["verify-cocycle"]["checks"][0]["residual"]
     assert c1 != c2  # different probe streams
@@ -255,6 +267,35 @@ def test_nan_residual_fails_its_check(monkeypatch, suite, module, func, names):
     for name in names:
         assert np.isnan(checks[name].residual)
         assert not checks[name].passed
+
+
+def test_nan_residual_written_as_null(tmp_path, monkeypatch, capsys):
+    import numpy as np
+
+    from cqm import cocycle
+
+    real = cocycle.path_cocycle
+
+    def poisoned(model, *args):
+        out = real(model, *args)
+        return cocycle.CocycleAccumulator.from_value(np.nan * out.real_value,
+                                                     model.params.hbar)
+
+    monkeypatch.setattr(cocycle, "path_cocycle", poisoned)
+    cfg = {"model": MINI_MODEL, "experiment": "verify-cocycle", "seed": 7,
+           "params": {"verify-cocycle": {"n_probes": 100}}}
+    rc = main(["run", str(_write(tmp_path, cfg)), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "FAIL verify-cocycle/phase-composition: residual nan" in capsys.readouterr().out
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    text = (tmp_path / "out" / "report.json").read_text()
+    checks = {c["name"]: c for c in json.loads(text, parse_constant=reject)
+              ["experiments"]["verify-cocycle"]["checks"]}
+    assert checks["phase-composition"]["residual"] is None
+    assert checks["phase-composition"]["passed"] is False
 
 
 def test_report_determinism_single_suite(tmp_path):

@@ -64,19 +64,28 @@ def test_composition_inverse(free2, rng):
 def test_composition_identity_with_potential(rng):
     params = ModelParams(2, 1, np.array([1.0, 2.0]))
     model = LagrangianModel(
-        params, potential=lambda z: float(np.cos(z[1] - z[0])),
-        translation_invariant=True)
+        params, potential=lambda z: np.cos(z[..., 1] - z[..., 0]))
     for _ in range(50):
         p = Config(0.0, rng.normal(size=2))
         v, X, Y = (rng.normal(size=2) for _ in range(3))
         assert cocycle_property_residual(model, p, v, X, Y) < 1e-12
 
 
-def test_translation_invariance_probe_rejects_bad_flag():
-    params = ModelParams(2, 1, np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        LagrangianModel(params, potential=lambda z: float(z[0] ** 2),
-                        translation_invariant=True)
+# each callable answers a (5, 2) stack with a single configuration's shape
+@pytest.mark.parametrize("field, value, method", [
+    ("potential", lambda z: np.cos(z), "potential_values"),
+    ("potential", lambda z: float(np.sum(z * z)), "potential_values"),
+    ("potential_grad", lambda z: np.array([z[0, 1], z[0, 0]]), "gradient"),
+    ("potential_hess", lambda z: np.eye(2), "hessian"),
+])
+def test_derivative_of_wrong_shape_rejected(field, value, method, rng):
+    fields = {"potential": lambda z: np.sum(z * z, axis=-1), field: value}
+    model = LagrangianModel(ModelParams(2, 1, np.array([1.0, 2.0])), **fields)
+    with pytest.raises(ValueError, match=f"{field} must return shape"):
+        getattr(model, method)(np.zeros((5, 2)))
+    if field == "potential":
+        with pytest.raises(ValueError, match="potential must return shape"):
+            action(model, random_path(rng, 2))
 
 
 def test_linear_cocycle_example():
@@ -214,8 +223,7 @@ def test_shift_objects_accepted(free2, rng):
 def test_u1_composition_with_potential(rng):
     model = LagrangianModel(
         ModelParams(2, 1, np.array([1.0, 2.0])),
-        potential=lambda z: float(np.cos(z[1] - z[0])),
-        translation_invariant=True)
+        potential=lambda z: np.cos(z[..., 1] - z[..., 0]))
     path = random_path(rng, 2)
     X = GaugeField.random_bump(2, 0.0, 1.0, rng)
     Y = GaugeField.random_bump(2, 0.0, 1.0, rng)
@@ -231,8 +239,7 @@ BATCH_MODELS = {
     "free-dim9": LagrangianModel(ModelParams(3, 3, np.array([1.0, 2.0, 0.5]))),
     "potential": LagrangianModel(
         ModelParams(2, 1, np.array([1.0, 2.0])),
-        potential=lambda z: float(np.cos(z[1] - z[0])),
-        translation_invariant=True),
+        potential=lambda z: np.cos(z[..., 1] - z[..., 0])),
 }
 
 

@@ -224,9 +224,8 @@ def test_dressed_critical_with_potential():
     params = ModelParams(2, 1, np.array([1.0, 2.0]))
     model = LagrangianModel(
         params,
-        potential=lambda z: 0.5 * (z[1] - z[0]) ** 2,
-        potential_grad=lambda z: np.array([z[0] - z[1], z[1] - z[0]]),
-        translation_invariant=True)
+        potential=lambda z: 0.5 * (z[..., 1] - z[..., 0]) ** 2,
+        potential_grad=lambda z: z - z[..., ::-1])
     q0 = RelationalConfig(0.0, [0.0, 0.0], 0)
     q1 = RelationalConfig(np.pi / 2, [0.0, 1.0], 0)
     rel = dressed_critical_path(model, q0, q1, 200, tol=1e-9)

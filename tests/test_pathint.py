@@ -377,8 +377,7 @@ def test_refinement_levels_stay_converged():
 
 def test_sliced_propagator_rejects_potential(grid256):
     model = LagrangianModel(ModelParams(1, 1, np.array([1.0])),
-                            potential=lambda z: float(z @ z),
-                            translation_invariant=False)
+                            potential=lambda z: np.sum(z * z, axis=-1))
     with pytest.raises(ValueError):
         sliced_propagator(model, SliceScheme(4, grid256, 0.0, 1.0))
 
