@@ -85,11 +85,18 @@ class ModelParams:
         for key in ("n_particles", "spatial_dim"):
             if type(obj[key]) is not int:  # bool too
                 raise TypeError(f"{key} must be an integer, got {obj[key]!r}")
+        # JSON numbers only: float() would take a string, and bool is an int
+        masses, hbar = obj["masses"], obj.get("hbar", 1.0)
+        if not (isinstance(masses, (list, tuple))
+                and all(type(m) in (int, float) for m in masses)):
+            raise TypeError(f"masses must be a list of numbers, got {masses!r}")
+        if type(hbar) not in (int, float):
+            raise TypeError(f"hbar must be a number, got {hbar!r}")
         return cls(
             n_particles=obj["n_particles"],
             spatial_dim=obj["spatial_dim"],
-            masses=np.asarray(obj["masses"], dtype=float),
-            hbar=float(obj.get("hbar", 1.0)),
+            masses=np.asarray(masses, dtype=float),
+            hbar=float(hbar),
         )
 
     def to_dict(self) -> dict:

@@ -8,13 +8,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 import traceback
 from dataclasses import replace
 from pathlib import Path
 
-from . import __version__
+import numpy as np
+
+from . import __version__, pathint
 from .bundle import ModelParams
 from .experiments import EXPERIMENT_KINDS, REGISTRY, Check, Param, run_experiment
 
@@ -94,6 +97,22 @@ def validate_config(cfg: dict) -> None:
                 raise ConfigError(f"{name}.{key} {error}")
 
 
+def _environment() -> dict:
+    """Interpreter, numpy, CPUs and thread settings the run had."""
+    try:
+        affinity = sorted(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        affinity = None
+    return {
+        "python": "%d.%d.%d" % sys.version_info[:3],
+        "numpy": np.__version__,
+        "affinity": affinity,
+        "chain_threads": pathint._chain_threads(),
+        "threads": {var: os.environ.get(var) for var in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+    }
+
+
 def run_from_config(cfg: dict, out_dir: Path | None) -> dict:
     """Execute the configured suites and assemble the report structure."""
     model_params = ModelParams.from_dict(cfg["model"])
@@ -109,7 +128,7 @@ def run_from_config(cfg: dict, out_dir: Path | None) -> dict:
         "tol_scale": tol_scale,
         "experiments": {},
         "passed": True,
-        "timing": {},
+        "timing": {"environment": _environment()},
     }
     total0 = time.perf_counter()
     for name in names:

@@ -17,12 +17,15 @@ Toeplitz and the taper W diagonal.  The taper is even about the box centre and
 vanishes at the first grid point, so the reflection K[i, j] = K[n - i, n - j]
 holds exactly for i, j >= 1; only the n//2 + 1 columns 0..n//2 are
 propagated.  A chain of fewer slices of the same step and parity is a
-snapshot of a longer one on the way.  Comparisons against the closed-form
-kernel are meaningful on the central half-box, away from wrap-around
-artifacts.
+snapshot of a longer one on the way.  The propagated columns evolve
+independently, so they run in row bands, one thread per CPU in the process's
+affinity mask (limit it with e.g. ``taskset``); the bits do not depend on
+the band count.  Comparisons against the closed-form kernel are meaningful
+on the central half-box, away from wrap-around artifacts.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -139,6 +142,14 @@ def _alias_safe_oversampling(n_out: int, box: float, dt: float, mass: float,
     return n_int
 
 
+def _chain_threads() -> int:
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
 def _chain(grid: GridSpec, dt: float, mass: float, hbar: float,
            counts: tuple[int, ...]) -> list[np.ndarray]:
     """Kernel matrices of the chains of m slices of step dt, for each m >= 2
@@ -159,6 +170,13 @@ def _chain(grid: GridSpec, dt: float, mass: float, hbar: float,
     others come from K[i, j] = K[n_out - i, n_out - j] and row 0 from K = K^T
     (see the module docstring).  The centred chirps are even under that
     reflection, so the rounding of their phases keeps it.
+
+    The propagated columns run in contiguous row bands, one thread per CPU in
+    the affinity mask (``_chain_threads``; a tool such as ``taskset`` limits
+    it), inline when there is one band.  Each band runs both parities on row
+    views of buffers allocated here and writes its own columns of each K;
+    every column sees the same operations in the same order, so the bits do
+    not depend on the band count.
     """
     from scipy.fft import fft, ifft, next_fast_len
 
@@ -208,45 +226,67 @@ def _chain(grid: GridSpec, dt: float, mass: float, hbar: float,
     diag_rev[:n] = diag[n - 1::-1]
     out_chirp = p2 * centred[::stride]
 
-    # column c of the chain is row c here, so the FFTs run along the last axis
+    # column c of the chain is row c here, so the FFTs run along the last
+    # axis; every buffer is allocated here, and each band works on its rows
     h = n_out // 2 + 1
     cols = np.empty((h, L), dtype=complex)
-    found = {}
+    found = {m: np.empty((n_out, n_out), dtype=complex) for m in counts}
+    runs = []
     for first in (1, 2):
         wanted = [m for m in counts if m % 2 == first % 2]
         if not wanted:
             continue
-        cols[:, n:] = 0.0
         if first == 1:
             # K1[k, c] = g[|k - c|] is a window of the row mirrored about 0;
             # these columns hold v itself, so the first step takes
             # w_j exp(i alpha j'^2)
             g = _free_kernel_row(fine, dt, mass, hbar)
             mirrored = np.concatenate((g[:0:-1], g))
-            cols[:, :n] = sliding_window_view(mirrored, n)[n - 1::-stride][:h]
+            start = sliding_window_view(mirrored, n)[n - 1::-stride][:h]
             step = np.zeros(L, dtype=complex)
             step[:n] = weight * centred
         else:
             # K2's columns without their row chirp: exp(i alpha c'^2) F[k + c]
-            np.multiply(centred[:stride * h:stride, None],
-                        sliding_window_view(F, n)[::stride][:h], out=cols[:, :n])
+            start = sliding_window_view(F, n)[::stride][:h]
             step = diag
-        flipped = False
-        for m in range(first, wanted[-1] + 1, 2):
-            if m > first:
-                cols *= step
-                spec = fft(cols, axis=-1, overwrite_x=True)
-                spec *= to_normal if flipped else to_reversed
-                cols = ifft(spec, axis=-1, overwrite_x=True)
-                flipped = not flipped
-                step = diag_rev if flipped else diag
-            if m in wanted:
-                rows = cols[:, n - 1::-stride] if flipped else cols[:, :n:stride]
-                K = np.empty((n_out, n_out), dtype=complex)
-                K[:, :h] = (rows * out_chirp).T
-                K[1:, h:] = K[:0:-1, n_out - h:0:-1]
-                K[0, h:] = K[h:, 0]
-                found[m] = K
+        runs.append((first, wanted, start, step))
+
+    def run_band(lo: int, hi: int) -> None:
+        band = cols[lo:hi]
+        for first, wanted, start, step in runs:
+            band[:, n:] = 0.0
+            if first == 1:
+                band[:, :n] = start[lo:hi]
+            else:
+                np.multiply(centred[stride * lo:stride * hi:stride, None],
+                            start[lo:hi], out=band[:, :n])
+            flipped = False
+            for m in range(first, wanted[-1] + 1, 2):
+                if m > first:
+                    band *= step
+                    # in place on the C-contiguous rows
+                    spec = fft(band, axis=-1, overwrite_x=True)
+                    spec *= to_normal if flipped else to_reversed
+                    band = ifft(spec, axis=-1, overwrite_x=True)
+                    flipped = not flipped
+                    step = diag_rev if flipped else diag
+                if m in wanted:
+                    rows = band[:, n - 1::-stride] if flipped else band[:, :n:stride]
+                    np.multiply(rows, out_chirp, out=found[m][:, lo:hi].T)
+
+    n_bands = min(_chain_threads(), h)
+    if n_bands == 1:
+        run_band(0, h)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        # scipy's FFTs and numpy's ufunc loops release the GIL
+        bounds = [h * i // n_bands for i in range(n_bands + 1)]
+        with ThreadPoolExecutor(n_bands) as pool:
+            list(pool.map(run_band, bounds[:-1], bounds[1:]))
+    for K in found.values():
+        K[1:, h:] = K[:0:-1, n_out - h:0:-1]
+        K[0, h:] = K[h:, 0]
     return [found[m] for m in counts]
 
 

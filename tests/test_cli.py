@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from cqm import pathint
 from cqm.cli import ConfigError, load_config, main, run_from_config, validate_config
 from cqm.experiments import REGISTRY
 
@@ -158,7 +160,11 @@ def test_bad_model_rejected(tmp_path):
                    {"hbar": inf},
                    {"hbar": float("nan")},
                    {"masses": [1.0, inf]},
-                   {"masses": [1.0, -2.0]}):
+                   {"masses": [1.0, -2.0]},
+                   {"hbar": True},
+                   {"hbar": "1.5"},
+                   {"masses": [True, 2.0]},
+                   {"masses": [1.0, "2"]}):
         cfg = {"model": dict(MINI_MODEL, **change), "seed": 1}
         with pytest.raises(ConfigError):
             validate_config(cfg)
@@ -307,6 +313,24 @@ def test_report_determinism_single_suite(tmp_path):
         rep.pop("timing")
         reports.append(json.dumps(rep, sort_keys=True))
     assert reports[0] == reports[1]
+
+
+def test_environment_recorded_under_timing(monkeypatch):
+    cfg = {"model": MINI_MODEL, "experiment": "pathint", "seed": 9,
+           "params": {"pathint": {"n_points": 64, "n_points_2d": 32}}}
+    bodies = []
+    for threads in (1, 3):
+        monkeypatch.setattr(pathint, "_chain_threads", lambda: threads)
+        rep = run_from_config(json.loads(json.dumps(cfg)), None)
+        env = rep["timing"]["environment"]
+        assert env["chain_threads"] == threads
+        assert env["numpy"] == np.__version__
+        assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                       "MKL_NUM_THREADS"}
+        assert {"python", "affinity"} <= set(env)
+        rep.pop("timing")
+        bodies.append(json.dumps(rep, sort_keys=True))
+    assert bodies[0] == bodies[1]
 
 
 def test_pathint_suite_reports_kernel_check(tmp_path):

@@ -1,8 +1,10 @@
 import struct
+import threading
 
 import numpy as np
 import pytest
 
+from cqm import pathint
 from cqm.bundle import Config, ModelParams
 from cqm.classical import hpf_table
 from cqm.cocycle import LagrangianModel
@@ -172,6 +174,33 @@ def test_kernel_bits_do_not_depend_on_other_counts(counts):
     for m, K in zip(counts, together, strict=True):
         (alone,) = _chain(grid, 1.0 / 8, 1.0, 1.0, (m,))
         assert np.array_equal(K, alone)
+
+
+@pytest.mark.parametrize("n_out, counts", [(128, (4, 8)), (128, (3, 6)),
+                                           (128, (2, 3, 5, 8)), (9, (2, 3))])
+def test_kernel_bits_do_not_depend_on_band_count(monkeypatch, n_out, counts):
+    # each propagated column evolves on its own, so splitting the columns
+    # into row bands moves no bit; n_out = 9 has 5 columns, fewer than the
+    # last band count asked for
+    grid = GridSpec(((-15.0, 15.0, n_out),))
+    runs = []
+    for bands in (1, 2, 3, n_out // 2 + 2):
+        monkeypatch.setattr(pathint, "_chain_threads", lambda: bands)
+        alive = threading.active_count()
+        runs.append(_chain(grid, 1.0 / 8, 1.0, 1.0, counts))
+        assert threading.active_count() == alive
+    for banded in runs[1:]:
+        for K, serial in zip(banded, runs[0], strict=True):
+            assert np.array_equal(K, serial)
+
+
+def test_one_band_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a one-band chain started a thread")
+
+    monkeypatch.setattr(pathint, "_chain_threads", lambda: 1)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    _chain(GridSpec(((-15.0, 15.0, 64),)), 1.0 / 8, 1.0, 1.0, (3, 4))
 
 
 @pytest.mark.parametrize("n_out", [128, 257])
