@@ -82,6 +82,9 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ModelParams":
+        unknown = sorted(set(obj) - {"n_particles", "spatial_dim", "masses", "hbar"})
+        if unknown:
+            raise ValueError(f"unknown model keys {unknown}")
         for key in ("n_particles", "spatial_dim"):
             if type(obj[key]) is not int:  # bool too
                 raise TypeError(f"{key} must be an integer, got {obj[key]!r}")
@@ -312,8 +315,8 @@ class GaugeField:
     def from_dict(cls, obj: dict) -> "GaugeField":
         support = obj.get("support")
         return cls(
-            np.asarray(obj["times"], dtype=float),
-            np.asarray(obj["values"], dtype=float),
+            _number_array("times", obj["times"]),
+            _number_array("values", obj["values"]),
             tuple(support) if support is not None else None,
         )
 
@@ -322,6 +325,18 @@ class GaugeField:
         if self.support is not None:
             out["support"] = list(self.support)
         return out
+
+
+def _number_array(name: str, obj) -> np.ndarray:
+    """Float array of ``obj``, nested lists of JSON numbers only (not bool or str)."""
+    stack = [obj]
+    while stack:
+        val = stack.pop()
+        if isinstance(val, (list, tuple)):
+            stack.extend(val)
+        elif type(val) not in (int, float):
+            raise TypeError(f"{name} must hold numbers only, got {val!r}")
+    return np.asarray(obj, dtype=float)
 
 
 def gauge_apply(p: Config, G: GaugeField) -> Config:

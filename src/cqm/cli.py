@@ -131,18 +131,38 @@ def run_from_config(cfg: dict, out_dir: Path | None) -> dict:
         "timing": {"environment": _environment()},
     }
     total0 = time.perf_counter()
-    for name in names:
+
+    def run_one(name: str):
+        """Checks, error message, formatted traceback and wall time of a suite."""
         sub_out = (out_dir / name) if out_dir is not None else None
         t0 = time.perf_counter()
-        entry = report["experiments"][name] = {"laws": list(REGISTRY[name].laws)}
+        error = trace = None
         try:
             checks = run_experiment(name, model_params, params.get(name, {}),
                                     seed, sub_out)
         except Exception as exc:  # a crashing suite is one failed check
-            traceback.print_exc()
+            trace = traceback.format_exc()
             checks = [Check("suite-error", type(exc).__name__, 1.0, 0.0)]
-            entry["error"] = str(exc)
-        report["timing"][name] = time.perf_counter() - t0
+            error = str(exc)
+        return checks, error, trace, time.perf_counter() - t0
+
+    n_workers = min(pathint._chain_threads(), len(names))
+    if n_workers == 1:
+        results = map(run_one, names)  # each suite runs as the loop reaches it
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        # one suite per CPU, pathint (the longest, registered last) first;
+        # numpy and scipy release the GIL in the array work
+        with ThreadPoolExecutor(n_workers) as pool:
+            futures = {name: pool.submit(run_one, name) for name in reversed(names)}
+        results = [futures[name].result() for name in names]
+    for name, (checks, error, trace, seconds) in zip(names, results):
+        entry = report["experiments"][name] = {"laws": list(REGISTRY[name].laws)}
+        if trace is not None:
+            sys.stderr.write(trace)
+            entry["error"] = error
+        report["timing"][name] = seconds
         scaled = [replace(c, residual=float(c.residual), tol=float(c.tol * tol_scale))
                   for c in checks]
         exp_passed = all(c.passed for c in scaled)

@@ -19,8 +19,9 @@ holds exactly for i, j >= 1; only the n//2 + 1 columns 0..n//2 are
 propagated.  A chain of fewer slices of the same step and parity is a
 snapshot of a longer one on the way.  The propagated columns evolve
 independently, so they run in row bands, one thread per CPU in the process's
-affinity mask (limit it with e.g. ``taskset``); the bits do not depend on
-the band count.  Comparisons against the closed-form kernel are meaningful
+affinity mask (limit it with e.g. ``taskset``), and each band takes its rows
+a block of about 1 MiB at a time; the bits depend on neither the band count
+nor the block size.  Comparisons against the closed-form kernel are meaningful
 on the central half-box, away from wrap-around artifacts.
 """
 from __future__ import annotations
@@ -142,6 +143,10 @@ def _alias_safe_oversampling(n_out: int, box: float, dt: float, mass: float,
     return n_int
 
 
+# bytes of the row block each band of the chain works through at a time
+_CHAIN_BLOCK_BYTES = 1 << 20
+
+
 def _chain_threads() -> int:
     """CPUs this process may run on: its affinity mask, else the CPU count."""
     try:
@@ -173,10 +178,12 @@ def _chain(grid: GridSpec, dt: float, mass: float, hbar: float,
 
     The propagated columns run in contiguous row bands, one thread per CPU in
     the affinity mask (``_chain_threads``; a tool such as ``taskset`` limits
-    it), inline when there is one band.  Each band runs both parities on row
-    views of buffers allocated here and writes its own columns of each K;
-    every column sees the same operations in the same order, so the bits do
-    not depend on the band count.
+    it), inline when there is one band.  Each band takes its rows in blocks
+    of ``_CHAIN_BLOCK_BYTES`` (no more rows than the largest band), runs
+    both parities on each block in its own block buffer, allocated here with
+    every other buffer, and writes the block's columns of each K.  Every
+    column sees the same operations in the same order, so the bits depend on
+    neither the band count nor the block size.
     """
     from scipy.fft import fft, ifft, next_fast_len
 
@@ -227,9 +234,14 @@ def _chain(grid: GridSpec, dt: float, mass: float, hbar: float,
     out_chirp = p2 * centred[::stride]
 
     # column c of the chain is row c here, so the FFTs run along the last
-    # axis; every buffer is allocated here, and each band works on its rows
+    # axis; every buffer is allocated here, and each band runs its rows
+    # through its own block buffer
     h = n_out // 2 + 1
-    cols = np.empty((h, L), dtype=complex)
+    n_bands = min(_chain_threads(), h)
+    bounds = [h * i // n_bands for i in range(n_bands + 1)]
+    block = max(1, min(_CHAIN_BLOCK_BYTES // (16 * L),
+                       max(b - a for a, b in zip(bounds, bounds[1:]))))
+    buffers = np.empty((n_bands, block, L), dtype=complex)
     found = {m: np.empty((n_out, n_out), dtype=complex) for m in counts}
     runs = []
     for first in (1, 2):
@@ -251,39 +263,39 @@ def _chain(grid: GridSpec, dt: float, mass: float, hbar: float,
             step = diag
         runs.append((first, wanted, start, step))
 
-    def run_band(lo: int, hi: int) -> None:
-        band = cols[lo:hi]
-        for first, wanted, start, step in runs:
-            band[:, n:] = 0.0
-            if first == 1:
-                band[:, :n] = start[lo:hi]
-            else:
-                np.multiply(centred[stride * lo:stride * hi:stride, None],
-                            start[lo:hi], out=band[:, :n])
-            flipped = False
-            for m in range(first, wanted[-1] + 1, 2):
-                if m > first:
-                    band *= step
-                    # in place on the C-contiguous rows
-                    spec = fft(band, axis=-1, overwrite_x=True)
-                    spec *= to_normal if flipped else to_reversed
-                    band = ifft(spec, axis=-1, overwrite_x=True)
-                    flipped = not flipped
-                    step = diag_rev if flipped else diag
-                if m in wanted:
-                    rows = band[:, n - 1::-stride] if flipped else band[:, :n:stride]
-                    np.multiply(rows, out_chirp, out=found[m][:, lo:hi].T)
+    def run_band(buf: np.ndarray, band_lo: int, band_hi: int) -> None:
+        for lo in range(band_lo, band_hi, block):
+            hi = min(lo + block, band_hi)
+            for first, wanted, start, step in runs:
+                rows = buf[:hi - lo]
+                rows[:, n:] = 0.0
+                if first == 1:
+                    rows[:, :n] = start[lo:hi]
+                else:
+                    np.multiply(centred[stride * lo:stride * hi:stride, None],
+                                start[lo:hi], out=rows[:, :n])
+                flipped = False
+                for m in range(first, wanted[-1] + 1, 2):
+                    if m > first:
+                        rows *= step
+                        # in place on the C-contiguous rows
+                        spec = fft(rows, axis=-1, overwrite_x=True)
+                        spec *= to_normal if flipped else to_reversed
+                        rows = ifft(spec, axis=-1, overwrite_x=True)
+                        flipped = not flipped
+                        step = diag_rev if flipped else diag
+                    if m in wanted:
+                        snap = rows[:, n - 1::-stride] if flipped else rows[:, :n:stride]
+                        np.multiply(snap, out_chirp, out=found[m][:, lo:hi].T)
 
-    n_bands = min(_chain_threads(), h)
     if n_bands == 1:
-        run_band(0, h)
+        run_band(buffers[0], 0, h)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         # scipy's FFTs and numpy's ufunc loops release the GIL
-        bounds = [h * i // n_bands for i in range(n_bands + 1)]
         with ThreadPoolExecutor(n_bands) as pool:
-            list(pool.map(run_band, bounds[:-1], bounds[1:]))
+            list(pool.map(run_band, buffers, bounds[:-1], bounds[1:]))
     for K in found.values():
         K[1:, h:] = K[:0:-1, n_out - h:0:-1]
         K[0, h:] = K[h:, 0]
@@ -362,7 +374,10 @@ def classical_split(kernel: PropagatorKernel, hpf: HPFSample | None = None):
     if T <= 0:
         raise ValueError("classical split needs a finite duration")
     S_c = kernel.mass * (x[:, None] - x[None, :]) ** 2 / (2 * T)
-    normalization = kernel.matrix * np.exp(-1j * S_c / kernel.hbar)
+    # kernel.matrix * exp(-i S_c / hbar), in one complex buffer
+    normalization = -1j * S_c / kernel.hbar
+    np.exp(normalization, out=normalization)
+    np.multiply(kernel.matrix, normalization, out=normalization)
     lo, hi, _ = kernel.grid.axes[0]
     center = 0.5 * (lo + hi)
     cen = np.abs(x - center) <= 0.25 * (hi - lo)

@@ -164,7 +164,9 @@ def test_bad_model_rejected(tmp_path):
                    {"hbar": True},
                    {"hbar": "1.5"},
                    {"masses": [True, 2.0]},
-                   {"masses": [1.0, "2"]}):
+                   {"masses": [1.0, "2"]},
+                   {"hbar_": 3.0},
+                   {"mass": [1.0, 2.0]}):
         cfg = {"model": dict(MINI_MODEL, **change), "seed": 1}
         with pytest.raises(ConfigError):
             validate_config(cfg)
@@ -222,7 +224,11 @@ def test_gauge_field_loadable_from_config(tmp_path):
     # an infinite sample overflowed the actions to NaN, which passed
     for bad in ({"times": [0, 1]}, [0.5], None,
                 {"times": [0, 1], "values": [[1], [float("inf")]]},
-                {"times": [0, float("nan")], "values": [[1], [0]]}):
+                {"times": [0, float("nan")], "values": [[1], [0]]},
+                {"times": [0.0, "1.0"], "values": [[1], [0]]},
+                {"times": [0, 1], "values": [[True], [0]]},
+                {"times": [0, 1], "values": [[1], ["0"]]},
+                {"times": [False, 1], "values": [[1], [0]]}):
         cfg["params"]["classical"]["gauge_field"] = bad
         with pytest.raises(ConfigError, match="gauge_field"):
             validate_config(cfg)
@@ -385,3 +391,78 @@ def test_crashing_suite_is_a_failed_check(tmp_path, capsys):
 def test_all_expands_to_registry():
     from cqm.experiments import EXPERIMENT_KINDS
     assert set(EXPERIMENT_KINDS) == set(REGISTRY) | {"all"}
+
+
+# every suite at a small size, so an `all` run takes about a second
+SMALL_PARAMS = {"verify-cocycle": {"n_probes": 100}, "classical": {"n_pairs": 2, "M": 20},
+                "hpf": {"nt": 8, "nx": 8}, "quantum": {"n_points": 64, "norm_steps": 10},
+                "dress": {"n_probes": 2}, "frame": {"n_points": 32},
+                "pathint": {"n_points": 64, "n_points_2d": 16}}
+
+
+def _small_all(seed=6):
+    return {"model": MINI_MODEL, "experiment": "all", "seed": seed,
+            "params": json.loads(json.dumps(SMALL_PARAMS))}
+
+
+def _body(report):
+    return json.dumps({k: v for k, v in report.items() if k != "timing"},
+                      sort_keys=True)
+
+
+def test_concurrent_suites_give_the_serial_body(monkeypatch):
+    # the suites share only the model; a short switch interval makes the
+    # threads interleave often, and 3 workers are more than most CPU masks
+    import sys
+
+    bodies = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(pathint, "_chain_threads", lambda: workers)
+            report = run_from_config(_small_all(), None)
+            assert list(report["experiments"]) == list(REGISTRY)
+            assert set(REGISTRY) <= set(report["timing"])
+            bodies.append(_body(report))
+    finally:
+        sys.setswitchinterval(interval)
+    assert bodies[0] == bodies[1] == bodies[2]
+
+
+def test_one_worker_starts_no_thread(monkeypatch):
+    import threading
+
+    def refuse(self):
+        raise AssertionError("a one-worker run started a thread")
+
+    monkeypatch.setattr(pathint, "_chain_threads", lambda: 1)
+    alive = threading.active_count()
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    report = run_from_config(_small_all(), None)
+    assert threading.active_count() == alive
+    assert all("error" not in e for e in report["experiments"].values())
+
+
+def test_crash_in_a_concurrent_run(tmp_path, monkeypatch, capsys):
+    from dataclasses import replace
+
+    def crash(*args):
+        raise RuntimeError("hpf crashed on purpose")
+
+    monkeypatch.setitem(REGISTRY, "hpf", replace(REGISTRY["hpf"], fn=crash))
+    monkeypatch.setattr(pathint, "_chain_threads", lambda: 1)
+    serial = run_from_config(_small_all(), None)
+    capsys.readouterr()
+    monkeypatch.setattr(pathint, "_chain_threads", lambda: 3)
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, _small_all())), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("Traceback (most recent call last)") == 1
+    assert "RuntimeError: hpf crashed on purpose" in captured.err
+    assert "FAIL hpf/suite-error: hpf crashed on purpose" in captured.out
+    report = json.loads((out / "report.json").read_text())
+    assert report["experiments"]["hpf"]["checks"] == [
+        {"name": "suite-error", "law": "RuntimeError", "residual": 1.0, "tol": 0.0,
+         "passed": False}]
+    assert _body(report) == _body(serial)

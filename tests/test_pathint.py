@@ -180,15 +180,26 @@ def test_kernel_bits_do_not_depend_on_other_counts(counts):
                                            (128, (2, 3, 5, 8)), (9, (2, 3))])
 def test_kernel_bits_do_not_depend_on_band_count(monkeypatch, n_out, counts):
     # each propagated column evolves on its own, so splitting the columns
-    # into row bands moves no bit; n_out = 9 has 5 columns, fewer than the
-    # last band count asked for
+    # into row bands, and each band into row blocks, moves no bit; n_out = 9
+    # has 5 columns, fewer than the last band count asked for.  The blocks
+    # are one row, a size that divides no band evenly, the default, and
+    # larger than any band.
+    from scipy.fft import next_fast_len
+
     grid = GridSpec(((-15.0, 15.0, n_out),))
+    n_int = _alias_safe_oversampling(n_out, 30.0, 1.0 / 8, 1.0, 1.0)
+    row_bytes = 16 * next_fast_len(2 * n_int - 1)
+    h = n_out // 2 + 1
     runs = []
-    for bands in (1, 2, 3, n_out // 2 + 2):
+    for bands, rows in ((1, None), (2, None), (3, None), (h + 1, None),
+                        (1, 1), (2, 3), (3, 4), (2, h + 7)):
         monkeypatch.setattr(pathint, "_chain_threads", lambda: bands)
+        if rows is not None:
+            monkeypatch.setattr(pathint, "_CHAIN_BLOCK_BYTES", rows * row_bytes)
         alive = threading.active_count()
         runs.append(_chain(grid, 1.0 / 8, 1.0, 1.0, counts))
         assert threading.active_count() == alive
+        monkeypatch.undo()
     for banded in runs[1:]:
         for K, serial in zip(banded, runs[0], strict=True):
             assert np.array_equal(K, serial)
