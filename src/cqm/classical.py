@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bundle import Config, GaugeField, Shift
+from .bundle import Config, GaugeField, Shift, _frozen_array
 from .cocycle import LagrangianModel, _float_or_array, path_cocycle
 
 __all__ = [
@@ -65,9 +65,7 @@ class DiscretePath:
     anchor: int | np.ndarray | None = None
 
     def __post_init__(self):
-        tau = np.array(self.tau, dtype=float)
-        t = np.array(self.t, dtype=float)
-        x = np.array(self.x, dtype=float)
+        tau, t, x = (_frozen_array(a) for a in (self.tau, self.t, self.x))
         if x.ndim not in (2, 3) or x.shape[-2] != t.size or tau.size != t.size:
             raise ValueError("inconsistent path arrays")
         if not np.all(np.diff(tau) > 0):
@@ -76,8 +74,6 @@ class DiscretePath:
             raise ValueError("times must be strictly increasing")
         if self.deparametrized and not np.array_equal(tau, t):
             raise ValueError("deparametrized path requires t == tau")
-        for a in (tau, t, x):
-            a.setflags(write=False)
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "x", x)

@@ -63,6 +63,11 @@ def _param_error(p: Param, val) -> str | None:
 def validate_config(cfg: dict) -> None:
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
+    if unknown := sorted(set(cfg) - {"model", "experiment", "seed", "tol_scale",
+                                     "params", "out_dir"}):
+        raise ConfigError(f"unknown config keys {unknown}")
+    if not isinstance(cfg.get("out_dir", ""), str):
+        raise ConfigError("'out_dir' must be a string")
     if "model" not in cfg:
         raise ConfigError("config needs a 'model' section")
     try:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bundle import Config, GaugeField, ModelParams
+from .bundle import Config, GaugeField, ModelParams, _frozen_array
 from .classical import (DiscretePath, action, shift_path_nodes,
                         solve_critical_path)
 from .cocycle import LagrangianModel, _float_or_array, path_cocycle
@@ -88,9 +88,7 @@ class RelationalConfig:
     anchor: int
 
     def __post_init__(self):
-        xbar = np.array(self.xbar, dtype=float)
-        xbar.setflags(write=False)
-        object.__setattr__(self, "xbar", xbar)
+        object.__setattr__(self, "xbar", _frozen_array(self.xbar))
 
     def as_config(self) -> Config:
         return Config(self.t, self.xbar)
@@ -104,12 +102,8 @@ class FrameShift:
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)
-        values = np.array(self.values, dtype=float)
-        times.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "times", _frozen_array(self.times))
+        object.__setattr__(self, "values", _frozen_array(self.values))
 
 
 def dress_config(params: ModelParams, p: Config, anchor) -> RelationalConfig:

@@ -21,6 +21,7 @@ from . import bundle, classical, cocycle, dressing, pathint, qgrid
 from .bundle import Config, GaugeField, ModelParams, Shift
 from .classical import DiscretePath
 from .cocycle import LagrangianModel
+from .qgrid import _infidelity, _l2
 
 __all__ = ["Check", "Experiment", "Param", "REGISTRY", "EXPERIMENT_KINDS", "run_experiment"]
 
@@ -389,9 +390,8 @@ def _suite_quantum(model_params: ModelParams, params: dict,
                         float(np.abs(applied.amplitudes
                                      - hbar * k_id * plane.amplitudes).max()),
                         1e-12))
-    const = qgrid.WaveGrid(spec, 0.0, np.ones(spec.shape, dtype=complex))
     checks.append(Check("momentum-constant", "momentum-prescription",
-                        float(np.abs(qgrid.momentum_apply(const, hbar)
+                        float(np.abs(qgrid.momentum_apply(flat, hbar)
                                      .amplitudes).max()), 1e-12))
 
     phi = qgrid.gaussian_packet(spec, 1.0, 1.5, 0.7)
@@ -579,10 +579,9 @@ def _suite_frame(model_params: ModelParams, params: dict,
     psi_rel = qgrid.WaveGrid(spec1, 0.0, amp, frame="relational", anchor=0).normalized()
 
     free2 = LagrangianModel(ModelParams(2, 1, np.array([1.0, 2.0]), hbar))
-    rel_path = DiscretePath.from_nodes(np.linspace(0, 1, 33),
-                                       np.stack([np.zeros(33),
-                                                 0.3 + 0.5 * np.linspace(0, 1, 33)],
-                                                axis=1), anchor=0)
+    t = np.linspace(0, 1, 33)
+    nodes = np.stack([np.zeros(33), 0.3 + 0.5 * t], axis=1)
+    rel_path = DiscretePath.from_nodes(t, nodes, anchor=0)
     z01 = dressing.frame_shift(free2.params, rel_path, 0, 1)
     phase01 = cocycle.path_cocycle(free2, rel_path, z01)
     swapped = qgrid.frame_change(psi_rel, 1, phase01)
@@ -594,18 +593,12 @@ def _suite_frame(model_params: ModelParams, params: dict,
     checks.append(Check("frame-change-isometry", "frame-change-unitarity",
                         abs(swapped.norm() - psi_rel.norm()), 1e-12))
 
-    rel_path_j = dressing.dress_path(free2.params,
-                                     DiscretePath.from_nodes(
-                                         rel_path.t,
-                                         np.stack([np.zeros(33),
-                                                   0.3 + 0.5 * np.linspace(0, 1, 33)],
-                                                  axis=1)), 1)
+    rel_path_j = dressing.dress_path(free2.params, DiscretePath.from_nodes(t, nodes), 1)
     z10 = dressing.frame_shift(free2.params, rel_path_j, 1, 0)
     phase10 = cocycle.path_cocycle(free2, rel_path_j, z10)
     back = qgrid.frame_change(swapped, 0, phase10)
-    fid = abs(back.inner(psi_rel)) / (back.norm() * psi_rel.norm())
     checks.append(Check("frame-roundtrip-fidelity", "frame-change-unitarity",
-                        1.0 - fid, 1e-8))
+                        _infidelity(back.amplitudes, psi_rel.amplitudes), 1e-8))
 
     sym = qgrid.WaveGrid(spec1, 0.0, np.exp(-x ** 2 / 4).astype(complex),
                          frame="relational", anchor=0).normalized()
@@ -636,10 +629,9 @@ def _suite_frame(model_params: ModelParams, params: dict,
     slice_after = qgrid.dress_wavefunction(qgrid._free_propagate(f, H2, T), 0)
     H_rel = qgrid.HamiltonianSpec((1.0,), hbar=hbar, frame="relational", anchor=0)
     evolved_rel = qgrid._free_propagate(sliced, H_rel, T)
-    err = (np.linalg.norm(slice_after.amplitudes - evolved_rel.amplitudes)
-           / np.linalg.norm(evolved_rel.amplitudes))
     checks.append(Check("dress-evolve-commutation", "relational-schrodinger",
-                        float(err), 1e-3))
+                        _l2(slice_after.amplitudes - evolved_rel.amplitudes)
+                        / _l2(evolved_rel.amplitudes), 1e-3))
 
     if out is not None:
         qgrid.write_wavegrid(out / "relational_state.cqmw", evolved_rel)
@@ -672,7 +664,7 @@ def _suite_pathint(model_params: ModelParams, params: dict,
     Kc = kernel.matrix[np.ix_(cen, cen)]
     Ec = exact[np.ix_(cen, cen)]
     checks = [Check("kernel-vs-analytic", "kernel-analytic-free",
-                    float(np.linalg.norm(Kc - Ec) / np.linalg.norm(Ec)), 1e-2)]
+                    _l2(Kc - Ec) / _l2(Ec), 1e-2)]
     mod = np.abs(Kc)
     checks.append(Check("kernel-modulus-uniformity", "kernel-modulus-uniformity",
                         float(mod.std() / mod.mean()), 1e-3))
@@ -690,7 +682,7 @@ def _suite_pathint(model_params: ModelParams, params: dict,
     semi = pathint.compose_kernels(half2, half1)
     Sc = semi.matrix[np.ix_(cen, cen)]
     checks.append(Check("kernel-semigroup", "kernel-semigroup",
-                        float(np.linalg.norm(Sc - Kc) / np.linalg.norm(Kc)), 1e-3))
+                        _l2(Sc - Kc) / _l2(Kc), 1e-3))
     del Kc, half1, half2, semi, Sc
 
     one = pathint.sliced_propagator(free1, pathint.SliceScheme(1, grid, 0.0, 1.0))
@@ -703,9 +695,8 @@ def _suite_pathint(model_params: ModelParams, params: dict,
     H1 = qgrid.HamiltonianSpec((1.0,), hbar=hbar)
     via_phase = qgrid._free_propagate(psi0, H1, 1.0)
     checks.append(Check("kernel-wave-propagation", "kernel-wave-propagation",
-                        float(np.linalg.norm(via_kernel.amplitudes
-                                             - via_phase.amplitudes)
-                              / np.linalg.norm(via_phase.amplitudes)), 1e-2))
+                        _l2(via_kernel.amplitudes - via_phase.amplitudes)
+                        / _l2(via_phase.amplitudes), 1e-2))
 
     delta = pathint.PropagatorKernel.delta(grid, 0.0, 1.0, hbar)
     ident = pathint.propagate_wavefunction(delta, psi0)
@@ -716,24 +707,19 @@ def _suite_pathint(model_params: ModelParams, params: dict,
 
     free2 = LagrangianModel(ModelParams(2, 1, np.array([1.0, 2.0]), hbar))
     rel = pathint.relational_propagator(free2, scheme, anchor=0)
-    exact_m2 = pathint.free_kernel_exact(grid, 1.0, 2.0, hbar)
-    Rc = rel.matrix[np.ix_(cen, cen)]
+    E2c = pathint.free_kernel_exact(grid, 1.0, 2.0, hbar)[np.ix_(cen, cen)]
     checks.append(Check("relational-kernel-mass", "relational-kernel-mass",
-                        float(np.linalg.norm(Rc - exact_m2[np.ix_(cen, cen)])
-                              / np.linalg.norm(exact_m2[np.ix_(cen, cen)])), 1e-2))
-    del exact_m2, Rc
+                        _l2(rel.matrix[np.ix_(cen, cen)] - E2c) / _l2(E2c), 1e-2))
+    del E2c
 
-    # anchored on particle 1 the reduced coordinate carries mass 1: the bare chain
-    rel_b = replace(kernel, frame="relational", anchor=1)
-    flip = (-np.arange(n)) % n
-    aligned = rel.matrix[np.ix_(flip, flip)] * np.exp(
+    # anchored on particle 1 the reduced coordinate carries mass 1: the bare
+    # chain, so kernel.matrix is that relational kernel's matrix
+    fc, xc = ((-np.arange(n)) % n)[cen], x[cen]
+    aligned = rel.matrix[np.ix_(fc, fc)] * np.exp(
         1j * (free2.params.masses[0] - free2.params.masses[1])
-        * (x[:, None] - x[None, :]) ** 2 / (2 * hbar * 1.0))
-    num = abs(np.vdot(aligned[np.ix_(cen, cen)], rel_b.matrix[np.ix_(cen, cen)]))
-    den = (np.linalg.norm(aligned[np.ix_(cen, cen)])
-           * np.linalg.norm(rel_b.matrix[np.ix_(cen, cen)]))
+        * (xc[:, None] - xc[None, :]) ** 2 / (2 * hbar * 1.0))
     checks.append(Check("anchor-swap-fidelity", "relational-kernel-mass",
-                        float(1.0 - num / den), 1e-3))
+                        _infidelity(aligned, kernel.matrix[np.ix_(cen, cen)]), 1e-3))
     del rel, aligned
 
     # dressed propagation vs dressing the bare evolution (heavy anchor)
@@ -749,9 +735,8 @@ def _suite_pathint(model_params: ModelParams, params: dict,
     relk = pathint.relational_propagator(
         heavy, pathint.SliceScheme(4, grid2, 0.0, Tq), anchor=0)
     rhs = pathint.propagate_wavefunction(relk, qgrid.dress_wavefunction(psi_b, 0))
-    fid = (abs(lhs.inner(rhs)) / (lhs.norm() * rhs.norm()))
-    checks.append(Check("dressed-bare-propagation-fidelity",
-                        "relational-kernel-mass", float(1.0 - fid), 1e-3))
+    checks.append(Check("dressed-bare-propagation-fidelity", "relational-kernel-mass",
+                        _infidelity(lhs.amplitudes, rhs.amplitudes), 1e-3))
 
     if out is not None:
         pathint.kernel_slices_csv(out / "kernel_slices.csv", kernel)

@@ -386,7 +386,6 @@ def classical_split(kernel: PropagatorKernel, hpf: HPFSample | None = None):
     stats = {
         "normalization_mean": complex(mean),
         "max_rel_deviation": float(np.abs(block - mean).max() / np.abs(mean)),
-        "modulus_std_over_mean": float(np.abs(block).std() / np.abs(block).mean()),
     }
     if hpf is not None:
         if hpf.t0 != kernel.t0:

@@ -47,6 +47,24 @@ _MAGIC = b"CQMW"
 _VERSION = 1
 
 
+# The residual forms of every suite.  Their sums are np.sum over a contiguous
+# ravel, not BLAS reductions, whose threads would move the last bits.
+def _l2(a: np.ndarray) -> float:
+    """Euclidean norm, as a sum of squares."""
+    a = np.ravel(a)
+    return float(np.sqrt(np.sum(a.real * a.real + a.imag * a.imag)))
+
+
+def _infidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """``1 - |<a, b>|/(|a| |b|)`` as ``|â - u b̂|²/2``, which does not cancel:
+    â, b̂ are the unit vectors and u the unit phase aligning b̂ to â."""
+    a, b = np.ravel(a) / _l2(a), np.ravel(b) / _l2(b)
+    # <â, b̂> in real arithmetic, so that it is exactly real for b = a
+    re = np.sum(a.real * b.real + a.imag * b.imag)
+    im = np.sum(a.real * b.imag - a.imag * b.real)
+    return 0.5 * _l2(a - np.exp(-1j * np.arctan2(im, re)) * b) ** 2
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic grid, one (lo, hi, n) triple per axis."""
@@ -319,9 +337,8 @@ def covariant_derivative_residual(psi_series: list[WaveGrid], hpf: HPFSample,
     boundary points carry one-sided stencils and are excluded from the norms.
     """
     psi, dx_psi, dt_psi = _covariant_derivatives(psi_series, hpf, hbar)
-    nrm = np.linalg.norm(psi.amplitudes[1:-1])
-    return (float(np.linalg.norm(dx_psi[1:-1]) / nrm),
-            float(np.linalg.norm(dt_psi[1:-1]) / nrm))
+    nrm = _l2(psi.amplitudes[1:-1])
+    return _l2(dx_psi[1:-1]) / nrm, _l2(dt_psi[1:-1]) / nrm
 
 
 def _periodic_resample(spec: GridSpec, values: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -366,7 +383,7 @@ def boost_covariance_check(psi0: WaveGrid, vboost: float, T: float,
     boosted0 = np.exp(1j * m * vboost * x / hbar) * psi0.amplitudes
     route_b = _free_propagate(replace(psi0, amplitudes=boosted0), H, T).amplitudes
 
-    return float(np.linalg.norm(route_a - route_b) / np.linalg.norm(route_b))
+    return _l2(route_a - route_b) / _l2(route_b)
 
 
 def _zero_index(spec: GridSpec, axis: int) -> int:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cqm
 from cqm import pathint
 from cqm.cli import ConfigError, load_config, main, run_from_config, validate_config
 from cqm.experiments import REGISTRY
@@ -85,12 +90,21 @@ def test_missing_seed_rejected():
                          "seed": True})
 
 
-def test_unknown_experiment_rejected():
+def test_unknown_experiment_rejected(tmp_path):
     with pytest.raises(ConfigError):
         validate_config({"model": MINI_MODEL, "experiment": "nonsense", "seed": 1})
     with pytest.raises(ConfigError, match="no-such-suite"):
         validate_config({"model": MINI_MODEL, "seed": 1,
                          "params": {"no-such-suite": {"n_probes": 10}}})
+    # a misspelt top-level key was ignored, and a number as out_dir crashed
+    for extra, match in (({"sede": 4}, "'sede'"), ({"out_dir": 5}, "out_dir")):
+        cfg = dict({"model": MINI_MODEL, "experiment": "verify-cocycle", "seed": 1},
+                   **extra)
+        with pytest.raises(ConfigError, match=match):
+            validate_config(cfg)
+        assert main(["run", str(_write(tmp_path, cfg)),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_suite_size_params_rejected(tmp_path):
@@ -466,3 +480,23 @@ def test_crash_in_a_concurrent_run(tmp_path, monkeypatch, capsys):
         {"name": "suite-error", "law": "RuntimeError", "residual": 1.0, "tol": 0.0,
          "passed": False}]
     assert _body(report) == _body(serial)
+
+
+def test_report_body_independent_of_blas_threads(tmp_path):
+    # the README config in fresh interpreters, OpenBLAS reading its thread
+    # count as numpy loads; np.linalg.norm and np.vdot split their sums
+    # across those threads, and the pathint residuals moved in the last digits
+    cfg = _write(tmp_path, {"model": MINI_MODEL, "experiment": "all", "seed": 42,
+                            "params": {"verify-cocycle": {"n_probes": 10000}}})
+    src = str(Path(cqm.__file__).parents[1])
+    bodies = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = tmp_path / f"blas{threads}"
+        run = subprocess.run([sys.executable, "-m", "cqm.cli", "run", str(cfg),
+                              "--out", str(out)], env=env, capture_output=True, text=True,
+                             timeout=300)
+        assert run.returncode == 1, run.stderr  # the known red check
+        bodies.append(_body(json.loads((out / "report.json").read_text())))
+    assert bodies[0] == bodies[1]

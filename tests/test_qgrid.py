@@ -10,7 +10,7 @@ from cqm.qgrid import (GridSpec, HamiltonianSpec, WaveGrid,
                        density_csv, dress_wavefunction, evolve, frame_change,
                        gaussian_packet, meta_action, momentum_apply,
                        read_wavegrid, write_wavegrid, _free_propagate,
-                       _kinetic_phase, _periodic_resample)
+                       _infidelity, _kinetic_phase, _l2, _periodic_resample)
 
 
 @pytest.fixture
@@ -271,13 +271,63 @@ def _boost_inline(psi0, vboost, T, H):
     route_a = np.exp(1j * m * (vboost * x - 0.5 * vboost ** 2 * T) / hbar) * shifted
     boosted0 = np.exp(1j * m * vboost * x / hbar) * psi0.amplitudes
     route_b = np.fft.ifftn(expK * np.fft.fftn(boosted0))
-    return float(np.linalg.norm(route_a - route_b) / np.linalg.norm(route_b))
+    return _l2(route_a - route_b) / _l2(route_b)
 
 
 @pytest.mark.parametrize("n", [512, 1024, 2048])
 def test_boost_covariance_matches_inline_phase(n, H1):
     psi = gaussian_packet(GridSpec(((-20.0, 20.0, n),)), 0.0, 1.0)
     assert boost_covariance_check(psi, 1.0, 1.0, H1) == _boost_inline(psi, 1.0, 1.0, H1)
+
+
+def _cancelling_infidelity(a, b):
+    """The textbook form, which cancels against 1."""
+    return 1.0 - abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
+
+
+def _complex_normal(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def test_l2_matches_linalg_norm(rng):
+    for a in (_complex_normal(rng, 1000), _complex_normal(rng, (64, 48)),
+              _complex_normal(rng, (64, 48))[::3, 1:-1], rng.normal(size=777)):
+        assert _l2(a) == pytest.approx(np.linalg.norm(a), rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("scale", [0.3, 0.1, 0.04])
+def test_infidelity_matches_cancelling_form(rng, scale):
+    # infidelities of about 1e-2 to 1e-4, where the cancelling form resolves
+    a = _complex_normal(rng, (40, 30))
+    b = 2.5j * a + scale * _complex_normal(rng, (40, 30))
+    old = _cancelling_infidelity(a, b)
+    assert 1e-4 < old < 1e-2
+    assert _infidelity(a, b) == pytest.approx(old, rel=1e-10, abs=0)
+
+
+def test_infidelity_invariances(rng):
+    a = _complex_normal(rng, 500)
+    b = a + 0.05 * _complex_normal(rng, 500)
+    ref = _infidelity(a, b)
+    assert ref > 1e-4
+    for a2, b2 in ((np.exp(0.7j) * a, b), (a, np.exp(-2.1j) * b),
+                   (3.0 * a, b), (a, 1e-3 * b), (b, a)):
+        assert _infidelity(a2, b2) == pytest.approx(ref, rel=1e-12, abs=0)
+    for c in (a, a.reshape(20, 25), np.exp(0.3j) * a):
+        assert _infidelity(c, c) == 0.0
+
+
+def test_infidelity_resolves_a_small_phase(spec512):
+    # b = a exp(i eps f): 1 - |<a, b>|/(|a||b|) = eps^2 Var_a(f)/2 + O(eps^4),
+    # Var_a taken with the weights |a_k|^2/||a||^2; about 1.9e-13 here, where
+    # the cancelling form has only a few ulps of 1
+    a = gaussian_packet(spec512, 0.5, 1.0, 0.8).amplitudes
+    f = np.sin(spec512.coords(0))
+    eps = 1e-6
+    w = np.abs(a) ** 2 / np.sum(np.abs(a) ** 2)
+    var = np.sum(w * f ** 2) - np.sum(w * f) ** 2
+    assert _infidelity(a, a * np.exp(1j * eps * f)) == pytest.approx(
+        eps ** 2 * var / 2, rel=1e-6)
 
 
 def test_boost_covariance_zero_velocity(spec512, H1):
