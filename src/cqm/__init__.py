@@ -10,16 +10,15 @@ as an executable check (see the ``cqm`` command line).
 
 __version__ = "0.1.0"
 
-from .bundle import (Config, GaugeField, ModelParams, Shift,
-                     ShiftDecomposition, decompose_shift, gauge_apply,
-                     right_action)
-from .cocycle import (CocycleAccumulator, LagrangianModel, boost_phase,
-                      cocycle_density, cocycle_property_residual,
+from .bundle import (Config, GaugeField, ModelParams, Shift, decompose_shift,
+                     gauge_apply, right_action)
+from .cocycle import (CocycleAccumulator, LagrangianModel, boost_boundary_term,
+                      boost_phase, cocycle_density, cocycle_property_residual,
                       linear_cocycle, path_cocycle, pointwise_cocycle)
 from .classical import (DiscretePath, FlatCocyclicConnection, HPFSample,
                         action, el_residual, flat_connection, hpf_table,
                         noether_charge, solve_critical_path)
-from .dressing import (FrameShift, RelationalConfig, dress_config, dress_path,
+from .dressing import (RelationalConfig, dress_config, dress_path,
                        dressed_action, dressed_critical_path, frame_shift,
                        identity_suite, residual_first_kind)
 from .qgrid import (GridSpec, HamiltonianSpec, WaveGrid,

@@ -6,9 +6,12 @@ The translation group R^{dN} acts by adding a shift to x at fixed t; a
 time-dependent shift X(t) is a gauge field (extended Galilean transformation,
 covering boosts X(t) = v*t and accelerations).  The shift group splits into an
 "external" diagonal part (all particles moved identically) and an "internal"
-remainder, with two anchoring conventions for the internal representative.
-A GaugeField may hold a stack of fields on one sample grid, evaluated at once
-for a stack of paths.
+remainder.  ``decompose_shift`` is that split, anchored on one particle or on
+the per-axis mean, and it is the one place that knows the per-particle block
+layout: dressing on particle i is its anchored split of the configuration
+(internal part: the relational coordinates; external part: -u_i, with u_i
+the dressing field).  A GaugeField may hold a stack of fields on one sample
+grid, evaluated at once for a stack of paths.
 """
 from __future__ import annotations
 
@@ -21,7 +24,6 @@ __all__ = [
     "ModelParams",
     "Config",
     "Shift",
-    "ShiftDecomposition",
     "GaugeField",
     "right_action",
     "gauge_apply",
@@ -74,10 +76,10 @@ class ModelParams:
         return slice(i * d, (i + 1) * d)
 
     def replicate(self, a: np.ndarray) -> np.ndarray:
-        """Tile a single-particle vector (d,) across all N blocks."""
+        """Tile single-particle vectors (..., d) across all N blocks: (..., dim)."""
         a = np.asarray(a, dtype=float)
-        if a.shape != (self.spatial_dim,):
-            raise ValueError("expected a single-particle vector")
+        if a.shape[-1:] != (self.spatial_dim,):
+            raise ValueError("expected single-particle vectors")
         return np.tile(a, self.n_particles)
 
     @classmethod
@@ -88,12 +90,11 @@ class ModelParams:
         for key in ("n_particles", "spatial_dim"):
             if type(obj[key]) is not int:  # bool too
                 raise TypeError(f"{key} must be an integer, got {obj[key]!r}")
-        # JSON numbers only: float() would take a string, and bool is an int
+        # JSON numbers only: float() would take a string
         masses, hbar = obj["masses"], obj.get("hbar", 1.0)
-        if not (isinstance(masses, (list, tuple))
-                and all(type(m) in (int, float) for m in masses)):
+        if not (isinstance(masses, (list, tuple)) and all(map(_is_number, masses))):
             raise TypeError(f"masses must be a list of numbers, got {masses!r}")
-        if type(hbar) not in (int, float):
+        if not _is_number(hbar):
             raise TypeError(f"hbar must be a number, got {hbar!r}")
         return cls(
             n_particles=obj["n_particles"],
@@ -146,21 +147,6 @@ class Shift:
     def __add__(self, other: "Shift") -> "Shift":
         return Shift(self.v + other.v)
 
-    def __neg__(self) -> "Shift":
-        return Shift(-self.v)
-
-    def __rmul__(self, scalar: float) -> "Shift":
-        return Shift(float(scalar) * self.v)
-
-
-@dataclass(frozen=True)
-class ShiftDecomposition:
-    """Split of a shift into internal + external (diagonal) parts."""
-
-    internal: Shift
-    external: Shift
-    anchor: int | str
-
 
 def right_action(p: Config, X: Shift) -> Config:
     """Translate a configuration: (t, x) -> (t, x + X), row by row on batches."""
@@ -171,25 +157,44 @@ def right_action(p: Config, X: Shift) -> Config:
     return Config(p.t, p.x + X.v)
 
 
-def decompose_shift(params: ModelParams, X: Shift, anchor: int | str = 0) -> ShiftDecomposition:
-    """Split X into internal and external parts.
-
-    With an integer anchor the external part replicates that particle's block,
-    so the internal part has an exactly zero anchor block.  With anchor="mean"
-    the external part replicates the per-axis mean over particles.
-    """
-    if X.dim != params.dim:
-        raise ValueError("shift dimension does not match model")
-    blocks = X.v.reshape(params.n_particles, params.spatial_dim)
-    if anchor == "mean":
-        a = blocks.mean(axis=0)
-    else:
+def _anchor_index(anchor, params: ModelParams) -> int | np.ndarray:
+    """One anchor as an int, or an integer array of anchors (one per row)."""
+    i = np.asarray(anchor)
+    if i.ndim == 0:
         i = int(anchor)
-        if not 0 <= i < params.n_particles:
-            raise IndexError(f"anchor particle {i} out of range")
-        a = blocks[i]
+    elif i.dtype.kind not in "iu":
+        raise TypeError(f"anchors must be integers, got dtype {i.dtype}")
+    if np.any((i < 0) | (i >= params.n_particles)):
+        raise IndexError(f"anchor particle {i} out of range")
+    return i
+
+
+def decompose_shift(params: ModelParams, values, anchor: int | np.ndarray | str = 0
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Split (..., dim) values into (internal, external) parts along the last axis.
+
+    ``values`` is a shift, a configuration, a path's node samples or an
+    (n, M+1, dim) stack of them.  With an integer anchor i the external part
+    replicates particle i's block, so the internal part has an exactly zero
+    block i; an (n,) integer array gives one anchor per stacked row.  With
+    anchor="mean" the external part replicates the per-axis mean over
+    particles.  The internal part is ``values - external``, one rounding.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.shape[-1:] != (params.dim,):
+        raise ValueError("shift dimension does not match model")
+    blocks = values.reshape(values.shape[:-1]
+                            + (params.n_particles, params.spatial_dim))
+    # isinstance first: an anchor array == "mean" would compare elementwise
+    if isinstance(anchor, str) and anchor == "mean":
+        a = blocks.mean(axis=-2)
+    else:
+        i = _anchor_index(anchor, params)
+        # block i of every row, or block i[k] of stacked row k
+        a = (blocks[..., i, :] if isinstance(i, int)
+             else blocks[np.arange(i.size), ..., i, :])
     external = params.replicate(a)
-    return ShiftDecomposition(Shift(X.v - external), Shift(external), anchor)
+    return values - external, external
 
 
 def _smooth_bump(s: np.ndarray) -> np.ndarray:
@@ -327,22 +332,24 @@ class GaugeField:
         return out
 
 
+def _is_number(val) -> bool:
+    """Whether ``val`` is a JSON number: an int or a float, not a bool or str."""
+    # JSON true/false load as bool, a subclass of int
+    return type(val) in (int, float)
+
+
 def _number_array(name: str, obj) -> np.ndarray:
-    """Float array of ``obj``, nested lists of JSON numbers only (not bool or str)."""
+    """Float array of ``obj``, nested lists of JSON numbers only."""
     stack = [obj]
     while stack:
         val = stack.pop()
         if isinstance(val, (list, tuple)):
             stack.extend(val)
-        elif type(val) not in (int, float):
+        elif not _is_number(val):
             raise TypeError(f"{name} must hold numbers only, got {val!r}")
     return np.asarray(obj, dtype=float)
 
 
 def gauge_apply(p: Config, G: GaugeField) -> Config:
     """Apply the time-dependent shift: (t, x) -> (t, x + X(t))."""
-    # compare the last axis: Config.dim counts every entry of a batch
-    if p.x.shape[-1:] != (G.dim,):
-        raise ValueError(f"dimension mismatch: config shape {p.x.shape} vs "
-                         f"gauge field dim {G.dim}")
-    return Config(p.t, p.x + G.value_at(p.t))
+    return right_action(p, Shift(G.value_at(p.t)))

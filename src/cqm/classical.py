@@ -23,7 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .bundle import Config, GaugeField, Shift, _frozen_array
-from .cocycle import LagrangianModel, _float_or_array, path_cocycle
+from .cocycle import (LagrangianModel, _field_at_nodes, _float_or_array,
+                      path_cocycle)
 
 __all__ = [
     "DiscretePath",
@@ -126,9 +127,13 @@ def shift_path_nodes(path: DiscretePath, values: np.ndarray) -> DiscretePath:
     return replace(path, x=path.x + values)
 
 
-def gauge_transform_path(path: DiscretePath, G: GaugeField) -> DiscretePath:
-    """Apply a time-dependent shift nodewise: x_k -> x_k + X(t_k)."""
-    return shift_path_nodes(path, G.value_at(path.t))
+def gauge_transform_path(path: DiscretePath,
+                         G: GaugeField | np.ndarray) -> DiscretePath:
+    """Apply a time-dependent shift nodewise: x_k -> x_k + X(t_k).
+
+    ``G`` is a GaugeField or its node samples, as for ``path_cocycle``.
+    """
+    return shift_path_nodes(path, _field_at_nodes(G, path.t, path.dim))
 
 
 def action(model: LagrangianModel, path: DiscretePath) -> float | np.ndarray:
@@ -153,13 +158,13 @@ def action(model: LagrangianModel, path: DiscretePath) -> float | np.ndarray:
 
 
 def action_gauge_transformed(model: LagrangianModel, path: DiscretePath,
-                             G: GaugeField) -> float | np.ndarray:
+                             G: GaugeField | np.ndarray) -> float | np.ndarray:
     """Action of the gauge-transformed path, evaluated directly."""
     return action(model, gauge_transform_path(path, G))
 
 
 def action_gauge_split(model: LagrangianModel, path: DiscretePath,
-                       G: GaugeField) -> float | np.ndarray:
+                       G: GaugeField | np.ndarray) -> float | np.ndarray:
     """Right-hand side of the transformation law: S[path] + cocycle integral."""
     return action(model, path) + path_cocycle(model, path, G).real_value
 

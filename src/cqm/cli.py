@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, pathint
-from .bundle import ModelParams
+from .bundle import ModelParams, _is_number
 from .experiments import EXPERIMENT_KINDS, REGISTRY, Check, Param, run_experiment
 
 __all__ = ["main", "load_config", "run_from_config", "ConfigError"]
@@ -40,9 +40,9 @@ def load_config(path) -> dict:
     return cfg
 
 
-# JSON true/false load as bool, a subclass of int; neither is a number here
 def _is_finite_number(val) -> bool:
-    return type(val) is int or (type(val) is float and math.isfinite(val))
+    # abs() < inf compares a large int exactly, where math.isfinite overflows
+    return _is_number(val) and abs(val) < math.inf
 
 
 def _param_error(p: Param, val) -> str | None:

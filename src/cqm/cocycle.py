@@ -36,6 +36,7 @@ __all__ = [
     "linear_cocycle",
     "path_cocycle",
     "path_linear_cocycle",
+    "boost_boundary_term",
     "boost_phase",
 ]
 
@@ -183,11 +184,10 @@ def linear_cocycle(model: LagrangianModel, v, chi) -> float | np.ndarray:
 
 
 def _field_at_nodes(field, t: np.ndarray, dim: int) -> np.ndarray:
-    """Resolve a gauge field / frame shift / raw sample array to path-node values."""
+    """Resolve a gauge field or an array of node samples to path-node values."""
     if isinstance(field, GaugeField):
         return field.value_at(t)
-    values = getattr(field, "values", field)
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(field, dtype=float)
     if values.ndim not in (2, 3) or values.shape[-2:] != (t.size, dim):
         raise ValueError("sampled shift does not match path nodes")
     return values
@@ -202,8 +202,9 @@ def _field_at_nodes(field, t: np.ndarray, dim: int) -> np.ndarray:
 def path_cocycle(model: LagrangianModel, path, field) -> CocycleAccumulator:
     """Integrate the cocycle of a time-dependent shift along a discrete path.
 
-    ``field`` may be a GaugeField, a FrameShift-like object with per-node
-    samples, or a raw (M+1, dim) or (n, M+1, dim) array of node values.
+    ``field`` may be a GaugeField (a stack of them too) or an (M+1, dim) or
+    (n, M+1, dim) array of node samples, such as a dressing field or a frame
+    shift.
     Velocities of both the path and the shift are per-interval finite
     differences at the path nodes.
     """
@@ -235,13 +236,20 @@ def path_linear_cocycle(model: LagrangianModel, path, field) -> float | np.ndarr
         (((dx * dchi) @ model.params.mass_vector) / dt).sum(axis=-1))
 
 
-def boost_phase(model: LagrangianModel, p: Config, vboost) -> complex:
-    """Boundary-term phase of a rigid boost X(t) = v*t.
+def boost_boundary_term(model: LagrangianModel, p: Config, vboost) -> float:
+    """Boundary term sum_k m_k (<x_k, v_k> + |v_k|^2 t / 2) of a rigid boost.
 
-    Returns exp{(i/hbar) sum_k m_k (<x_k, v_k> + |v_k|^2 t / 2)}, the factor by
-    which wave functions transform under Galilean boosts.
+    The path cocycle of the boost X(t) = v*t is this term's difference
+    between the path's end and start.
     """
     v = _as_vec(vboost, model.params.dim)
     mv = model.params.mass_vector
-    delta = float(np.dot(mv * p.x, v) + 0.5 * np.dot(mv * v, v) * p.t)
-    return np.exp(1j * delta / model.params.hbar)
+    return float(np.dot(mv * p.x, v) + 0.5 * np.dot(mv * v, v) * p.t)
+
+
+def boost_phase(model: LagrangianModel, p: Config, vboost) -> complex:
+    """Boundary-term phase exp{(i/hbar) boost_boundary_term} of a rigid boost.
+
+    The factor by which wave functions transform under Galilean boosts.
+    """
+    return np.exp(1j * boost_boundary_term(model, p, vboost) / model.params.hbar)

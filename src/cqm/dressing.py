@@ -1,17 +1,19 @@
 """Particle-anchored relational description via dressing.
 
-Anchoring on particle i subtracts its position from every block, producing
-coordinates of the configuration "from within": the anchor block is
-identically zero and external (diagonal) shifts drop out by construction.
-The anchor's trajectory enters bare-frame formulas as the sampled shift
-X(t) = -x_i(t); it is deliberately *not* a GaugeField (it depends on the
-configuration, not just on time), but the cocycle machinery consumes its
-node samples the same way.
+Dressing on particle i is the anchored split of the translation group
+(``bundle.decompose_shift`` with anchor i) applied to the configuration: the
+internal part is the relational coordinates, seen "from within" (the anchor
+block is identically zero and external, diagonal shifts drop out by
+construction), and the negated external part is the dressing field
+u_i(t) = -x_i(t), replicated across blocks.  The dressing field enters
+bare-frame formulas as sampled shift values; it is deliberately *not* a
+GaugeField (it depends on the configuration, not just on time), but the
+cocycle machinery consumes its node samples the same way.
 
 Changing the anchor from particle i to particle j is the frame shift
-Z_ij(t) = x_i(t) - x_j(t) replicated across blocks; all transformation laws
-under internal shifts and frame changes reduce to the cocycle composition
-rule and hold exactly at the discrete level.
+Z_ij(t) = u_j(t) - u_i(t) = x_i(t) - x_j(t), replicated across blocks; all
+transformation laws under internal shifts and frame changes reduce to the
+cocycle composition rule and hold exactly at the discrete level.
 
 The path functions take one history or a stack of histories on a shared time
 grid (``x`` of shape (n, M+1, dim)); with a stack, an anchor may be an (n,)
@@ -24,14 +26,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bundle import Config, GaugeField, ModelParams, _frozen_array
+from .bundle import (Config, GaugeField, ModelParams, _anchor_index,
+                     _frozen_array, decompose_shift)
 from .classical import (DiscretePath, action, shift_path_nodes,
                         solve_critical_path)
-from .cocycle import LagrangianModel, _float_or_array, path_cocycle
+from .cocycle import (LagrangianModel, _field_at_nodes, _float_or_array,
+                      path_cocycle)
 
 __all__ = [
     "RelationalConfig",
-    "FrameShift",
     "dress_config",
     "dress_path",
     "dressing_field_along",
@@ -41,42 +44,6 @@ __all__ = [
     "identity_suite",
     "dressed_critical_path",
 ]
-
-
-def _anchor_index(anchor, params: ModelParams) -> int | np.ndarray:
-    """One anchor as an int, or an integer array of anchors (one per path)."""
-    i = np.asarray(anchor)
-    if i.ndim == 0:
-        i = int(anchor)
-    elif i.dtype.kind not in "iu":
-        raise TypeError(f"anchors must be integers, got dtype {i.dtype}")
-    if np.any((i < 0) | (i >= params.n_particles)):
-        raise IndexError(f"anchor particle {i} out of range")
-    return i
-
-
-def _blocks(params: ModelParams, values: np.ndarray, i):
-    """Per-particle view (..., n_nodes, N, d) of node samples, and its block i.
-
-    Block i keeps a length-1 particle axis, (..., n_nodes, 1, d); ``i`` is one
-    anchor or an (n,) array that picks a block per stacked path.
-    """
-    vb = values.reshape(values.shape[:-1] + (params.n_particles, params.spatial_dim))
-    idx = np.reshape(i, np.shape(i) + (1,) * (vb.ndim - np.ndim(i)))
-    return vb, np.take_along_axis(vb, idx, axis=-2)
-
-
-def _internal_part(params: ModelParams, values: np.ndarray, i) -> np.ndarray:
-    """Subtract block i from every block of (..., n_nodes, dim) node samples."""
-    vb, anchor = _blocks(params, values, i)
-    return (vb - anchor).reshape(values.shape)
-
-
-def _frame_samples(params: ModelParams, values: np.ndarray, i, j) -> np.ndarray:
-    """Block i minus block j of node samples, replicated across all blocks."""
-    vb, block_i = _blocks(params, values, i)
-    _, block_j = _blocks(params, values, j)
-    return np.broadcast_to(block_i - block_j, vb.shape).reshape(values.shape)
 
 
 @dataclass(frozen=True)
@@ -94,44 +61,27 @@ class RelationalConfig:
         return Config(self.t, self.xbar)
 
 
-@dataclass(frozen=True)
-class FrameShift:
-    """Replicated anchor-change samples Z_ij(t) = x_i(t) - x_j(t) along a path."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "times", _frozen_array(self.times))
-        object.__setattr__(self, "values", _frozen_array(self.values))
-
-
 def dress_config(params: ModelParams, p: Config, anchor) -> RelationalConfig:
     """Subtract the anchor particle's block from every block; time unchanged."""
     i = _anchor_index(anchor, params)
-    blocks = p.x.reshape(params.n_particles, params.spatial_dim)
-    xbar = blocks - blocks[i]
-    return RelationalConfig(p.t, xbar.ravel(), i)
+    return RelationalConfig(p.t, decompose_shift(params, p.x, i)[0], i)
 
 
 def dress_path(params: ModelParams, path: DiscretePath, anchor) -> DiscretePath:
     """Nodewise dressing; the result is flagged relational with its anchor."""
     i = _anchor_index(anchor, params)
-    return replace(path, x=_internal_part(params, path.x, i), anchor=i)
+    return replace(path, x=decompose_shift(params, path.x, i)[0], anchor=i)
 
 
 def dressing_field_along(params: ModelParams, path: DiscretePath, anchor) -> np.ndarray:
-    """Node samples X(t) = -x_i(t), replicated; feeds the cocycle integrals."""
-    i = _anchor_index(anchor, params)
-    vb, block = _blocks(params, path.x, i)
-    return np.broadcast_to(-block, vb.shape).reshape(path.x.shape)
+    """Node samples u_i(t) = -x_i(t), replicated; feeds the cocycle integrals."""
+    u = decompose_shift(params, path.x, anchor)[1]
+    return np.negative(u, out=u)
 
 
-def frame_shift(params: ModelParams, path: DiscretePath, i, j) -> FrameShift:
-    """Anchor-change samples Z_ij(t) = x_i(t) - x_j(t), replicated per block."""
-    i = _anchor_index(i, params)
-    j = _anchor_index(j, params)
-    return FrameShift(path.t, _frame_samples(params, path.x, i, j))
+def frame_shift(params: ModelParams, path: DiscretePath, i, j) -> np.ndarray:
+    """Anchor-change node samples Z_ij(t) = x_i(t) - x_j(t), replicated per block."""
+    return decompose_shift(params, path.x, i)[1] - decompose_shift(params, path.x, j)[1]
 
 
 def dressed_action(model: LagrangianModel, path: DiscretePath,
@@ -143,10 +93,11 @@ def dressed_action(model: LagrangianModel, path: DiscretePath,
     (b) bare action plus the cocycle integral of the anchor field -x_i(t);
     a disagreement above 1e-9 relative on any path raises RuntimeError.
     """
-    i = _anchor_index(anchor, model.params)
-    direct = action(model, dress_path(model.params, path, i))
-    split = action(model, path) + path_cocycle(
-        model, path, dressing_field_along(model.params, path, i)).real_value
+    params = model.params
+    i = _anchor_index(anchor, params)
+    internal, external = decompose_shift(params, path.x, i)
+    direct = action(model, replace(path, x=internal, anchor=i))
+    split = action(model, path) + path_cocycle(model, path, -external).real_value
     scale = 1.0 + abs(direct) + abs(split)
     bad = np.flatnonzero(abs(direct - split) > 1e-9 * scale)
     if bad.size:
@@ -158,16 +109,17 @@ def dressed_action(model: LagrangianModel, path: DiscretePath,
 
 
 def residual_first_kind(params: ModelParams, rel_path: DiscretePath,
-                        G: GaugeField) -> DiscretePath:
+                        G: GaugeField | np.ndarray) -> DiscretePath:
     """Surviving internal-shift action on a relational path.
 
     Adds Ybar(t) = Y(t) - Y_i(t) nodewise; the anchor block stays exactly
-    zero, so the result is again relational with the same anchor.
+    zero, so the result is again relational with the same anchor.  ``G`` is
+    a GaugeField or its node samples Y, as for ``path_cocycle``.
     """
     if rel_path.anchor is None:
         raise ValueError("residual_first_kind expects a relational path")
-    return shift_path_nodes(
-        rel_path, _internal_part(params, G.value_at(rel_path.t), rel_path.anchor))
+    Y = _field_at_nodes(G, rel_path.t, params.dim)
+    return shift_path_nodes(rel_path, decompose_shift(params, Y, rel_path.anchor)[0])
 
 
 def identity_suite(model: LagrangianModel, path: DiscretePath, i, j,
@@ -190,13 +142,17 @@ def identity_suite(model: LagrangianModel, path: DiscretePath, i, j,
     Y = G.value_at(t)
     pc = lambda pth, fld: path_cocycle(model, pth, fld).real_value
 
-    u_i = dressing_field_along(params, path, i)
-    u_j = dressing_field_along(params, path, j)
-    rel_i = dress_path(params, path, i)
-    rel_j = dress_path(params, path, j)
-    z_ij = frame_shift(params, path, i, j).values
-    ybar_i = _internal_part(params, Y, i)
-    ybar_j = _internal_part(params, Y, j)
+    # each split gives the relational path (internal part) and the dressing
+    # field u = -(external part); Z_ij = u_j - u_i is bit for bit the same
+    # as x_i - x_j replicated
+    xbar_i, ext_i = decompose_shift(params, path.x, i)
+    xbar_j, ext_j = decompose_shift(params, path.x, j)
+    u_i, u_j = -ext_i, -ext_j
+    rel_i = replace(path, x=xbar_i, anchor=i)
+    rel_j = replace(path, x=xbar_j, anchor=j)
+    z_ij = u_j - u_i
+    ybar_i, y_i = decompose_shift(params, Y, i)
+    ybar_j, y_j = decompose_shift(params, Y, j)
     # terms shared by several laws, each evaluated once
     c_u_i = pc(path, u_i)
     c_u_ybar = pc(path, u_i + ybar_i)
@@ -217,7 +173,8 @@ def identity_suite(model: LagrangianModel, path: DiscretePath, i, j,
 
     # internal shift: c(u)^Y = c(u + Ybar) - c(Y)
     path_Y = shift_path_nodes(path, Y)
-    lhs = pc(path_Y, dressing_field_along(params, path_Y, i))
+    xbarY_i, extY_i = decompose_shift(params, path_Y.x, i)
+    lhs = pc(path_Y, -extY_i)
     rhs = c_u_ybar - pc(path, Y)
     out["dressing-cocycle-internal-shift"] = abs(lhs - rhs)
 
@@ -229,14 +186,12 @@ def identity_suite(model: LagrangianModel, path: DiscretePath, i, j,
     out["dressing-cocycle-frame-shift"] = abs(pc(path, u_j) - (c_u_i + c_rel_z))
 
     # internal transformation of the frame shift: Z^Y = Z + (Y_i - Y_j)
-    z_transformed = frame_shift(params, path_Y, i, j).values
-    yi_minus_yj = _frame_samples(params, Y, i, j)
+    z_transformed = extY_i - decompose_shift(params, path_Y.x, j)[1]
     out["frame-shift-internal-transform"] = _float_or_array(
-        np.abs(z_transformed - (z_ij + yi_minus_yj)).max(axis=(-2, -1)))
+        np.abs(z_transformed - (z_ij + (y_i - y_j))).max(axis=(-2, -1)))
 
     # c(f_{u_i}(.), Z)^Y = c(f_{u_i}(.), Z) + c(f_{u_j}(.), Ybar^j) - c(f_{u_i}(.), Ybar^i)
-    rel_i_Y = dress_path(params, path_Y, i)
-    lhs = pc(rel_i_Y, z_transformed)
+    lhs = pc(replace(path_Y, x=xbarY_i, anchor=i), z_transformed)
     rhs = c_rel_z + pc(rel_j, ybar_j) - c_rel_ybar
     out["frame-cocycle-internal-shift"] = abs(lhs - rhs)
 
@@ -245,7 +200,7 @@ def identity_suite(model: LagrangianModel, path: DiscretePath, i, j,
         dressed_action(model, path, j) - (s_i + c_rel_z))
 
     # first-kind residual of the dressed action: S[(gamma^u)^Ybar] = S^u + c_{gamma^u}(Ybar)
-    lhs = action(model, shift_path_nodes(rel_i, ybar_i))
+    lhs = action(model, residual_first_kind(params, rel_i, Y))
     out["dressed-action-internal-shift"] = abs(lhs - (s_i + c_rel_ybar))
 
     return out
@@ -272,7 +227,7 @@ def dressed_critical_path(model: LagrangianModel, q0: RelationalConfig,
     # reduced model over the non-anchor blocks, anchor block pinned at zero
     red_params = ModelParams(params.n_particles - 1, params.spatial_dim,
                              np.delete(params.masses, i), params.hbar)
-    sel = np.flatnonzero(np.arange(params.dim) // params.spatial_dim != i)
+    sel = np.delete(np.arange(params.dim), params.block(i))
 
     def embed(xred: np.ndarray) -> np.ndarray:
         full = np.zeros(xred.shape[:-1] + (params.dim,))

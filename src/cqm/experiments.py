@@ -191,9 +191,9 @@ def _suite_classical(model_params: ModelParams, params: dict,
     start, steps, modes = _draw_stack(params["n_pairs"], lambda: (
         *_path_draws(rng, dim), rng.normal(size=(4, dim))))
     paths = _walk(start, steps)
-    G = GaugeField.sine_modes(modes, -0.1, 1.1)
-    direct = classical.action_gauge_transformed(model, paths, G)
-    split = classical.action_gauge_split(model, paths, G)
+    Gn = GaugeField.sine_modes(modes, -0.1, 1.1).value_at(paths.t)
+    direct = classical.action_gauge_transformed(model, paths, Gn)
+    split = classical.action_gauge_split(model, paths, Gn)
     split_worst = float(np.max(np.abs(direct - split) / (1.0 + np.abs(direct))))
     checks.append(Check("gauge-split", "action-gauge-split", split_worst, 1e-10))
 
@@ -217,11 +217,10 @@ def _suite_classical(model_params: ModelParams, params: dict,
         v = rng.normal(size=dim)
         G = GaugeField.boost(v, -0.5, 1.5)
         c = cocycle.path_cocycle(model, path, G).real_value
-        mv = model_params.mass_vector
-        def delta(cfg):
-            return float(np.dot(mv * cfg.x, v) + 0.5 * np.dot(mv * v, v) * cfg.t)
         p0, p1 = path.endpoint_configs()
-        boost_errs.append(abs(c - (delta(p1) - delta(p0))) / (1.0 + abs(c)))
+        delta = (cocycle.boost_boundary_term(model, p1, v)
+                 - cocycle.boost_boundary_term(model, p0, v))
+        boost_errs.append(abs(c - delta) / (1.0 + abs(c)))
     checks.append(Check("boost-boundary-term", "boost-quasi-invariance",
                         _worst(boost_errs), 1e-12))
 
@@ -498,13 +497,13 @@ def _suite_dress(model_params: ModelParams, params: dict,
     dens_direct = 0.5 * (v * v) @ mp.mass_vector
     rel_i = dressing.dress_path(mp, paths, i)
     vi = rel_i.velocities()
-    z = dressing.frame_shift(mp, paths, i, j).values
+    z = dressing.frame_shift(mp, paths, i, j)
     dz = np.diff(z, axis=-2) / np.diff(paths.t)[:, None]
     dens_frame = (0.5 * (vi * vi) @ mp.mass_vector
                   + (vi * dz + 0.5 * dz * dz) @ mp.mass_vector)
     lag_worst = float(np.abs(dens_direct - dens_frame).max())
 
-    ext = GaugeField.boost(np.tile(vel, (1, mp.n_particles)), -0.5, 1.5)
+    ext = GaugeField.boost(mp.replicate(vel), -0.5, 1.5)
     moved = classical.gauge_transform_path(paths, ext)
     s_dressed = dressing.dressed_action(model, paths, i)
     ext_worst = _worst([

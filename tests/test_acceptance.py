@@ -156,7 +156,7 @@ def test_criterion_05_dressing_identities():
         i, j = 0, 2
         rel_i = dress_path(mp, path, i)
         vi = rel_i.velocities()
-        z = frame_shift(mp, path, i, j).values
+        z = frame_shift(mp, path, i, j)
         dz = np.diff(z, axis=0) / np.diff(t)[:, None]
         dens = (0.5 * (vi * vi) @ mp.mass_vector
                 + (vi * dz + 0.5 * dz * dz) @ mp.mass_vector)

@@ -172,43 +172,69 @@ def test_gauge_field_json_roundtrip():
 
 def test_decompose_particle_anchor():
     params = ModelParams(2, 1, np.array([1.0, 1.0]))
-    dec = decompose_shift(params, Shift([1.0, 3.0]), anchor=0)
-    assert np.array_equal(dec.external.v, [1.0, 1.0])
-    assert np.array_equal(dec.internal.v, [0.0, 2.0])
+    internal, external = decompose_shift(params, [1.0, 3.0], anchor=0)
+    assert np.array_equal(external, [1.0, 1.0])
+    assert np.array_equal(internal, [0.0, 2.0])
 
 
 def test_decompose_mean_anchor():
     params = ModelParams(2, 1, np.array([1.0, 1.0]))
-    dec = decompose_shift(params, Shift([1.0, 3.0]), anchor="mean")
-    assert np.array_equal(dec.external.v, [2.0, 2.0])
-    assert np.array_equal(dec.internal.v, [-1.0, 1.0])
+    internal, external = decompose_shift(params, [1.0, 3.0], anchor="mean")
+    assert np.array_equal(external, [2.0, 2.0])
+    assert np.array_equal(internal, [-1.0, 1.0])
 
 
 def test_decompose_diagonal_shift():
     params = ModelParams(3, 2, np.array([1.0, 1.0, 1.0]))
-    X = Shift(params.replicate(np.array([0.4, -1.2])))
+    X = params.replicate(np.array([0.4, -1.2]))
     for anchor in (0, 2, "mean"):
-        dec = decompose_shift(params, X, anchor=anchor)
-        assert np.abs(dec.internal.v).max() <= 1e-15
+        internal, _ = decompose_shift(params, X, anchor=anchor)
+        assert np.abs(internal).max() <= 1e-15
 
 
 @settings(max_examples=150, deadline=None)
 @given(vec(6))
 def test_decompose_projection_pair(v):
     params = ModelParams(3, 2, np.array([1.0, 1.0, 1.0]))
-    dec = decompose_shift(params, Shift(v), anchor=1)
-    again = decompose_shift(params, dec.internal, anchor=1)
-    assert np.array_equal(again.external.v, np.zeros(6))
-    assert np.array_equal(again.internal.v, dec.internal.v)
+    internal, external = decompose_shift(params, v, anchor=1)
+    again_int, again_ext = decompose_shift(params, internal, anchor=1)
+    assert np.array_equal(again_ext, np.zeros(6))
+    assert np.array_equal(again_int, internal)
     # recombination is exact up to one rounding of the subtraction
-    assert np.abs(dec.internal.v + dec.external.v - v).max() <= 1e-13 * (
+    assert np.abs(internal + external - v).max() <= 1e-13 * (
         1 + np.abs(v).max())
 
 
 def test_decompose_anchor_out_of_range():
     params = ModelParams(2, 1, np.array([1.0, 1.0]))
     with pytest.raises(IndexError):
-        decompose_shift(params, Shift([1.0, 2.0]), anchor=5)
+        decompose_shift(params, [1.0, 2.0], anchor=5)
+
+
+@pytest.mark.parametrize("spatial_dim", [1, 2])
+def test_decompose_stack_matches_rows(spatial_dim):
+    # an (n, M+1, dim) stack with one anchor per row, or the mean anchor,
+    # splits each row as a call on that row alone does, bit for bit
+    params = ModelParams(3, spatial_dim, np.array([1.0, 2.0, 0.5]))
+    stack = np.random.default_rng(5).normal(size=(4, 7, params.dim))
+    anchors = np.array([2, 0, 1, 2])
+    for anchor, per_row in ((anchors, anchors), ("mean", ["mean"] * 4)):
+        internal, external = decompose_shift(params, stack, anchor)
+        assert internal.shape == external.shape == stack.shape
+        for row, a, ir, er in zip(stack, per_row, internal, external):
+            row_int, row_ext = decompose_shift(params, row, a)
+            assert np.array_equal(ir, row_int) and np.array_equal(er, row_ext)
+            for k in (0, 6):
+                ni, ne = decompose_shift(params, row[k], a)
+                assert np.array_equal(ir[k], ni) and np.array_equal(er[k], ne)
+
+
+def test_decompose_rejects_bad_input():
+    params = ModelParams(2, 1, np.array([1.0, 1.0]))
+    with pytest.raises(ValueError):
+        decompose_shift(params, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        decompose_shift(params, [1.0, 2.0], anchor="median")
 
 
 def test_model_params_validation():
@@ -243,9 +269,9 @@ def test_gauge_support_window_property(t):
 @given(vec(6))
 def test_decompose_mean_anchor_invariants(v):
     params = ModelParams(3, 2, np.array([1.0, 1.0, 1.0]))
-    dec = decompose_shift(params, Shift(v), anchor="mean")
-    blocks = dec.internal.v.reshape(3, 2)
+    internal, external = decompose_shift(params, v, anchor="mean")
+    blocks = internal.reshape(3, 2)
     scale = 1 + np.abs(v).max()
     assert np.abs(blocks.mean(axis=0)).max() <= 1e-14 * scale
-    ext = dec.external.v.reshape(3, 2)
+    ext = external.reshape(3, 2)
     assert np.array_equal(ext[0], ext[1]) and np.array_equal(ext[1], ext[2])
