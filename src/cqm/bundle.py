@@ -333,9 +333,17 @@ class GaugeField:
 
 
 def _is_number(val) -> bool:
-    """Whether ``val`` is a JSON number: an int or a float, not a bool or str."""
-    # JSON true/false load as bool, a subclass of int
-    return type(val) in (int, float)
+    """Whether ``val`` is a JSON number a float can hold: a float, or an int
+    short of float overflow; not a bool or str."""
+    # JSON true/false load as bool, a subclass of int; JSON has no bound on an
+    # integer literal, and float(10**400) raises OverflowError
+    if type(val) is int:
+        try:
+            float(val)
+        except OverflowError:
+            return False
+        return True
+    return type(val) is float
 
 
 def _number_array(name: str, obj) -> np.ndarray:

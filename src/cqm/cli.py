@@ -41,8 +41,7 @@ def load_config(path) -> dict:
 
 
 def _is_finite_number(val) -> bool:
-    # abs() < inf compares a large int exactly, where math.isfinite overflows
-    return _is_number(val) and abs(val) < math.inf
+    return _is_number(val) and math.isfinite(val)
 
 
 def _param_error(p: Param, val) -> str | None:

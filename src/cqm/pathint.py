@@ -10,7 +10,8 @@ one-step kernel K1 is a chirp in k - l, so the two-slice kernel K1 W K1 is a
 chirp in each index times a Hankel matrix in k + l, whose generating sequence
 is one chirp-z transform of the taper (Bluestein's convolution).  The chain
 advances two slices per step, each step one circular convolution by FFT
-(Golub & Van Loan, Matrix Computations, sec. 4.7); an even slice count starts
+(Golub & Van Loan, Matrix Computations, sec. 4.7) through numpy's pocketfft
+gufuncs (`qgrid._fft_plan`) at an 11-smooth length; an even slice count starts
 from the closed-form two-slice kernel, an odd one from K1.  The chain
 K = K1 W K1 ... W K1 is complex symmetric (K = K^T), because K1 is symmetric
 Toeplitz and the taper W diagonal.  The taper is even about the box centre and
@@ -35,8 +36,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .classical import HPFSample
 from .cocycle import LagrangianModel
-from .qgrid import (GridSpec, WaveGrid, _read_amplitudes, _read_grid_block,
-                    _read_header, _unpack, _write_grid_block, _write_header)
+from .qgrid import (GridSpec, WaveGrid, _fft_plan, _read_amplitudes,
+                    _read_grid_block, _read_header, _unpack, _write_grid_block,
+                    _write_header)
 
 __all__ = [
     "SliceScheme",
@@ -109,11 +111,16 @@ def _free_kernel_row(grid: GridSpec, T: float, mass: float, hbar: float) -> np.n
     return pref * np.exp(1j * mass * dx ** 2 / (2 * hbar * T))
 
 
+def _symmetric_toeplitz(g: np.ndarray) -> np.ndarray:
+    """Read-only view T[i, j] = g[|i - j|]: row i is the window of the row
+    mirrored about 0, ``concat(g[:0:-1], g)``, that starts at n - 1 - i."""
+    mirrored = np.concatenate((g[:0:-1], g))
+    return sliding_window_view(mirrored, g.size)[::-1]
+
+
 def free_kernel_exact(grid: GridSpec, T: float, mass: float, hbar: float) -> np.ndarray:
     """Closed-form free kernel matrix, the symmetric Toeplitz K[i, j] = g[|i - j|]."""
-    g = _free_kernel_row(grid, T, mass, hbar)
-    k = np.arange(g.size)
-    return g[np.abs(k[:, None] - k[None, :])]
+    return _symmetric_toeplitz(_free_kernel_row(grid, T, mass, hbar)).copy()
 
 
 def _quadrature_weight(grid: GridSpec) -> np.ndarray:
@@ -145,6 +152,21 @@ def _alias_safe_oversampling(n_out: int, box: float, dt: float, mass: float,
 
 # bytes of the row block each band of the chain works through at a time
 _CHAIN_BLOCK_BYTES = 1 << 20
+
+
+def _next_fast_len(target: int) -> int:
+    """Smallest 2^a 3^b 5^c 7^d 11^e >= target: the 11-smooth lengths that
+    pocketfft transforms fastest (``scipy.fft.next_fast_len`` for complex
+    input)."""
+    n = target
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 def _chain_threads() -> int:
@@ -185,8 +207,6 @@ def _chain(grid: GridSpec, dt: float, mass: float, hbar: float,
     column sees the same operations in the same order, so the bits depend on
     neither the band count nor the block size.
     """
-    from scipy.fft import fft, ifft, next_fast_len
-
     lo, hi, n_out = grid.axes[0]
     n = _alias_safe_oversampling(n_out, hi - lo, dt, mass, hbar)
     fine = GridSpec(((lo, hi, n),))
@@ -206,23 +226,29 @@ def _chain(grid: GridSpec, dt: float, mass: float, hbar: float,
     # of wrap-around
     s = np.arange(2 * n - 1)
     centred = chirp(2 * s[:n] - n)
-    L3 = next_fast_len(3 * n - 2)
+    L3 = _next_fast_len(3 * n - 2)
+    fft, ifft, ((axes, inv_L3),) = _fft_plan((L3,))
     a = np.zeros(L3, dtype=complex)
     a[:n] = weight * centred
     b = np.zeros(L3, dtype=complex)
     b[:2 * n - 1] = chirp(2 * s - n)
     b[L3 - n + 1:] = chirp(2 * np.arange(1 - n, 0) - n)
-    F = ifft(fft(a) * fft(b))[:2 * n - 1] * chirp(2 * s - 2 * n).conj()
+    fft(a, 1, axes=axes, out=a)
+    fft(b, 1, axes=axes, out=b)
+    np.multiply(a, b, out=a)
+    ifft(a, inv_L3, axes=axes, out=a)
+    F = a[:2 * n - 1] * chirp(2 * s - 2 * n).conj()
 
     # a column held reversed (u_j at n - 1 - j) convolved with
     # hank[t] = F[n - 1 + t], t = -(n - 1)..n - 1, gives sum_j F[k + j] u_j
     # at k; one held in order needs hank[-t] and comes out reversed, so the
     # orientation flips with every pair.  L >= 2n - 1 keeps 0..n - 1 clean.
-    L = next_fast_len(2 * n - 1)
+    L = _next_fast_len(2 * n - 1)
+    _, _, ((axes, inv_L),) = _fft_plan((L,))
     hank = np.zeros(L, dtype=complex)
     hank[:n] = F[n - 1:]
     hank[L - n + 1:] = F[:n - 1]
-    to_normal = fft(hank)
+    to_normal = fft(hank, 1, axes=axes, out=hank)
     to_reversed = to_normal[-np.arange(L) % L]
     # between pairs the buffer holds y = K2 W v without its output chirp
     # p^2 exp(i alpha k'^2), which joins the next step's taper; the zeros
@@ -252,9 +278,8 @@ def _chain(grid: GridSpec, dt: float, mass: float, hbar: float,
             # K1[k, c] = g[|k - c|] is a window of the row mirrored about 0;
             # these columns hold v itself, so the first step takes
             # w_j exp(i alpha j'^2)
-            g = _free_kernel_row(fine, dt, mass, hbar)
-            mirrored = np.concatenate((g[:0:-1], g))
-            start = sliding_window_view(mirrored, n)[n - 1::-stride][:h]
+            start = _symmetric_toeplitz(
+                _free_kernel_row(fine, dt, mass, hbar))[::stride][:h]
             step = np.zeros(L, dtype=complex)
             step[:n] = weight * centred
         else:
@@ -279,9 +304,9 @@ def _chain(grid: GridSpec, dt: float, mass: float, hbar: float,
                     if m > first:
                         rows *= step
                         # in place on the C-contiguous rows
-                        spec = fft(rows, axis=-1, overwrite_x=True)
-                        spec *= to_normal if flipped else to_reversed
-                        rows = ifft(spec, axis=-1, overwrite_x=True)
+                        fft(rows, 1, axes=axes, out=rows)
+                        rows *= to_normal if flipped else to_reversed
+                        ifft(rows, inv_L, axes=axes, out=rows)
                         flipped = not flipped
                         step = diag_rev if flipped else diag
                     if m in wanted:
@@ -293,7 +318,7 @@ def _chain(grid: GridSpec, dt: float, mass: float, hbar: float,
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        # scipy's FFTs and numpy's ufunc loops release the GIL
+        # numpy's FFTs and ufunc loops release the GIL
         with ThreadPoolExecutor(n_bands) as pool:
             list(pool.map(run_band, buffers, bounds[:-1], bounds[1:]))
     for K in found.values():

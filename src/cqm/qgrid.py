@@ -5,7 +5,10 @@ coordinate).  Evolution is Strang-split: exact spectral kinetic steps between
 half potential steps, so the L2 norm is preserved to roundoff.  The steps run
 in two reused buffers, bit for bit the same as `ifftn(expK * fftn(amp))`
 with its fresh arrays, every complex product taken in one operand order
-(phase first) whatever the array size.  A free evolution (no potential) is
+(phase first) whatever the array size.  The transforms call numpy's pocketfft
+gufuncs directly (`_fft_plan`), the calls `np.fft.fft`/`ifft` end in, without
+their per-call argument work; `momentum_apply` and the path-integral chain
+use the same layer.  A free evolution (no potential) is
 one exact spectral phase exp(-i E_k T / hbar) rather than a run of steps; the
 `frame`, `pathint` and `boost` suites propagate that way, and `evolve` is
 left to the `quantum` suite, whose norm check gates the stepper itself.  The
@@ -197,22 +200,41 @@ def _check_hamiltonian(psi: WaveGrid, H: HamiltonianSpec) -> None:
         raise ValueError("Hamiltonian frame does not match the state")
 
 
+def _fft_plan(shape: tuple[int, ...]):
+    """numpy's pocketfft gufuncs ``fft``, ``ifft`` and, last axis first (the
+    order of fftn and ifftn), each axis's ``(axes, 1/n)`` arguments.
+
+    ``np.fft.fft(a, axis=ax, out=o)`` ends in ``fft(a, 1, axes=axes, out=o)``
+    and ``np.fft.ifft`` in ``ifft(a, 1/n, axes=axes, out=o)``, after dtype,
+    axis, norm and shape work that a step loop would repeat every step.  The
+    axes count from the last, so a plan of shape ``(L,)`` also transforms the
+    rows of an ``(m, L)`` block.  The module is imported here, at first use:
+    importing cqm loads no numpy.fft.
+    """
+    from numpy.fft import _pocketfft_umath as pocketfft
+
+    per_axis = [([(ax,), (), (ax,)], 1 / shape[ax])
+                for ax in range(-1, -len(shape) - 1, -1)]
+    return pocketfft.fft, pocketfft.ifft, per_axis
+
+
 def _apply_kinetic(amp: np.ndarray, phase: np.ndarray, spectrum: np.ndarray,
-                   out: np.ndarray) -> None:
+                   out: np.ndarray, plan=None) -> None:
     """out = ifftn(phase * fftn(amp)), by per-axis transforms into `spectrum`.
 
-    `out` may be `amp` or `spectrum`.  The product is always
+    `out` may be `amp` or `spectrum`; `plan` is ``_fft_plan(amp.shape)``,
+    made here if not given.  The product is always
     ``np.multiply(phase, spectrum)``: the SIMD complex multiply is not bitwise
     commutative, so one operand order keeps the bits independent of size.
     """
-    axes = range(amp.ndim - 1, -1, -1)
+    fft, ifft, per_axis = plan or _fft_plan(amp.shape)
     src = amp
-    for ax in axes:
-        np.fft.fft(src, axis=ax, out=spectrum)
+    for axes, _ in per_axis:
+        fft(src, 1, axes=axes, out=spectrum)
         src = spectrum
     np.multiply(phase, spectrum, out=spectrum)
-    for ax in axes:
-        np.fft.ifft(src, axis=ax, out=out)
+    for axes, inv_n in per_axis:
+        ifft(src, inv_n, axes=axes, out=out)
         src = out
 
 
@@ -261,10 +283,11 @@ def evolve(psi: WaveGrid, H: HamiltonianSpec, dt: float, steps: int) -> WaveGrid
     expV = None if H.potential is None else np.exp(-0.5j * dt * H.potential / H.hbar)
     amp = psi.amplitudes.copy()
     spectrum = np.empty_like(amp)
+    plan = _fft_plan(spec.shape)
     for _ in range(steps):
         if expV is not None:
             np.multiply(expV, amp, out=amp)
-        _apply_kinetic(amp, expK, spectrum, amp)
+        _apply_kinetic(amp, expK, spectrum, amp, plan)
         if expV is not None:
             np.multiply(expV, amp, out=amp)
     return replace(psi, t=psi.t + steps * dt, amplitudes=amp)
@@ -275,7 +298,8 @@ def momentum_apply(psi: WaveGrid, hbar: float = 1.0, axis: int = 0) -> WaveGrid:
     k = psi.spec.kvec(axis)
     shape = [1] * psi.spec.ndim
     shape[axis] = k.size
-    amp = np.fft.ifftn(hbar * k.reshape(shape) * np.fft.fftn(psi.amplitudes))
+    amp = np.empty_like(psi.amplitudes)
+    _apply_kinetic(psi.amplitudes, hbar * k.reshape(shape), amp, amp)
     return replace(psi, amplitudes=amp)
 
 

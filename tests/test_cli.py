@@ -77,7 +77,8 @@ def test_run_bad_tol_scale(tmp_path):
     cfg = {"model": MINI_MODEL, "experiment": "verify-cocycle", "seed": 1}
     for flag in ("-2", "inf", "nan"):
         assert main(["run", str(_write(tmp_path, cfg)), "--tol-scale", flag]) == 2
-    for val in (True, float("inf"), float("nan")):
+    # 10**400 is a JSON integer literal that no float holds
+    for val in (True, float("inf"), float("nan"), 10 ** 400):
         cfg["tol_scale"] = val
         assert main(["run", str(_write(tmp_path, cfg))]) == 2
 
@@ -153,6 +154,7 @@ def test_suite_size_params_rejected(tmp_path):
     ("frame", "T", 0), ("frame", "T", -1), ("frame", "anchor_mass", 0),
     ("frame", "T", float("inf")), ("frame", "anchor_mass", float("nan")),
     ("quantum", "norm_steps", -5), ("quantum", "norm_steps", 0),
+    pytest.param("frame", "T", 10 ** 400, id="frame-T-int-beyond-float"),
 ])
 def test_frame_and_quantum_params_rejected(tmp_path, name, key, val):
     # each crashed its suite with "run failed" and exit 1, or (zero norm
@@ -179,6 +181,7 @@ def test_bad_model_rejected(tmp_path):
                    {"hbar": "1.5"},
                    {"masses": [True, 2.0]},
                    {"masses": [1.0, "2"]},
+                   {"masses": [1.0, 10 ** 400]},
                    {"hbar_": 3.0},
                    {"mass": [1.0, 2.0]}):
         cfg = {"model": dict(MINI_MODEL, **change), "seed": 1}

@@ -10,12 +10,13 @@ from cqm.classical import hpf_table
 from cqm.cocycle import LagrangianModel
 from cqm.experiments import run_experiment
 from cqm.pathint import (PropagatorKernel, SliceScheme, _alias_safe_oversampling,
-                         _chain, _free_kernel_row, _quadrature_weight,
+                         _chain, _free_kernel_row, _next_fast_len,
+                         _quadrature_weight,
                          classical_split, compose_kernels, free_kernel_exact,
                          kernel_slices_csv, propagate_wavefunction,
                          read_kernel, relational_propagator,
                          sliced_propagator, write_kernel)
-from cqm.qgrid import (GridSpec, HamiltonianSpec, WaveGrid, evolve,
+from cqm.qgrid import (GridSpec, HamiltonianSpec, WaveGrid, _fft_plan, evolve,
                        gaussian_packet, read_wavegrid, write_wavegrid)
 
 
@@ -69,6 +70,11 @@ def test_free_kernel_exact_matches_closed_form(n):
     E = _closed_form(grid, 1.0 / 8, 2.0)
     assert np.abs(K - E).max() <= 1e-11 * np.abs(E).max()
     assert np.array_equal(K, K.T)
+    # a C-order copy of the window view, the same bits as the gather
+    g = _free_kernel_row(grid, 1.0 / 8, 2.0, 1.0)
+    k = np.arange(n)
+    assert np.array_equal(K, g[np.abs(k[:, None] - k[None, :])])
+    assert K.flags.c_contiguous and K.flags.writeable
 
 
 def _dense_chain(n_out, M, T, mass):
@@ -144,6 +150,26 @@ def _single_step_chain(grid, dt, mass, hbar, counts):
     return kernels
 
 
+def test_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+
+    targets = range(1, 40001)
+    assert [_next_fast_len(t) for t in targets] == [next_fast_len(t) for t in targets]
+
+
+@pytest.mark.parametrize("L", [4096, 7168])
+def test_chain_block_transforms_match_numpy_fft(L):
+    # the chain transforms (block, L) rows in place with a plan of shape (L,)
+    rng = np.random.default_rng(L)
+    rows = rng.standard_normal((3, L)) + 1j * rng.standard_normal((3, L))
+    fft, ifft, ((axes, inv_L),) = _fft_plan((L,))
+    buf = rows.copy()
+    assert fft(buf, 1, axes=axes, out=buf) is buf
+    assert np.array_equal(buf, np.fft.fft(rows, axis=-1))
+    want = np.fft.ifft(buf, axis=-1)
+    assert np.array_equal(ifft(buf, inv_L, axes=axes, out=buf), want)
+
+
 @pytest.mark.parametrize("n_out, dt, mass, counts", [
     (512, 1.0 / 8, 2.0, (2, 3, 4, 8)),   # n_int 3584, the relational chain
     (128, 1.0 / 6, 1.0, (3, 6)),         # both parities in one call
@@ -184,11 +210,9 @@ def test_kernel_bits_do_not_depend_on_band_count(monkeypatch, n_out, counts):
     # has 5 columns, fewer than the last band count asked for.  The blocks
     # are one row, a size that divides no band evenly, the default, and
     # larger than any band.
-    from scipy.fft import next_fast_len
-
     grid = GridSpec(((-15.0, 15.0, n_out),))
     n_int = _alias_safe_oversampling(n_out, 30.0, 1.0 / 8, 1.0, 1.0)
-    row_bytes = 16 * next_fast_len(2 * n_int - 1)
+    row_bytes = 16 * _next_fast_len(2 * n_int - 1)
     h = n_out // 2 + 1
     runs = []
     for bands, rows in ((1, None), (2, None), (3, None), (h + 1, None),

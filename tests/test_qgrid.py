@@ -9,8 +9,9 @@ from cqm.qgrid import (GridSpec, HamiltonianSpec, WaveGrid,
                        boost_covariance_check, commutator_expectation,
                        density_csv, dress_wavefunction, evolve, frame_change,
                        gaussian_packet, meta_action, momentum_apply,
-                       read_wavegrid, write_wavegrid, _free_propagate,
-                       _infidelity, _kinetic_phase, _l2, _periodic_resample)
+                       read_wavegrid, write_wavegrid, _fft_plan,
+                       _free_propagate, _infidelity, _kinetic_phase, _l2,
+                       _periodic_resample)
 
 
 @pytest.fixture
@@ -129,6 +130,50 @@ def test_evolve_matches_fftn_loop(shape, with_potential, steps):
     assert out.t == steps * 1e-3
     assert np.array_equal(psi.amplitudes, before)
     assert not np.shares_memory(out.amplitudes, psi.amplitudes)
+
+
+def _random_complex(shape, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+# the plan's gufunc calls are what the public transforms end in, bit for bit;
+# a numpy release that changes those gufuncs fails here
+@pytest.mark.parametrize("shape", [(512,), (9,), (256, 256), (16, 12, 10)])
+def test_fft_plan_matches_numpy_fft(shape):
+    a = _random_complex(shape)
+    fft, ifft, per_axis = _fft_plan(shape)
+    out = np.empty_like(a)
+    for ax, (axes, inv_n) in zip(range(a.ndim - 1, -1, -1), per_axis,
+                                 strict=True):
+        assert np.array_equal(fft(a, 1, axes=axes, out=out),
+                              np.fft.fft(a, axis=ax))
+        assert np.array_equal(ifft(a, inv_n, axes=axes, out=out),
+                              np.fft.ifft(a, axis=ax))
+    # all axes, last first, in place after the first: fftn and ifftn
+    spectrum, src = np.empty_like(a), a
+    for axes, _ in per_axis:
+        fft(src, 1, axes=axes, out=spectrum)
+        src = spectrum
+    assert np.array_equal(spectrum, np.fft.fftn(a))
+    back = np.empty_like(a)
+    for axes, inv_n in per_axis:
+        ifft(src, inv_n, axes=axes, out=back)
+        src = back
+    assert np.array_equal(back, np.fft.ifftn(spectrum))
+
+
+@pytest.mark.parametrize("shape", [(512,), (384,), (64, 48), (256, 256),
+                                   (16, 12, 10)])
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+def test_momentum_apply_matches_fftn(shape, hbar):
+    spec = GridSpec(tuple((-20.0, 20.0, n) for n in shape))
+    psi = WaveGrid(spec, 0.0, _random_complex(shape))
+    for axis in range(len(shape)):
+        k = spec.kvec(axis).reshape([-1 if a == axis else 1
+                                     for a in range(len(shape))])
+        want = np.fft.ifftn(hbar * k * np.fft.fftn(psi.amplitudes))
+        assert np.array_equal(momentum_apply(psi, hbar, axis).amplitudes, want)
 
 
 def test_momentum_plane_wave(spec512):
