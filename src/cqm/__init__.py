@@ -11,10 +11,10 @@ as an executable check (see the ``cqm`` command line).
 __version__ = "0.1.0"
 
 from .bundle import (Config, GaugeField, ModelParams, Shift, decompose_shift,
-                     gauge_apply, right_action)
+                     right_action)
 from .cocycle import (CocycleAccumulator, LagrangianModel, boost_boundary_term,
-                      boost_phase, cocycle_density, cocycle_property_residual,
-                      linear_cocycle, path_cocycle, pointwise_cocycle)
+                      cocycle_density, cocycle_property_residual, linear_cocycle,
+                      path_cocycle, pointwise_cocycle)
 from .classical import (DiscretePath, FlatCocyclicConnection, HPFSample,
                         action, el_residual, flat_connection, hpf_table,
                         noether_charge, solve_critical_path)

@@ -26,7 +26,6 @@ __all__ = [
     "Shift",
     "GaugeField",
     "right_action",
-    "gauge_apply",
     "decompose_shift",
 ]
 
@@ -311,14 +310,13 @@ class GaugeField:
         return cls(times, values, support=(t0, t1))
 
     @classmethod
-    def random_bump(cls, dim: int, t0: float, t1: float, rng: np.random.Generator,
-                    n_modes: int = 4, n: int = 65, scale: float = 1.0) -> "GaugeField":
-        """Random superposition of sine modes vanishing at the window endpoints."""
-        return cls.sine_modes(rng.normal(size=(n_modes, dim)) * scale, t0, t1, n)
-
-    @classmethod
     def from_dict(cls, obj: dict) -> "GaugeField":
+        unknown = sorted(set(obj) - {"times", "values", "support"})
+        if unknown:
+            raise ValueError(f"unknown gauge field keys {unknown}")
         support = obj.get("support")
+        if support is not None and _number_array("support", support).shape != (2,):
+            raise ValueError(f"support must be two numbers, got {support!r}")
         return cls(
             _number_array("times", obj["times"]),
             _number_array("values", obj["values"]),
@@ -356,8 +354,3 @@ def _number_array(name: str, obj) -> np.ndarray:
         elif not _is_number(val):
             raise TypeError(f"{name} must hold numbers only, got {val!r}")
     return np.asarray(obj, dtype=float)
-
-
-def gauge_apply(p: Config, G: GaugeField) -> Config:
-    """Apply the time-dependent shift: (t, x) -> (t, x + X(t))."""
-    return right_action(p, Shift(G.value_at(p.t)))

@@ -46,9 +46,9 @@ def _is_finite_number(val) -> bool:
 
 def _param_error(p: Param, val) -> str | None:
     """Why ``val`` is not a valid value of the declared parameter ``p``, or None."""
-    if p.type is int and not (type(val) is int and val >= p.minimum
+    if p.type is int and not (type(val) is int and p.minimum <= val <= p.maximum
                               and not (p.even and val % 2)):
-        return f"must be an {'even ' * p.even}integer >= {p.minimum}"
+        return f"must be an {'even ' * p.even}integer in [{p.minimum}, {p.maximum}]"
     if p.type is float and not (_is_finite_number(val) and val > p.minimum):
         return f"must be a finite number > {p.minimum}"
     if p.type is dict:
@@ -79,8 +79,9 @@ def validate_config(cfg: dict) -> None:
             f"unknown experiment {kind!r}; choose from {', '.join(EXPERIMENT_KINDS)}")
     if "seed" not in cfg:
         raise ConfigError("randomized suites require a 'seed'")
-    if type(cfg["seed"]) is not int:  # bool too
-        raise ConfigError("'seed' must be an integer")
+    # bool too; numpy's generators take only non-negative seeds
+    if type(cfg["seed"]) is not int or cfg["seed"] < 0:
+        raise ConfigError("'seed' must be a non-negative integer")
     tol_scale = cfg.get("tol_scale", 1.0)
     if not (_is_finite_number(tol_scale) and tol_scale > 0):
         raise ConfigError("'tol_scale' must be a finite positive number")
@@ -220,7 +221,8 @@ def _cmd_list(_args) -> int:
         print(f"{name}: {exp.description}")
         print(f"    laws: {', '.join(exp.laws)}")
         for p in exp.params:
-            low = {int: f" >= {p.minimum}", float: f" > {p.minimum}"}.get(p.type, "")
+            low = {int: f" in [{p.minimum}, {p.maximum}]",
+                   float: f" > {p.minimum}"}.get(p.type, "")
             print(f"    {p.name}: {'even ' * p.even}{p.type.__name__}{low}, "
                   f"default {p.default!r}")
     print("all: every suite above")

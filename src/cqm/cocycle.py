@@ -37,7 +37,6 @@ __all__ = [
     "path_cocycle",
     "path_linear_cocycle",
     "boost_boundary_term",
-    "boost_phase",
 ]
 
 
@@ -236,20 +235,15 @@ def path_linear_cocycle(model: LagrangianModel, path, field) -> float | np.ndarr
         (((dx * dchi) @ model.params.mass_vector) / dt).sum(axis=-1))
 
 
-def boost_boundary_term(model: LagrangianModel, p: Config, vboost) -> float:
+def boost_boundary_term(model: LagrangianModel, p: Config, vboost) -> float | np.ndarray:
     """Boundary term sum_k m_k (<x_k, v_k> + |v_k|^2 t / 2) of a rigid boost.
 
     The path cocycle of the boost X(t) = v*t is this term's difference
-    between the path's end and start.
+    between the path's end and start; exp(i term / hbar) is the phase by
+    which wave functions transform under the boost.  An (n, dim) batch p.x
+    with (dim,) or (n, dim) velocities gives the (n,) per-row terms, bit for
+    bit: ``np.vecdot`` takes each row's dot product as ``np.dot`` does.
     """
     v = _as_vec(vboost, model.params.dim)
     mv = model.params.mass_vector
-    return float(np.dot(mv * p.x, v) + 0.5 * np.dot(mv * v, v) * p.t)
-
-
-def boost_phase(model: LagrangianModel, p: Config, vboost) -> complex:
-    """Boundary-term phase exp{(i/hbar) boost_boundary_term} of a rigid boost.
-
-    The factor by which wave functions transform under Galilean boosts.
-    """
-    return np.exp(1j * boost_boundary_term(model, p, vboost) / model.params.hbar)
+    return _float_or_array(np.vecdot(mv * p.x, v) + 0.5 * np.vecdot(mv * v, v) * p.t)

@@ -4,9 +4,9 @@ Each experiment draws its probes from a generator seeded by (seed, registry
 index), evaluates a batch of identities at pinned tolerances and returns one
 Check per identity.  Artifacts (CSV tables, binary snapshots, residual
 reports) are written to the experiment's own subdirectory when requested.
-The classical and dress suites draw their random probes first, in the order
-a per-probe loop would, and evaluate each identity on the whole stack of
-paths in one call.
+Every suite draws its random probes first, in the order a per-probe loop
+would, and evaluates each identity on the whole batch or stack of paths in
+one call; no suite loops over random probes.
 """
 from __future__ import annotations
 
@@ -48,13 +48,15 @@ class Check:
 
 @dataclass(frozen=True)
 class Param:
-    """A suite parameter: an ``int`` >= ``minimum`` (even if ``even``), a
-    finite ``float`` > ``minimum``, or a ``dict`` that ``build`` accepts."""
+    """A suite parameter: an ``int`` in [``minimum``, ``maximum``] (even if
+    ``even``; ``maximum`` lies far beyond any run that can finish), a finite
+    ``float`` > ``minimum``, or a ``dict`` that ``build`` accepts."""
 
     name: str
     type: type
     default: object
     minimum: float | None = None
+    maximum: int | None = None
     even: bool = False
     build: Callable | None = None
 
@@ -79,8 +81,11 @@ def _walk(start: np.ndarray, steps: np.ndarray) -> DiscretePath:
     return DiscretePath.from_nodes(t, start + np.cumsum(steps, axis=-2))
 
 
-def _random_path(rng: np.random.Generator, dim: int) -> DiscretePath:
-    return _walk(*_path_draws(rng, dim))
+def _configured_field(obj) -> GaugeField:
+    """The classical suite's configured gauge field: one field, not a stack."""
+    if (field := GaugeField.from_dict(obj)).values.ndim != 2:
+        raise ValueError("values must have shape (n_samples, dim)")
+    return field
 
 
 def _draw_stack(n: int, draw: Callable[[], tuple]) -> list[np.ndarray]:
@@ -133,22 +138,26 @@ def _suite_verify_cocycle(model_params: ModelParams, params: dict,
                       / (1.0 + np.abs(fd)))
     checks.append(Check("linearization-limit", "cocycle-linearity", fd_worst, 1e-6))
 
-    phase_errs, unit_errs = [], []
-    for _ in range(20):
-        path = _random_path(rng, dim)
-        X = GaugeField.random_bump(dim, 0.0, 1.0, rng)
-        Y = GaugeField.random_bump(dim, 0.0, 1.0, rng)
-        cX = cocycle.path_cocycle(model, path, X)
-        both = X.value_at(path.t) + Y.value_at(path.t)
-        cXY = cocycle.path_cocycle(model, path, both)
-        moved = classical.gauge_transform_path(path, X)
-        cY_moved = cocycle.path_cocycle(model, moved, Y)
-        phase_errs.append(abs(cXY.phase - cX.phase * cY_moved.phase))
-        unit_errs.append(abs(abs(cXY.phase) - 1.0))
+    # per path: a random path and the mode amplitudes of two random bumps
+    start, steps, modes_x, modes_y = _draw_stack(20, lambda: (
+        *_path_draws(rng, dim), rng.normal(size=(4, dim)), rng.normal(size=(4, dim))))
+    paths = _walk(start, steps)
+    X = GaugeField.sine_modes(modes_x, 0.0, 1.0)
+    Y = GaugeField.sine_modes(modes_y, 0.0, 1.0)
+    cX = cocycle.path_cocycle(model, paths, X)
+    cXY = cocycle.path_cocycle(model, paths, X.value_at(paths.t) + Y.value_at(paths.t))
+    cY_moved = cocycle.path_cocycle(model, classical.gauge_transform_path(paths, X), Y)
+    a, b, c = cX.phase, cY_moved.phase, cXY.phase
+    # c - a*b, the product rounded as for one complex scalar (numpy's array
+    # multiply may fuse multiply-adds and differ in the last bit); moduli as
+    # hypot, which abs() of one complex scalar is (see _suite_dress)
+    d_re = c.real - (a.real * b.real - a.imag * b.imag)
+    d_im = c.imag - (a.real * b.imag + a.imag * b.real)
     checks.append(Check("phase-composition", "u1-cocycle-composition",
-                        _worst(phase_errs), 1e-10))
+                        _worst(np.hypot(d_re, d_im)), 1e-10))
     checks.append(Check("phase-unit-modulus", "u1-cocycle-composition",
-                        _worst(unit_errs), 1e-14))
+                        _worst(np.abs(np.hypot(c.real, c.imag) - 1.0)),
+                        1e-14))
 
     p = Config(rng.uniform(-1, 1), rng.normal(size=(500, dim)))
     X = Shift(rng.normal(size=(500, dim)))
@@ -199,30 +208,27 @@ def _suite_classical(model_params: ModelParams, params: dict,
 
     if params["gauge_field"] is not None:
         # user-supplied field from the config, exercised on random paths
-        G_cfg = GaugeField.from_dict(params["gauge_field"])
+        G_cfg = _configured_field(params["gauge_field"])
         m_cfg = model if G_cfg.dim == dim else LagrangianModel(
             ModelParams(G_cfg.dim, 1, np.ones(G_cfg.dim)))
-        cfg_errs = []
-        for _ in range(10):
-            path = _random_path(rng, G_cfg.dim)
-            direct = classical.action_gauge_transformed(m_cfg, path, G_cfg)
-            split = classical.action_gauge_split(m_cfg, path, G_cfg)
-            cfg_errs.append(abs(direct - split) / (1.0 + abs(direct)))
+        start, steps = _draw_stack(10, lambda: _path_draws(rng, G_cfg.dim))
+        paths = _walk(start, steps)
+        direct = classical.action_gauge_transformed(m_cfg, paths, G_cfg)
+        split = classical.action_gauge_split(m_cfg, paths, G_cfg)
         checks.append(Check("gauge-split-configured-field", "action-gauge-split",
-                            _worst(cfg_errs), 1e-10))
+                            _worst(np.abs(direct - split) / (1.0 + np.abs(direct))),
+                            1e-10))
 
-    boost_errs = []
-    for _ in range(20):
-        path = _random_path(rng, dim)
-        v = rng.normal(size=dim)
-        G = GaugeField.boost(v, -0.5, 1.5)
-        c = cocycle.path_cocycle(model, path, G).real_value
-        p0, p1 = path.endpoint_configs()
-        delta = (cocycle.boost_boundary_term(model, p1, v)
-                 - cocycle.boost_boundary_term(model, p0, v))
-        boost_errs.append(abs(c - delta) / (1.0 + abs(c)))
+    # per path: a random path and a boost velocity
+    start, steps, vel = _draw_stack(20, lambda: (
+        *_path_draws(rng, dim), rng.normal(size=dim)))
+    paths = _walk(start, steps)
+    c = cocycle.path_cocycle(model, paths, GaugeField.boost(vel, -0.5, 1.5)).real_value
+    p0, p1 = paths.endpoint_configs()
+    delta = (cocycle.boost_boundary_term(model, p1, vel)
+             - cocycle.boost_boundary_term(model, p0, vel))
     checks.append(Check("boost-boundary-term", "boost-quasi-invariance",
-                        _worst(boost_errs), 1e-12))
+                        _worst(np.abs(c - delta) / (1.0 + np.abs(c))), 1e-12))
 
     start, steps, modes = _draw_stack(20, lambda: (
         *_path_draws(rng, dim), rng.normal(size=(4, dim))))
@@ -421,9 +427,10 @@ def _suite_quantum(model_params: ModelParams, params: dict,
     meta = abs(qgrid.meta_action(series, hpf, (1.0, 0.3), hbar))
     checks.append(Check("meta-action-solution", "meta-action-stationarity",
                         meta, 1e-5))
-    scrambled = [qgrid.WaveGrid(wspec, s.t, s.amplitudes
-                                * np.exp(1j * rng.normal(scale=0.3, size=wspec.shape)))
-                 for s in series]
+    # one phase-noise draw per snapshot, drawn at once in the same order
+    noise = rng.normal(scale=0.3, size=(len(series),) + wspec.shape)
+    scrambled = [qgrid.WaveGrid(wspec, s.t, s.amplitudes * np.exp(1j * z))
+                 for s, z in zip(series, noise)]
     meta_bad = abs(qgrid.meta_action(scrambled, hpf, (1.0, 0.3), hbar))
     checks.append(Check("meta-action-contrast", "meta-action-stationarity",
                         10.0 * meta / max(meta_bad, 1e-300), 1.0))
@@ -748,27 +755,27 @@ REGISTRY: dict[str, Experiment] = {
         "composition law, linearity and U(1) lift of the translation cocycle",
         ("cocycle-defining-identity", "cocycle-linearity",
          "u1-cocycle-composition", "group-action-law"),
-        _suite_verify_cocycle, (Param("n_probes", int, 10000, 1),)),
+        _suite_verify_cocycle, (Param("n_probes", int, 10000, 1, 10**6),)),
     "classical": Experiment(
         "action transformation law, variational principle, conserved charge",
         ("action-gauge-split", "boost-quasi-invariance",
          "action-infinitesimal-variation", "variational-stationarity",
          "euler-lagrange-residual", "noether-charge-conservation"),
         _suite_classical,
-        (Param("n_pairs", int, 100, 1), Param("M", int, 200, 2),
-         Param("gauge_field", dict, None, build=GaugeField.from_dict))),
+        (Param("n_pairs", int, 100, 1, 10**5), Param("M", int, 200, 2, 10**5),
+         Param("gauge_field", dict, None, build=_configured_field))),
     "hpf": Experiment(
         "principal function table, Hamilton-Jacobi residual, flat connection",
         ("hamilton-principal-function", "hamilton-jacobi-equation",
          "flat-connection-closedness", "momentum-prescription"),
-        _suite_hpf, (Param("nt", int, 50, 3), Param("nx", int, 50, 3))),
+        _suite_hpf, (Param("nt", int, 50, 3, 1000), Param("nx", int, 50, 3, 1000))),
     "quantum": Experiment(
         "spectral propagation, momentum operator, covariant constancy",
         ("schrodinger-unitarity", "packet-spreading", "momentum-prescription",
          "canonical-commutator", "covariant-constancy",
          "meta-action-stationarity"),
         _suite_quantum,
-        (Param("n_points", int, 512, 8), Param("norm_steps", int, 1000, 1))),
+        (Param("n_points", int, 512, 8, 65536), Param("norm_steps", int, 1000, 1, 10**6))),
     "boost": Experiment(
         "Galilean boost covariance of free evolution",
         ("boost-wavefunction-phase",),
@@ -778,14 +785,14 @@ REGISTRY: dict[str, Experiment] = {
         ("dressed-cocycle-transformations", "relational-lagrangian-form",
          "dressing-external-invariance", "dressing-substitution-rule",
          "dressed-variational-consistency"),
-        _suite_dress, (Param("n_probes", int, 100, 1),)),
+        _suite_dress, (Param("n_probes", int, 100, 1, 10**4),)),
     "frame": Experiment(
         "relational wave functions, anchor changes, dressed evolution",
         ("frame-change-unitarity", "relational-wavefunction",
          "relational-schrodinger"),
         _suite_frame,
         # frame_change maps the anchor flip onto the grid by index
-        (Param("n_points", int, 256, 8, even=True), Param("T", float, 0.5, 0),
+        (Param("n_points", int, 256, 8, 4096, even=True), Param("T", float, 0.5, 0),
          Param("anchor_mass", float, 2000.0, 0))),
     "pathint": Experiment(
         "time-sliced propagators, classical splitting, relational kernel",
@@ -793,8 +800,8 @@ REGISTRY: dict[str, Experiment] = {
          "kernel-classical-split", "kernel-semigroup",
          "kernel-wave-propagation", "relational-kernel-mass"),
         _suite_pathint,
-        (Param("n_points", int, 512, 8), Param("n_slices", int, 8, 2),
-         Param("n_points_2d", int, 256, 8))),
+        (Param("n_points", int, 512, 8, 4096), Param("n_slices", int, 8, 2, 1024),
+         Param("n_points_2d", int, 256, 8, 2048))),
 }
 
 EXPERIMENT_KINDS = tuple(REGISTRY) + ("all",)

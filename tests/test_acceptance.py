@@ -66,7 +66,7 @@ def test_criterion_02_action_gauge_split():
         t = np.linspace(0, 1, 49)
         x = rng.normal(size=(1, 2)) + np.cumsum(rng.normal(scale=0.2, size=(49, 2)), axis=0)
         path = DiscretePath.from_nodes(t, x)
-        G = GaugeField.random_bump(2, -0.2, 1.2, rng)
+        G = GaugeField.sine_modes(rng.normal(size=(4, 2)), -0.2, 1.2)
         direct = action_gauge_transformed(model, path, G)
         split = action_gauge_split(model, path, G)
         worst = max(worst, abs(direct - split) / (1.0 + abs(direct)))
@@ -97,7 +97,7 @@ def test_criterion_03_variational_principle():
     stat = 0.0
     for path, model in ((straight, free1), (crit, harmonic)):
         for _ in range(20):
-            chi = GaugeField.random_bump(1, path.t[0], path.t[-1], rng)
+            chi = GaugeField.sine_modes(rng.normal(size=(4, 1)), path.t[0], path.t[-1])
             chin = chi.value_at(path.t)
             eps = 1e-6
             fd = (action(model, shift_path_nodes(path, eps * chin))
@@ -145,7 +145,7 @@ def test_criterion_05_dressing_identities():
         x = rng.normal(size=(1, 3)) + np.cumsum(rng.normal(scale=0.2, size=(41, 3)), axis=0)
         path = DiscretePath.from_nodes(t, x)
         i, j = rng.choice(3, size=2, replace=False)
-        G = GaugeField.random_bump(3, 0.0, 1.0, rng)
+        G = GaugeField.sine_modes(rng.normal(size=(4, 3)), 0.0, 1.0)
         worst = max(worst, max(identity_suite(model, path, int(i), int(j), G).values()))
 
     lag_worst = 0.0

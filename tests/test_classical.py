@@ -40,7 +40,7 @@ def test_action_degenerate_grid(free1):
 def test_gauge_split_agreement(free2, rng):
     for _ in range(30):
         path = random_path(rng, 2)
-        G = GaugeField.random_bump(2, -0.2, 1.2, rng)
+        G = GaugeField.sine_modes(rng.normal(size=(4, 2)), -0.2, 1.2)
         direct = action_gauge_transformed(free2, path, G)
         split = action_gauge_split(free2, path, G)
         assert abs(direct - split) < 1e-10 * (1 + abs(direct))
@@ -62,7 +62,7 @@ def test_gauge_split_with_potential(rng):
         potential=lambda z: np.cos(z[..., 1] - z[..., 0]))
     for _ in range(10):
         path = random_path(rng, 2)
-        G = GaugeField.random_bump(2, -0.2, 1.2, rng)
+        G = GaugeField.sine_modes(rng.normal(size=(4, 2)), -0.2, 1.2)
         direct = action_gauge_transformed(model, path, G)
         split = action_gauge_split(model, path, G)
         assert abs(direct - split) < 1e-10 * (1 + abs(direct))
@@ -71,7 +71,7 @@ def test_gauge_split_with_potential(rng):
 def test_critical_action_shift_is_cocycle(free1, rng):
     # gauge moves off the critical path cost exactly the cocycle integral
     crit = solve_critical_path(free1, Config(0.0, [0.0]), Config(1.0, [1.0]), 50)
-    G = GaugeField.random_bump(1, 0.0, 1.0, rng)
+    G = GaugeField.sine_modes(rng.normal(size=(4, 1)), 0.0, 1.0)
     lhs = action_gauge_transformed(free1, crit, G) - action(free1, crit)
     rhs = path_cocycle(free1, crit, G).real_value
     assert abs(lhs - rhs) < 1e-10 * (1 + abs(rhs))
@@ -93,7 +93,7 @@ def test_el_residual_directional_derivative(harmonic, rng):
     # d/de S[path + e*chi] = -sum <chi, residual> dt for endpoint-fixed chi
     t = np.linspace(0, 1, 81)
     path = DiscretePath.from_nodes(t, np.sin(2 * t)[:, None])
-    chi = GaugeField.random_bump(1, 0.0, 1.0, rng)
+    chi = GaugeField.sine_modes(rng.normal(size=(4, 1)), 0.0, 1.0)
     chin = chi.value_at(t)
     eps = 1e-5
     fd = (action(harmonic, shift_path_nodes(path, eps * chin))
@@ -348,7 +348,23 @@ def test_solver_reports_nonconvergence():
                             40, tol=1e-12, max_iter=1)
 
 
+# configured gauge fields: none, one of the model's dimension, and a 1-D one,
+# which the suite checks on a unit-mass model of its own
+CONFIGURED_FIELDS = [
+    None,
+    {"times": [0.0, 0.25, 0.5, 0.75, 1.0],
+     "values": [[0, 0], [0.3, -0.2], [0.1, 0.4], [-0.5, 0.2], [0, 0]],
+     "support": [0.0, 1.0]},
+    {"times": [-0.2, 0.4, 1.3], "values": [[0.0], [0.5], [-0.25]]},
+]
+
+
 def test_classical_suite_matches_per_path_loop():
+    for field in CONFIGURED_FIELDS:
+        _classical_suite_matches_per_path_loop(field)
+
+
+def _classical_suite_matches_per_path_loop(field):
     # the suite evaluates its random probes as stacks; this is the loop that
     # draws and evaluates one path at a time, on the same stream
     from conftest import suite_path, suite_rng
@@ -357,16 +373,28 @@ def test_classical_suite_matches_per_path_loop():
 
     mp = ModelParams(2, 1, np.array([1.0, 2.0]))
     model = LagrangianModel(mp)
-    checks = {c.name: c.residual
-              for c in run_experiment("classical", mp, {"n_pairs": 20}, 7, None)}
+    checks = {c.name: c.residual for c in run_experiment(
+        "classical", mp, {"n_pairs": 20, "gauge_field": field}, 7, None)}
     rng = suite_rng("classical", 7)
-    split = boost = var = stat = 0.0
+    split = cfg = boost = var = stat = 0.0
     for _ in range(20):
         path = suite_path(rng, 2)
-        G = GaugeField.random_bump(2, -0.1, 1.1, rng)
+        G = GaugeField.sine_modes(rng.normal(size=(4, 2)), -0.1, 1.1)
         direct = action_gauge_transformed(model, path, G)
         split = max(split, abs(direct - action_gauge_split(model, path, G))
                     / (1.0 + abs(direct)))
+    if field is not None:
+        G = GaugeField.from_dict(field)
+        m_cfg = model if G.dim == 2 else LagrangianModel(ModelParams(1, 1, np.ones(1)))
+        for _ in range(10):
+            path = suite_path(rng, G.dim)
+            direct = action_gauge_transformed(m_cfg, path, G)
+            cfg = max(cfg, abs(direct - action_gauge_split(m_cfg, path, G))
+                      / (1.0 + abs(direct)))
+        assert checks["gauge-split-configured-field"] == cfg
+        assert cfg > 0
+    else:
+        assert "gauge-split-configured-field" not in checks
     for _ in range(20):
         path = suite_path(rng, 2)
         v = rng.normal(size=2)
@@ -378,7 +406,7 @@ def test_classical_suite_matches_per_path_loop():
     eps = 1e-6
     for _ in range(20):
         path = suite_path(rng, 2)
-        chi = GaugeField.random_bump(2, 0.0, 1.0, rng)
+        chi = GaugeField.sine_modes(rng.normal(size=(4, 2)), 0.0, 1.0)
         chin = chi.value_at(path.t)
         fd = (action(model, shift_path_nodes(path, eps * chin))
               - action(model, shift_path_nodes(path, -eps * chin))) / (2 * eps)
@@ -388,7 +416,8 @@ def test_classical_suite_matches_per_path_loop():
     crit = solve_critical_path(harm, Config(0.0, [0.0]), Config(np.pi / 2, [1.0]),
                                200, tol=1e-11)
     for _ in range(20):
-        chin = GaugeField.random_bump(1, 0.0, np.pi / 2, rng).value_at(crit.t)
+        chi = GaugeField.sine_modes(rng.normal(size=(4, 1)), 0.0, np.pi / 2)
+        chin = chi.value_at(crit.t)
         stat = max(stat, abs((action(harm, shift_path_nodes(crit, eps * chin))
                               - action(harm, shift_path_nodes(crit, -eps * chin)))
                              / (2 * eps)))

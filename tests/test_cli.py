@@ -89,6 +89,10 @@ def test_missing_seed_rejected():
     with pytest.raises(ConfigError, match="integer"):
         validate_config({"model": MINI_MODEL, "experiment": "verify-cocycle",
                          "seed": True})
+    # a negative seed validated, then every suite's generator raised
+    with pytest.raises(ConfigError, match="non-negative integer"):
+        validate_config({"model": MINI_MODEL, "experiment": "verify-cocycle",
+                         "seed": -1})
 
 
 def test_unknown_experiment_rejected(tmp_path):
@@ -146,6 +150,41 @@ def test_suite_size_params_rejected(tmp_path):
         main(["run", str(_write(tmp_path, cfg)), "--out", str(tmp_path / name)])
         report = json.loads((tmp_path / name / "report.json").read_text())
         assert len(report["experiments"][name]["checks"]) > 1
+
+
+def test_size_and_step_bounds():
+    # a size or step count above its declared bound exits 2 before any suite
+    # starts; these are checked through validation only, never run
+    ints = [(name, p) for name, exp in REGISTRY.items() for p in exp.params
+            if p.type is int]
+    assert all(p.maximum >= p.default for _, p in ints)
+    for name, p in ints:
+        cfg = {"model": MINI_MODEL, "experiment": name, "seed": 1,
+               "params": {name: {p.name: p.maximum}}}
+        validate_config(cfg)
+        cfg["params"][name][p.name] = p.maximum + 2  # stays even
+        with pytest.raises(ConfigError, match=rf"{name}\.{p.name} .*\]"):
+            validate_config(cfg)
+    # observed: the first stepped without end, the second built 30000^2 grids
+    for name, key, val in (("quantum", "norm_steps", 10 ** 22),
+                           ("frame", "n_points", 30000)):
+        cfg = {"model": MINI_MODEL, "experiment": name, "seed": 1,
+               "params": {name: {key: val}}}
+        with pytest.raises(ConfigError, match=f"{name}.{key}"):
+            validate_config(cfg)
+
+
+def test_documented_sizes_within_bounds():
+    # every perfbench workload, and the pathint sizes of ROADMAP item 5
+    import runpy
+
+    root = Path(__file__).resolve().parents[1]
+    workloads = runpy.run_path(str(root / "perfbench" / "workloads.py"))["WORKLOADS"]
+    for make in workloads.values():
+        for _, cfg in make(7):
+            validate_config(cfg)
+    validate_config({"model": MINI_MODEL, "experiment": "pathint", "seed": 3,
+                     "params": {"pathint": {"n_points": 1024, "n_points_2d": 512}}})
 
 
 @pytest.mark.parametrize("name, key, val", [
@@ -221,6 +260,13 @@ def test_seed_override(tmp_path):
     c1 = r1["experiments"]["verify-cocycle"]["checks"][0]["residual"]
     c2 = r2["experiments"]["verify-cocycle"]["checks"][0]["residual"]
     assert c1 != c2  # different probe streams
+    # a negative override, from the command line or the file, exits 2
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, cfg)), "--seed", "-1",
+                 "--out", str(out)]) == 2
+    assert main(["run", str(_write(tmp_path, dict(cfg, seed=-1))),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_gauge_field_loadable_from_config(tmp_path):
@@ -245,7 +291,13 @@ def test_gauge_field_loadable_from_config(tmp_path):
                 {"times": [0.0, "1.0"], "values": [[1], [0]]},
                 {"times": [0, 1], "values": [[True], [0]]},
                 {"times": [0, 1], "values": [[1], ["0"]]},
-                {"times": [False, 1], "values": [[1], [0]]}):
+                {"times": [False, 1], "values": [[1], [0]]},
+                # an unknown key was ignored, and a true support bound read as 1.0
+                {"times": [0, 1], "values": [[0], [0]], "extra": 1},
+                {"times": [0, 1], "values": [[0], [0]], "support": [0, True]},
+                {"times": [0, 1], "values": [[0], [0]], "support": [0, 1, 2]},
+                # a stack of fields is not one configured field
+                {"times": [0, 1], "values": [[[0], [0]], [[0], [0]]]}):
         cfg["params"]["classical"]["gauge_field"] = bad
         with pytest.raises(ConfigError, match="gauge_field"):
             validate_config(cfg)

@@ -6,10 +6,10 @@ from hypothesis.extra.numpy import arrays
 from cqm.bundle import Config, GaugeField, ModelParams
 from cqm.classical import (DiscretePath, action, gauge_transform_path,
                            shift_path_nodes)
-from cqm.cocycle import (CocycleAccumulator, LagrangianModel, boost_phase,
-                         cocycle_density, cocycle_property_residual,
-                         linear_cocycle, path_cocycle, path_linear_cocycle,
-                         pointwise_cocycle)
+from cqm.cocycle import (CocycleAccumulator, LagrangianModel,
+                         boost_boundary_term, cocycle_density,
+                         cocycle_property_residual, linear_cocycle,
+                         path_cocycle, path_linear_cocycle, pointwise_cocycle)
 from conftest import random_path
 
 finite = st.floats(min_value=-20, max_value=20, allow_nan=False)
@@ -162,8 +162,8 @@ def test_path_cocycle_needs_two_nodes(free1):
 def test_u1_composition_on_paths(free2, rng):
     for _ in range(20):
         path = random_path(rng, 2)
-        X = GaugeField.random_bump(2, 0.0, 1.0, rng)
-        Y = GaugeField.random_bump(2, 0.0, 1.0, rng)
+        X = GaugeField.sine_modes(rng.normal(size=(4, 2)), 0.0, 1.0)
+        Y = GaugeField.sine_modes(rng.normal(size=(4, 2)), 0.0, 1.0)
         cX = path_cocycle(free2, path, X)
         assert abs(abs(cX.phase) - 1.0) < 1e-14
         both = X.value_at(path.t) + Y.value_at(path.t)
@@ -176,7 +176,7 @@ def test_path_linear_cocycle_is_gateaux(free2, rng):
     from cqm.classical import action, shift_path_nodes
 
     path = random_path(rng, 2)
-    chi = GaugeField.random_bump(2, 0.0, 1.0, rng)
+    chi = GaugeField.sine_modes(rng.normal(size=(4, 2)), 0.0, 1.0)
     chin = chi.value_at(path.t)
     lin = path_linear_cocycle(free2, path, chi)
     eps = 1e-6
@@ -186,11 +186,13 @@ def test_path_linear_cocycle_is_gateaux(free2, rng):
 
 
 def test_boost_phase_example(free1):
-    model = free1
+    # a boost multiplies wave functions by exp(i boost_boundary_term / hbar)
     p = Config(3.0, [1.0])
-    assert boost_phase(model, p, np.array([2.0])) == pytest.approx(np.exp(8.0j))
-    assert boost_phase(model, p, np.zeros(1)) == pytest.approx(1.0 + 0.0j)
-    assert boost_phase(model, Config(0.0, [0.0]), np.array([2.0])) == pytest.approx(1.0 + 0.0j)
+    for q, v, phase in ((p, [2.0], np.exp(8.0j)), (p, [0.0], 1.0),
+                        (Config(0.0, [0.0]), [2.0], 1.0)):
+        term = boost_boundary_term(free1, q, np.array(v))
+        assert type(term) is float
+        assert np.exp(1j * term / free1.params.hbar) == pytest.approx(phase)
 
 
 def test_accumulator_phase_consistency():
@@ -207,8 +209,8 @@ def test_hbar_enters_phases():
     G = GaugeField.boost(np.array([1.0]), -0.5, 1.5)
     acc = path_cocycle(model, path, G)
     assert acc.phase == pytest.approx(np.exp(-1j * acc.real_value / 2.0))
-    p = Config(3.0, [1.0])
-    assert boost_phase(model, p, np.array([2.0])) == pytest.approx(np.exp(4.0j))
+    term = boost_boundary_term(model, Config(3.0, [1.0]), np.array([2.0]))
+    assert np.exp(1j * term / model.params.hbar) == pytest.approx(np.exp(4.0j))
 
 
 def test_shift_objects_accepted(free2, rng):
@@ -225,8 +227,8 @@ def test_u1_composition_with_potential(rng):
         ModelParams(2, 1, np.array([1.0, 2.0])),
         potential=lambda z: np.cos(z[..., 1] - z[..., 0]))
     path = random_path(rng, 2)
-    X = GaugeField.random_bump(2, 0.0, 1.0, rng)
-    Y = GaugeField.random_bump(2, 0.0, 1.0, rng)
+    X = GaugeField.sine_modes(rng.normal(size=(4, 2)), 0.0, 1.0)
+    Y = GaugeField.sine_modes(rng.normal(size=(4, 2)), 0.0, 1.0)
     both = X.value_at(path.t) + Y.value_at(path.t)
     cXY = path_cocycle(model, path, both)
     cX = path_cocycle(model, path, X)
@@ -268,6 +270,28 @@ def test_batch_equals_stacked_probes(kind, data):
         assert batch.shape == (n,)
         assert isinstance(stacked[0], np.float64)
         assert np.all(batch == np.array(stacked))
+
+
+@pytest.mark.parametrize("n_particles, spatial_dim", [(2, 1), (3, 2)])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_boost_boundary_term_batch_equals_rows(n_particles, spatial_dim, data):
+    # an (n, dim) batch with (n, dim) velocities gives the per-row terms, bit
+    # for bit, and each row is the np.dot form of a single configuration
+    model = LagrangianModel(ModelParams(n_particles, spatial_dim,
+                                        np.array([1.0, 2.0, 0.5][:n_particles])))
+    mv, dim = model.params.mass_vector, model.params.dim
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    x, v = data.draw(arrays(np.float64, (2, n, dim), elements=finite))
+    t = data.draw(finite)
+    batch = boost_boundary_term(model, Config(t, x), v)
+    rows = [boost_boundary_term(model, Config(t, x[k]), v[k]) for k in range(n)]
+    dots = [float(np.dot(mv * x[k], v[k]) + 0.5 * np.dot(mv * v[k], v[k]) * t)
+            for k in range(n)]
+    assert batch.shape == (n,)
+    assert type(rows[0]) is float
+    assert np.array_equal(batch.view(np.uint64), np.array(rows).view(np.uint64))
+    assert np.array_equal(batch.view(np.uint64), np.array(dots).view(np.uint64))
 
 
 @pytest.mark.parametrize("width", [1, 3])
@@ -330,3 +354,36 @@ def test_path_stack_equals_per_path(kind, data):
     # one field shifts every path of a stack, one path by a stack of samples
     assert np.array_equal(shift_path_nodes(stack, X[0]).x, x + X[0])
     assert np.array_equal(shift_path_nodes(paths[0], X).x, x[0] + X)
+
+
+@pytest.mark.parametrize("mp", [ModelParams(2, 1, np.array([1.0, 2.0])),
+                                ModelParams(3, 2, np.array([1.0, 2.0, 0.5]), 0.7)],
+                         ids=["n2d1", "n3d2-hbar0.7"])
+def test_verify_cocycle_suite_matches_per_path_loop(mp):
+    # the suite evaluates its random paths as one stack; this is the loop that
+    # draws and evaluates one path at a time, on the same stream
+    from conftest import suite_path, suite_rng
+    from cqm.experiments import run_experiment
+
+    model, dim, n_probes = LagrangianModel(mp), mp.dim, 30
+    checks = {c.name: c.residual for c in run_experiment(
+        "verify-cocycle", mp, {"n_probes": n_probes}, 5, None)}
+    rng = suite_rng("verify-cocycle", 5)
+    # the pointwise probe families the suite draws first
+    rng.uniform(-1, 1)
+    for shape in ((n_probes, dim), (3, n_probes, dim), (3, 1000, dim), (2, 1000, 1),
+                  (2, 50, dim)):
+        rng.normal(size=shape)
+    phase = unit = 0.0
+    for _ in range(20):
+        path = suite_path(rng, dim)
+        X = GaugeField.sine_modes(rng.normal(size=(4, dim)), 0.0, 1.0)
+        Y = GaugeField.sine_modes(rng.normal(size=(4, dim)), 0.0, 1.0)
+        cX = path_cocycle(model, path, X)
+        cXY = path_cocycle(model, path, X.value_at(path.t) + Y.value_at(path.t))
+        cY = path_cocycle(model, gauge_transform_path(path, X), Y)
+        phase = max(phase, abs(cXY.phase - cX.phase * cY.phase))
+        unit = max(unit, abs(abs(cXY.phase) - 1.0))
+    assert checks["phase-composition"] == phase
+    assert checks["phase-unit-modulus"] == unit
+    assert phase > 0

@@ -120,7 +120,7 @@ def test_residual_first_kind_external_part_drops(free2, rng):
 def test_residual_first_kind_composition(free3, rng):
     # dressing after a gauge move equals the internal shift of the dressing
     path = random_path(rng, 3)
-    G = GaugeField.random_bump(3, 0.0, 1.0, rng)
+    G = GaugeField.sine_modes(rng.normal(size=(4, 3)), 0.0, 1.0)
     moved = gauge_transform_path(path, G)
     lhs = dress_path(free3.params, moved, 1)
     rel = dress_path(free3.params, path, 1)
@@ -132,7 +132,7 @@ def test_residual_first_kind_composition(free3, rng):
 def test_residual_first_kind_action_shift(free3, rng):
     path = random_path(rng, 3)
     rel = dress_path(free3.params, path, 1)
-    G = GaugeField.random_bump(3, 0.0, 1.0, rng)
+    G = GaugeField.sine_modes(rng.normal(size=(4, 3)), 0.0, 1.0)
     shifted = residual_first_kind(free3.params, rel, G)
     ybar = shifted.x - rel.x
     lhs = action(free3, shifted)
@@ -143,7 +143,7 @@ def test_residual_first_kind_action_shift(free3, rng):
 def test_identity_suite_random(free3, rng):
     for _ in range(10):
         path = random_path(rng, 3)
-        G = GaugeField.random_bump(3, 0.0, 1.0, rng)
+        G = GaugeField.sine_modes(rng.normal(size=(4, 3)), 0.0, 1.0)
         res = identity_suite(free3, path, 0, 2, G)
         assert res, "suite must report identities"
         for name, val in res.items():
@@ -159,7 +159,7 @@ def test_identity_suite_zero_internal_field(free3, rng):
 
 def test_identity_suite_rejects_equal_anchors(free3, rng):
     path = random_path(rng, 3)
-    G = GaugeField.random_bump(3, 0.0, 1.0, rng)
+    G = GaugeField.sine_modes(rng.normal(size=(4, 3)), 0.0, 1.0)
     with pytest.raises(ValueError):
         identity_suite(free3, path, 1, 1, G)
 
@@ -249,7 +249,7 @@ def test_identity_suite_two_dimensional(rng):
     params = ModelParams(2, 2, np.array([1.0, 2.5]))
     model = LagrangianModel(params)
     path = random_path(rng, 4)
-    G = GaugeField.random_bump(4, 0.0, 1.0, rng)
+    G = GaugeField.sine_modes(rng.normal(size=(4, 4)), 0.0, 1.0)
     res = identity_suite(model, path, 0, 1, G)
     for name, val in res.items():
         assert val < 1e-9, name
@@ -352,7 +352,7 @@ def test_dress_suite_matches_per_probe_loop(n_particles, hbar):
     for _ in range(20):
         path = suite_path(rng, mp.dim)
         i, j = rng.choice(mp.n_particles, size=2, replace=False)
-        G = GaugeField.random_bump(mp.dim, 0.0, 1.0, rng)
+        G = GaugeField.sine_modes(rng.normal(size=(4, mp.dim)), 0.0, 1.0)
         for name, res in identity_suite(model, path, int(i), int(j), G).items():
             agg[name] = max(agg.get(name, 0.0), res)
     lag = ext = rule = 0.0

@@ -48,3 +48,15 @@ def test_pathint_run_loads_no_scipy_fft():
             "run_experiment('pathint', ModelParams(2, 1, [1.0, 2.0]), "
             "{'n_points': 64, 'n_slices': 4, 'n_points_2d': 32}, 1, None)")
     assert _fresh_modules(code, ("scipy.fft",)) == []
+
+
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_script_imports_resolve(path):
+    # loading a script runs its imports but not its main(): a library name
+    # that a script imports and that is renamed or deleted fails here
+    import runpy
+
+    assert "main" in runpy.run_path(str(path), run_name="not_main")
