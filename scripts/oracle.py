@@ -1,0 +1,156 @@
+#!/usr/bin/env python3
+"""Refactor oracle: run a fixed list of `cqm run` configs on one source tree
+and compare what two trees produced.
+
+    python scripts/oracle.py run TREE MANIFEST.json
+    python scripts/oracle.py diff OLD.json NEW.json
+
+`run` runs every config of `committed_configs()` on `TREE/src`, each in a fresh
+interpreter with one BLAS thread, and writes a manifest holding, per config,
+the exit code, every check's residual and verdict, the sha256 of the report
+body (the report without `timing`) and the sha256 of each artifact.  `diff`
+prints every residual that moved (old -> new), every verdict, body, artifact
+and exit code that differs, and exits 1 on any difference.  To compare a
+change with its parent, check the parent out beside the working tree, e.g.
+`git worktree add ../parent HEAD~1`, and run both trees.  The config list is
+the same for both: the `probe-heavy` configs are read from this checkout's
+`perfbench/workloads.py`.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import runpy
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+README_MODEL = {"n_particles": 2, "spatial_dim": 1, "masses": [1.0, 2.0], "hbar": 1.0}
+THREE_2D = {"n_particles": 3, "spatial_dim": 2, "masses": [1.0, 2.0, 0.5], "hbar": 1.0}
+ONE = {"n_particles": 1, "spatial_dim": 1, "masses": [1.0], "hbar": 1.0}
+FIELD_1D = {"times": [0.0, 0.25, 0.5, 0.75, 1.0],
+            "values": [[0.0], [0.3], [0.5], [0.3], [0.0]], "support": [0.0, 1.0]}
+FIELD_2D = {"times": [0.0, 0.2, 0.4, 0.6, 0.8, 1.0],
+            "values": [[0.0, 0.0], [0.2, -0.1], [0.5, -0.3], [0.4, -0.2],
+                       [0.1, 0.05], [0.0, 0.0]]}
+THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _config(model: dict, experiment: str, seed: int, params: dict | None = None) -> dict:
+    cfg = {"model": dict(model), "experiment": experiment, "seed": seed}
+    if params:
+        cfg["params"] = params
+    return cfg
+
+
+def committed_configs() -> dict[str, dict]:
+    """The oracle's config list, by name."""
+    readme = {"verify-cocycle": {"n_probes": 10000}}
+    configs = {f"readme-seed{seed}": _config(README_MODEL, "all", seed, readme)
+               for seed in (42, 7)}
+    workloads = runpy.run_path(str(REPO / "perfbench" / "workloads.py"))
+    for name, cfg in workloads["probe_heavy"](42):
+        configs[f"probe-heavy-{name}"] = cfg
+    configs["all-hbar0.7"] = _config(dict(README_MODEL, hbar=0.7), "all", 42)
+    for label, model in (("N3d2", THREE_2D), ("N1", ONE)):
+        for suite in ("verify-cocycle", "classical", "dress"):
+            configs[f"{label}-{suite}"] = _config(model, suite, 3)
+    configs["classical-field-1d"] = _config(ONE, "classical", 3,
+                                            {"classical": {"gauge_field": FIELD_1D}})
+    configs["classical-field-2d"] = _config(README_MODEL, "classical", 3,
+                                            {"classical": {"gauge_field": FIELD_2D}})
+    return configs
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_config(tree: Path, cfg: dict, workdir: Path) -> dict:
+    """One fresh `cqm run` of ``cfg`` on ``tree``'s sources: its manifest entry."""
+    workdir.mkdir(parents=True)
+    cfg_path, out = workdir / "config.json", workdir / "out"
+    cfg_path.write_text(json.dumps(cfg))
+    env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"),
+               **{name: "1" for name in THREADS})
+    proc = subprocess.run([sys.executable, "-m", "cqm.cli", "run", str(cfg_path),
+                           "--out", str(out)], env=env, capture_output=True)
+    entry = {"exit": proc.returncode, "checks": {}, "body": None, "artifacts": {}}
+    report_path = out / "report.json"
+    if report_path.exists():
+        report = json.loads(report_path.read_text())
+        report.pop("timing", None)
+        entry["body"] = _sha256(json.dumps(report, sort_keys=True).encode())
+        for suite, e in report["experiments"].items():
+            for c in e["checks"]:
+                entry["checks"][f"{suite}/{c['name']}"] = [c["residual"], c["passed"]]
+        entry["artifacts"] = {
+            p.relative_to(out).as_posix(): _sha256(p.read_bytes())
+            for p in sorted(out.rglob("*")) if p.is_file() and p != report_path}
+    return entry
+
+
+def run_configs(tree: Path, configs: dict[str, dict]) -> dict:
+    """The manifest of every config in ``configs`` run on ``tree``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return {"tree": str(tree),
+                "configs": {name: run_config(tree, cfg, Path(tmp) / name)
+                            for name, cfg in configs.items()}}
+
+
+def _verdict(entry: list | None) -> str:
+    return "absent" if entry is None else f"{entry[0]!r} ({'pass' if entry[1] else 'FAIL'})"
+
+
+def diff_manifests(old: dict, new: dict) -> list[str]:
+    """One line per difference between two manifests; empty when they agree."""
+    lines = []
+    old_cfg, new_cfg = old["configs"], new["configs"]
+    for name in sorted(old_cfg.keys() | new_cfg.keys()):
+        if name not in old_cfg or name not in new_cfg:
+            lines.append(f"{name}: only in the {'new' if name in new_cfg else 'old'} manifest")
+            continue
+        a, b = old_cfg[name], new_cfg[name]
+        if a["exit"] != b["exit"]:
+            lines.append(f"{name}: exit {a['exit']} -> {b['exit']}")
+        if a["body"] != b["body"]:
+            lines.append(f"{name}: report body differs")
+        for check in sorted(a["checks"].keys() | b["checks"].keys()):
+            ra, rb = a["checks"].get(check), b["checks"].get(check)
+            if ra != rb:
+                lines.append(f"{name}: {check} {_verdict(ra)} -> {_verdict(rb)}")
+        for art in sorted(a["artifacts"].keys() | b["artifacts"].keys()):
+            if a["artifacts"].get(art) != b["artifacts"].get(art):
+                lines.append(f"{name}: artifact {art} differs")
+    return lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = ap.add_subparsers(dest="command", required=True)
+    p_run = sub.add_parser("run", help="run the config list on one source tree")
+    p_run.add_argument("tree", type=Path)
+    p_run.add_argument("manifest", type=Path)
+    p_diff = sub.add_parser("diff", help="compare two manifests")
+    p_diff.add_argument("old", type=Path)
+    p_diff.add_argument("new", type=Path)
+    args = ap.parse_args(argv)
+    if args.command == "run":
+        manifest = run_configs(args.tree, committed_configs())
+        args.manifest.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+        print(f"{len(manifest['configs'])} configs -> {args.manifest}")
+        return 0
+    old, new = (json.loads(p.read_text()) for p in (args.old, args.new))
+    lines = diff_manifests(old, new)
+    for line in lines:
+        print(line)
+    print(f"{len(new['configs'])} configs, {len(lines)} differences")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -104,14 +104,16 @@ class DiscretePath:
 
     @classmethod
     def straight(cls, p0: Config, p1: Config, M: int) -> "DiscretePath":
+        """Uniform straight path from p0 to p1; an (n, dim) batch p1.x gives
+        the (n, M+1, dim) stack of paths to each of its rows."""
         if not p1.t > p0.t:
             raise ValueError("endpoint times must satisfy t1 > t0")
         if M < 1:
             raise ValueError("a path needs at least one interval (M >= 1)")
         t = np.linspace(p0.t, p1.t, M + 1)
         s = ((t - p0.t) / (p1.t - p0.t))[:, None]
-        x = p0.x[None, :] + s * (p1.x - p0.x)[None, :]
-        x[-1] = p1.x
+        x = p0.x[None, :] + s * (p1.x - p0.x)[..., None, :]
+        x[..., -1, :] = p1.x
         return cls.from_nodes(t, x)
 
 
@@ -316,9 +318,8 @@ def hpf_table(model: LagrangianModel, p0: Config, t_grid, x_grid, M: int = 64,
     One-dimensional configuration space only (the table is a surface).  With
     a potential each entry re-solves the boundary-value problem.  A free
     model's critical paths are the straight lines of ``DiscretePath.straight``,
-    so the whole table is built as one ``(nt, nx, M+1)`` array of nodes and
-    its discrete action is evaluated in one pass, with the same float
-    operations as ``hpf_value`` per entry (the table is bit-identical).
+    so each table time's row is one ``action`` of the stack of straight paths
+    to every ``x_grid`` point, bit-identical to ``hpf_value`` per entry.
     """
     if model.params.dim != 1 or p0.dim != 1:
         raise ValueError("hpf_table requires a one-dimensional configuration space")
@@ -335,22 +336,9 @@ def hpf_table(model: LagrangianModel, p0: Config, t_grid, x_grid, M: int = 64,
         for i, tv in enumerate(t_grid):
             for j, xv in enumerate(x_grid):
                 S[i, j] = hpf_value(model, p0, Config(tv, [xv]), M=M, tol=tol)
-        return HPFSample(p0.t, p0.x, t_grid, x_grid, S)
-    if M < 1:
-        raise ValueError("a path needs at least one interval (M >= 1)")
-    t = np.linspace(p0.t, t_grid, M + 1, axis=-1)
-    dt = np.diff(t, axis=-1)
-    if not np.all(dt > 0):
-        raise ValueError("times must be strictly increasing")
-    s = (t - p0.t) / (t_grid - p0.t)[:, None]
-    x0 = p0.x[0]
-    x = x0 + s[:, None, :] * (x_grid - x0)[None, :, None]
-    x[..., -1] = x_grid
-    dx = np.diff(x, axis=-1)
-    terms = ((0.5 * (dx * dx)) * model.params.mass_vector[0]) / dt[:, None, :]
-    # a row sum of the C-contiguous 2-D view is numpy's pairwise sum, the one
-    # action() takes per path; a last-axis sum over the 3-D array is not
-    S = terms.reshape(-1, M).sum(axis=-1).reshape(t_grid.size, x_grid.size)
+    else:
+        S = np.array([action(model, DiscretePath.straight(
+            p0, Config(tv, x_grid[:, None]), M)) for tv in t_grid])
     return HPFSample(p0.t, p0.x, t_grid, x_grid, S)
 
 

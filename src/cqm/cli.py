@@ -201,6 +201,11 @@ def _cmd_run(args) -> int:
         for key in sorted(set(sub) - {p.name for p in REGISTRY[name].params}):
             print(f"warning: unknown parameter {name}.{key} ignored", file=sys.stderr)
     out_dir = Path(args.out if args.out is not None else cfg.get("out_dir", "results"))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: cannot create output directory: {exc}", file=sys.stderr)
+        return 2
     report = run_from_config(cfg, out_dir)
     path = _write_report(report, out_dir)
     n_checks = sum(len(e["checks"]) for e in report["experiments"].values())

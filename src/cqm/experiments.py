@@ -438,8 +438,10 @@ def _suite_quantum(model_params: ModelParams, params: dict,
     if out is not None:
         qgrid.write_wavegrid(out / "packet.cqmw", spread)
         qgrid.density_csv(out / "packet_density.csv", spread)
-        roundtrip = qgrid.read_wavegrid(out / "packet.cqmw")
-        assert np.array_equal(roundtrip.amplitudes, spread.amplitudes)
+        back = qgrid.read_wavegrid(out / "packet.cqmw")
+        if not (back.spec == spread.spec and back.t == spread.t
+                and np.array_equal(back.amplitudes, spread.amplitudes)):
+            raise RuntimeError("packet.cqmw does not read back as written")
     return checks
 
 

@@ -28,7 +28,6 @@ on the central half-box, away from wrap-around artifacts.
 from __future__ import annotations
 
 import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +35,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .classical import HPFSample
 from .cocycle import LagrangianModel
-from .qgrid import (GridSpec, WaveGrid, _fft_plan, _read_amplitudes,
-                    _read_grid_block, _read_header, _unpack, _write_grid_block,
-                    _write_header)
+from .qgrid import (GridSpec, WaveGrid, _fft_plan, _read_artifact,
+                    _write_artifact)
 
 __all__ = [
     "SliceScheme",
@@ -440,25 +438,17 @@ def propagate_wavefunction(kernel: PropagatorKernel, psi0: WaveGrid) -> WaveGrid
 
 
 def write_kernel(fname, kernel: PropagatorKernel) -> None:
-    """Binary layout: wave-style header for the output grid and t1, the input
-    grid block and t0, f64 mass and hbar, then the row-major complex matrix."""
-    with open(fname, "wb") as fh:
-        _write_header(fh, kernel.grid, kernel.t1)
-        _write_grid_block(fh, kernel.grid, kernel.t0)
-        fh.write(struct.pack("<dd", kernel.mass, kernel.hbar))
-        fh.write(np.ascontiguousarray(kernel.matrix).astype("<c16").tobytes())
+    """Binary layout: the output grid with t1, the input grid with t0, mass
+    and hbar, then the row-major complex matrix (README "File formats")."""
+    _write_artifact(fname, [(kernel.grid, kernel.t1), (kernel.grid, kernel.t0)],
+                    (kernel.mass, kernel.hbar), kernel.matrix)
 
 
 def read_kernel(fname) -> PropagatorKernel:
-    with open(fname, "rb") as fh:
-        grid, t1 = _read_header(fh)
-        grid_in, t0 = _read_grid_block(fh)
-        if grid_in != grid:
-            raise ValueError("kernel input grid does not match its output grid")
-        mass, hbar = _unpack(fh, "<dd")
-        n = grid.shape[0]
-        return PropagatorKernel(_read_amplitudes(fh, (n, n)), grid, t0, t1,
-                                mass, hbar)
+    [(grid, t1), (grid_in, t0)], (mass, hbar), matrix = _read_artifact(fname, 2, 2)
+    if grid_in != grid:
+        raise ValueError("kernel input grid does not match its output grid")
+    return PropagatorKernel(matrix, grid, t0, t1, mass, hbar)
 
 
 def kernel_slices_csv(fname, kernel: PropagatorKernel) -> None:

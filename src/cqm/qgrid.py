@@ -506,71 +506,65 @@ def meta_action(psi_series: list[WaveGrid], hpf: HPFSample, direction,
                    * psi.spec.cell_volume)
 
 
-# Binary layout shared by .cqmw and .cqmk (little-endian): "CQMW", u32
-# version, then a grid block {u32 ndim, per axis (f64 lo, f64 hi, u32 n),
-# f64 t}; a kernel file adds a second grid block and its own fields.
+# Binary layout of both artifacts (little-endian): "CQMW", u32 version, one
+# grid block per axis set {u32 ndim, per axis (f64 lo, f64 hi, u32 n), f64 t},
+# f64 scalars, then the row-major complex payload over every block's axes.
+# A snapshot is one block and no scalars; a kernel is (grid, t1), (grid, t0)
+# and (mass, hbar).
 
-def _write_grid_block(fh, spec: GridSpec, t: float) -> None:
-    fh.write(struct.pack("<I", spec.ndim))
-    for lo, hi, n in spec.axes:
-        fh.write(struct.pack("<ddI", lo, hi, n))
-    fh.write(struct.pack("<d", t))
-
-
-def _write_header(fh, spec: GridSpec, t: float) -> None:
-    fh.write(_MAGIC)
-    fh.write(struct.pack("<I", _VERSION))
-    _write_grid_block(fh, spec, t)
-
-
-def _read_exact(fh, size: int) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
-        raise ValueError(f"truncated file: expected {size} bytes at offset "
-                         f"{fh.tell() - len(data)}, got {len(data)}")
-    return data
+def _write_artifact(fname, blocks, scalars, payload) -> None:
+    """Write ``blocks`` ((GridSpec, t) pairs), f64 ``scalars`` and ``payload``."""
+    with open(fname, "wb") as fh:
+        fh.write(_MAGIC + struct.pack("<I", _VERSION))
+        for spec, t in blocks:
+            fh.write(struct.pack("<I", spec.ndim))
+            for lo, hi, n in spec.axes:
+                fh.write(struct.pack("<ddI", lo, hi, n))
+            fh.write(struct.pack("<d", t))
+        fh.write(struct.pack(f"<{len(scalars)}d", *scalars))
+        fh.write(np.ascontiguousarray(payload).astype("<c16").tobytes())
 
 
-def _unpack(fh, fmt: str) -> tuple:
-    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt)))
+def _read_artifact(fname, n_blocks: int, n_scalars: int):
+    """Read ``(blocks, scalars, payload)``; the payload's shape is the blocks'
+    grid shapes concatenated, and anything after it is an error."""
+    with open(fname, "rb") as fh:
+        def take(fmt):
+            size = struct.calcsize(fmt)
+            data = fh.read(size)
+            if len(data) != size:
+                raise ValueError(f"truncated file: expected {size} bytes at "
+                                 f"offset {fh.tell() - len(data)}, got {len(data)}")
+            return struct.unpack(fmt, data)
 
-
-def _read_grid_block(fh) -> tuple[GridSpec, float]:
-    (ndim,) = _unpack(fh, "<I")
-    axes = tuple(_unpack(fh, "<ddI") for _ in range(ndim))
-    (t,) = _unpack(fh, "<d")
-    return GridSpec(axes), t
-
-
-def _read_header(fh) -> tuple[GridSpec, float]:
-    if fh.read(4) != _MAGIC:
-        raise ValueError("not a cqm binary file")
-    (version,) = _unpack(fh, "<I")
-    if version != _VERSION:
-        raise ValueError(f"unsupported format version {version}")
-    return _read_grid_block(fh)
-
-
-def _read_amplitudes(fh, shape: tuple[int, ...]) -> np.ndarray:
-    """Read the payload that ends every file; anything after it is an error."""
-    data = _read_exact(fh, 16 * int(np.prod(shape)))
-    extra = len(fh.read())
-    if extra:
-        raise ValueError(f"{extra} trailing bytes after the payload")
-    return np.frombuffer(data, dtype="<c16").reshape(shape).copy()
+        if fh.read(4) != _MAGIC:
+            raise ValueError("not a cqm binary file")
+        (version,) = take("<I")
+        if version != _VERSION:
+            raise ValueError(f"unsupported format version {version}")
+        blocks = []
+        for _ in range(n_blocks):
+            (ndim,) = take("<I")
+            axes = tuple(take("<ddI") for _ in range(ndim))
+            (t,) = take("<d")
+            blocks.append((GridSpec(axes), t))
+        scalars = take(f"<{n_scalars}d")
+        shape = sum((spec.shape for spec, _ in blocks), ())
+        (data,) = take(f"<{16 * int(np.prod(shape))}s")
+        extra = len(fh.read())
+        if extra:
+            raise ValueError(f"{extra} trailing bytes after the payload")
+    return blocks, scalars, np.frombuffer(data, dtype="<c16").reshape(shape).copy()
 
 
 def write_wavegrid(fname, psi: WaveGrid) -> None:
-    """Binary snapshot: header, then interleaved re/im f64 amplitudes."""
-    with open(fname, "wb") as fh:
-        _write_header(fh, psi.spec, psi.t)
-        fh.write(np.ascontiguousarray(psi.amplitudes).astype("<c16").tobytes())
+    """Binary snapshot: header and one grid block, then the amplitudes."""
+    _write_artifact(fname, [(psi.spec, psi.t)], (), psi.amplitudes)
 
 
 def read_wavegrid(fname) -> WaveGrid:
-    with open(fname, "rb") as fh:
-        spec, t = _read_header(fh)
-        return WaveGrid(spec, t, _read_amplitudes(fh, spec.shape))
+    [(spec, t)], _, amplitudes = _read_artifact(fname, 1, 0)
+    return WaveGrid(spec, t, amplitudes)
 
 
 def density_csv(fname, psi: WaveGrid) -> None:

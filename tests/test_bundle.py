@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,6 +175,18 @@ def test_gauge_field_json_roundtrip():
     G2 = GaugeField.from_dict(G.to_dict())
     assert np.array_equal(G.values, G2.values)
     assert G.support == G2.support
+
+
+@settings(max_examples=200, deadline=None)
+@given(gauge_fields())
+def test_gauge_field_json_roundtrip_property(G):
+    # gauge_fields() draws fields with and without a support window
+    back = GaugeField.from_dict(json.loads(json.dumps(G.to_dict())))
+    for name in ("times", "values"):
+        got, want = getattr(back, name), getattr(G, name)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert repr(back.support) == repr(G.support)
 
 
 def test_decompose_particle_anchor():

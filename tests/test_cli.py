@@ -312,6 +312,52 @@ def test_infinite_gauge_field_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("via", ["--out", "out_dir"])
+@pytest.mark.parametrize("under", [False, True])
+def test_uncreatable_out_dir_exits_2(tmp_path, capsys, via, under):
+    # an existing file, or a path under one: one config error line, no suite runs
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    target = blocker / "sub" if under else blocker
+    cfg = {"model": MINI_MODEL, "experiment": "verify-cocycle", "seed": 7,
+           "params": {"verify-cocycle": {"n_probes": 10}}}
+    argv = ["run"]
+    if via == "out_dir":
+        cfg["out_dir"] = str(target)
+    else:
+        argv += ["--out", str(target)]
+    assert main(argv[:1] + [str(_write(tmp_path, cfg))] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: cannot create output directory")
+    assert captured.err.count("\n") == 1
+    assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("field", ["amplitudes", "t"])
+def test_quantum_read_back_mismatch_is_a_suite_error(tmp_path, monkeypatch, field):
+    # the packet.cqmw round trip is an explicit check, so `python -O` keeps it
+    from dataclasses import replace
+
+    from cqm import qgrid
+
+    real = qgrid.read_wavegrid
+
+    def perturbed(fname):
+        back = real(fname)
+        if field == "t":
+            return replace(back, t=back.t + 1e-12)
+        return replace(back, amplitudes=back.amplitudes * (1 + 1e-15))
+
+    monkeypatch.setattr(qgrid, "read_wavegrid", perturbed)
+    cfg = {"model": MINI_MODEL, "experiment": "quantum", "seed": 5,
+           "params": {"quantum": {"n_points": 64, "norm_steps": 10}}}
+    quantum = run_from_config(cfg, tmp_path / "out")["experiments"]["quantum"]
+    assert quantum["checks"] == [{"name": "suite-error", "law": "RuntimeError",
+                                  "residual": 1.0, "tol": 0.0, "passed": False}]
+    assert quantum["error"] == "packet.cqmw does not read back as written"
+
+
 @pytest.mark.parametrize("suite, module, func, names", [
     ("verify-cocycle", "cocycle", "path_cocycle",
      ["phase-composition", "phase-unit-modulus"]),

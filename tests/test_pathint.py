@@ -3,6 +3,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cqm import pathint
 from cqm.bundle import Config, ModelParams
@@ -514,6 +516,46 @@ def test_kernel_grid_blocks_must_match(tmp_path, kernel256):
     struct.pack_into("<d", data, 44, -14.0)  # lo of the second grid block
     f.write_bytes(bytes(data))
     with pytest.raises(ValueError, match="input grid"):
+        read_kernel(f)
+
+
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def _ordered_pair():
+    return st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2,
+                    unique=True).map(sorted)
+
+
+@st.composite
+def kernels(draw):
+    # version 1 keeps no frame or anchor: bare kernels only, until version 2
+    lo, hi = draw(_ordered_pair())
+    grid = GridSpec(((lo, hi, draw(st.integers(8, 10))),))
+    t0, t1 = draw(_ordered_pair())
+    n = grid.shape[0]
+    matrix = draw(arrays(np.complex128, (n, n), elements=st.complex_numbers(
+        allow_nan=False, allow_infinity=False)))
+    return PropagatorKernel(matrix, grid, t0, t1, draw(positive), draw(positive))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernels(), st.data())
+def test_kernel_roundtrip_property(tmp_path_factory, kernel, data):
+    f = tmp_path_factory.mktemp("cqmk") / "kernel.cqmk"
+    write_kernel(f, kernel)
+    back = read_kernel(f)
+    # repr tells -0.0 from 0.0: every field comes back exactly
+    for name in ("grid", "t0", "t1", "mass", "hbar", "frame", "anchor"):
+        assert repr(getattr(back, name)) == repr(getattr(kernel, name))
+    assert np.array_equal(back.matrix.view(np.uint64), kernel.matrix.view(np.uint64))
+    raw = f.read_bytes()
+    f.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1), label="cut")])
+    with pytest.raises(ValueError):
+        read_kernel(f)
+    k = data.draw(st.integers(1, 64), label="appended")
+    f.write_bytes(raw + bytes(k))
+    with pytest.raises(ValueError, match=f"^{k} trailing bytes"):
         read_kernel(f)
 
 
