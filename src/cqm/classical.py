@@ -16,7 +16,6 @@ a stack gives the per-history values, bit for bit.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -43,8 +42,6 @@ __all__ = [
     "free_hpf",
     "flat_connection",
     "flat_connection_curl",
-    "path_to_csv",
-    "hpf_to_csv",
 ]
 
 
@@ -369,22 +366,3 @@ def flat_connection_curl(conn: FlatCocyclicConnection) -> float:
     d_x_wt = np.gradient(conn.coeff_t, conn.x_grid, axis=1)
     d_t_wx = np.gradient(conn.coeff_x, conn.t_grid, axis=0)
     return float(np.abs(d_x_wt - d_t_wx)[1:-1, 1:-1].max())
-
-
-def path_to_csv(path: DiscretePath, fname) -> None:
-    with open(fname, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tau", "t"] + [f"x_{i+1}" for i in range(path.dim)])
-        for k in range(path.t.size):
-            w.writerow([repr(float(path.tau[k])), repr(float(path.t[k]))] +
-                       [repr(float(v)) for v in path.x[k]])
-
-
-def hpf_to_csv(hpf: HPFSample, fname) -> None:
-    with open(fname, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "x", "S"])
-        for i, tv in enumerate(hpf.t_grid):
-            for j, xv in enumerate(hpf.x_grid):
-                w.writerow([repr(float(tv)), repr(float(xv)),
-                            repr(float(hpf.S[i, j]))])

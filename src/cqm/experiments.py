@@ -10,6 +10,7 @@ one call; no suite loops over random probes.
 """
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -103,6 +104,16 @@ def _worst(residuals) -> float:
     return float(np.max(residuals))
 
 
+def _write_csv(fname, header, *columns) -> None:
+    """Write a table: the header row, then row k of every column.
+
+    Floats are written as their shortest repr, which reads back exactly;
+    commas and CRLF line ends (the csv module's default dialect, RFC 4180).
+    """
+    with open(fname, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *zip(*(np.asarray(c).tolist() for c in columns))])
+
+
 # ----------------------------------------------------------------------
 # cocycle suite
 
@@ -169,11 +180,8 @@ def _suite_verify_cocycle(model_params: ModelParams, params: dict,
                         group_worst, 1e-13))
 
     if out is not None:
-        with open(out / "residuals.csv", "w") as fh:
-            fh.write("stat,value\n")
-            fh.write(f"max,{float(residuals.max())!r}\n")
-            fh.write(f"mean,{float(residuals.mean())!r}\n")
-            fh.write(f"p99,{float(np.quantile(residuals, 0.99))!r}\n")
+        _write_csv(out / "residuals.csv", ["stat", "value"], ["max", "mean", "p99"],
+                   [residuals.max(), residuals.mean(), np.quantile(residuals, 0.99)])
     return checks
 
 
@@ -299,7 +307,9 @@ def _suite_classical(model_params: ModelParams, params: dict,
                         float(max(abs(r - 4.0) for r in ratios)), 0.5))
 
     if out is not None:
-        classical.path_to_csv(crit, out / "harmonic_critical_path.csv")
+        _write_csv(out / "harmonic_critical_path.csv",
+                   ["tau", "t"] + [f"x_{i + 1}" for i in range(crit.dim)],
+                   crit.tau, crit.t, *crit.x.T)
     return checks
 
 
@@ -344,7 +354,8 @@ def _suite_hpf(model_params: ModelParams, params: dict,
                         1e-12))
 
     if out is not None:
-        classical.hpf_to_csv(hpf, out / "hpf.csv")
+        _write_csv(out / "hpf.csv", ["t", "x", "S"], np.repeat(t_grid, nx),
+                   np.tile(x_grid, nt), hpf.S.ravel())
     return checks
 
 
@@ -437,7 +448,8 @@ def _suite_quantum(model_params: ModelParams, params: dict,
 
     if out is not None:
         qgrid.write_wavegrid(out / "packet.cqmw", spread)
-        qgrid.density_csv(out / "packet_density.csv", spread)
+        _write_csv(out / "packet_density.csv", ["axis", "x", "density"],
+                   np.zeros(n, int), x, dens / spec.spacing(0))
         back = qgrid.read_wavegrid(out / "packet.cqmw")
         if not (back.spec == spread.spec and back.t == spread.t
                 and np.array_equal(back.amplitudes, spread.amplitudes)):
@@ -463,10 +475,8 @@ def _suite_boost(model_params: ModelParams, params: dict,
     checks.append(Check("boost-refinement-decrease", "boost-wavefunction-phase",
                         float(max(ratios)), 1.0))
     if out is not None:
-        with open(out / "boost_errors.csv", "w") as fh:
-            fh.write("n,error\n")
-            for n, e in errs.items():
-                fh.write(f"{n},{e!r}\n")
+        _write_csv(out / "boost_errors.csv", ["n", "error"], list(errs),
+                   list(errs.values()))
     return checks
 
 
@@ -747,7 +757,11 @@ def _suite_pathint(model_params: ModelParams, params: dict,
                         _infidelity(lhs.amplitudes, rhs.amplitudes), 1e-3))
 
     if out is not None:
-        pathint.kernel_slices_csv(out / "kernel_slices.csv", kernel)
+        # the central row and column of |K| and arg K
+        slices = np.concatenate((kernel.matrix[n // 2, :], kernel.matrix[:, n // 2]))
+        _write_csv(out / "kernel_slices.csv", ["which", "x", "abs_K", "arg_K"],
+                   ["row"] * n + ["col"] * n, np.tile(x, 2), np.abs(slices),
+                   np.angle(slices))
         pathint.write_kernel(out / "kernel.cqmk", kernel)
     return checks
 

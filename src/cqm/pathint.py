@@ -49,7 +49,6 @@ __all__ = [
     "propagate_wavefunction",
     "write_kernel",
     "read_kernel",
-    "kernel_slices_csv",
 ]
 
 
@@ -449,19 +448,3 @@ def read_kernel(fname) -> PropagatorKernel:
     if grid_in != grid:
         raise ValueError("kernel input grid does not match its output grid")
     return PropagatorKernel(matrix, grid, t0, t1, mass, hbar)
-
-
-def kernel_slices_csv(fname, kernel: PropagatorKernel) -> None:
-    """Central row and column of |K| and arg K versus position."""
-    import csv as _csv
-
-    x = kernel.grid.coords(0)
-    mid = x.size // 2
-    with open(fname, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["which", "x", "abs_K", "arg_K"])
-        for label, vec in (("row", kernel.matrix[mid, :]),
-                           ("col", kernel.matrix[:, mid])):
-            for xv, kv in zip(x, vec):
-                w.writerow([label, repr(float(xv)),
-                            repr(float(np.abs(kv))), repr(float(np.angle(kv)))])

@@ -43,7 +43,6 @@ __all__ = [
     "meta_action",
     "write_wavegrid",
     "read_wavegrid",
-    "density_csv",
 ]
 
 _MAGIC = b"CQMW"
@@ -565,18 +564,3 @@ def write_wavegrid(fname, psi: WaveGrid) -> None:
 def read_wavegrid(fname) -> WaveGrid:
     [(spec, t)], _, amplitudes = _read_artifact(fname, 1, 0)
     return WaveGrid(spec, t, amplitudes)
-
-
-def density_csv(fname, psi: WaveGrid) -> None:
-    """Per-axis |psi|^2 marginals (integrated over the other axes)."""
-    import csv as _csv
-
-    with open(fname, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["axis", "x", "density"])
-        dens = np.abs(psi.amplitudes) ** 2
-        for a in range(psi.spec.ndim):
-            other = tuple(b for b in range(psi.spec.ndim) if b != a)
-            marg = dens.sum(axis=other) * psi.spec.cell_volume / psi.spec.spacing(a)
-            for xv, dv in zip(psi.spec.coords(a), marg):
-                w.writerow([a, repr(float(xv)), repr(float(dv))])

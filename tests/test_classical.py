@@ -5,8 +5,8 @@ from cqm.bundle import Config, GaugeField, ModelParams, Shift
 from cqm.classical import (DiscretePath, HPFSample, action,
                            action_gauge_split, action_gauge_transformed,
                            el_residual, flat_connection, flat_connection_curl,
-                           free_hpf, hpf_table, hpf_to_csv, hpf_value,
-                           noether_charge, path_to_csv, shift_path_nodes,
+                           free_hpf, hpf_table, hpf_value,
+                           noether_charge, shift_path_nodes,
                            solve_critical_path)
 from cqm.cocycle import LagrangianModel, path_cocycle
 from conftest import random_path
@@ -290,24 +290,6 @@ def test_flat_connection_grid_too_small():
                     np.linspace(-1, 1, 5), np.zeros((2, 5)))
     with pytest.raises(ValueError):
         flat_connection(hpf, 1.0)
-
-
-def test_csv_exports(tmp_path, free1):
-    path = DiscretePath.straight(Config(0.0, [0.0]), Config(1.0, [1.0]), 4)
-    f = tmp_path / "path.csv"
-    path_to_csv(path, f)
-    rows = f.read_text().strip().splitlines()
-    assert rows[0] == "tau,t,x_1"
-    assert len(rows) == 6
-    assert float(rows[-1].split(",")[2]) == 1.0
-
-    hpf = hpf_table(free1, Config(0.0, [0.0]), np.linspace(10, 11, 3),
-                    np.linspace(-1, 1, 3), M=4)
-    f2 = tmp_path / "hpf.csv"
-    hpf_to_csv(hpf, f2)
-    rows = f2.read_text().strip().splitlines()
-    assert rows[0] == "t,x,S"
-    assert len(rows) == 10
 
 
 def test_newton_solve_coupled_quadratic():

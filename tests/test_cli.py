@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -6,11 +7,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cqm
 from cqm import pathint
+from cqm.bundle import Config, ModelParams
+from cqm.classical import hpf_table, solve_critical_path
 from cqm.cli import ConfigError, load_config, main, run_from_config, validate_config
-from cqm.experiments import REGISTRY
+from cqm.cocycle import LagrangianModel
+from cqm.experiments import REGISTRY, _harmonic_model, _write_csv
+from cqm.pathint import read_kernel
+from cqm.qgrid import read_wavegrid
 
 MINI_MODEL = {"n_particles": 2, "spatial_dim": 1, "masses": [1.0, 2.0], "hbar": 1.0}
 
@@ -523,6 +530,93 @@ def _small_all(seed=6):
 def _body(report):
     return json.dumps({k: v for k, v in report.items() if k != "timing"},
                       sort_keys=True)
+
+
+def _table(path, header, n_rows) -> list[list[str]]:
+    """The data rows of a CSV artifact, after checking its CRLF line ends,
+    its header and its row count."""
+    raw = path.read_bytes()
+    assert raw.count(b"\n") == raw.count(b"\r\n") == 1 + n_rows
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == header
+    assert len(rows) == 1 + n_rows
+    return rows[1:]
+
+
+def _columns(rows, start=0) -> np.ndarray:
+    """The fields from column ``start`` on, each read with ``float``, by column."""
+    return np.array([[float(v) for v in r[start:]] for r in rows]).T
+
+
+def test_table_artifacts(tmp_path):
+    # every CSV table of a run, read back against the data it was written from
+    out = tmp_path / "out"
+    report = run_from_config(_small_all(), out)
+    residual = {f"{name}/{c['name']}": c["residual"]
+                for name, e in report["experiments"].items() for c in e["checks"]}
+
+    rows = _table(out / "verify-cocycle" / "residuals.csv", ["stat", "value"], 3)
+    assert [r[0] for r in rows] == ["max", "mean", "p99"]
+    top, mean, p99 = _columns(rows, 1)[0]
+    assert top == residual["verify-cocycle/composition-identity"]
+    assert mean <= top and p99 <= top
+
+    rows = _table(out / "boost" / "boost_errors.csv", ["n", "error"], 3)
+    assert [r[0] for r in rows] == ["512", "1024", "2048"]
+    assert float(rows[1][1]) == residual["boost/boost-covariance-1024"]
+
+    M = SMALL_PARAMS["classical"]["M"]
+    crit = solve_critical_path(_harmonic_model(), Config(0.0, [0.0]),
+                               Config(np.pi / 2, [1.0]), M, tol=1e-11)
+    tau, t, x = _columns(_table(out / "classical" / "harmonic_critical_path.csv",
+                                ["tau", "t", "x_1"], M + 1))
+    assert np.array_equal(tau, crit.tau) and np.array_equal(t, crit.t)
+    assert np.array_equal(x, crit.x[:, 0])
+    assert np.abs(x - np.sin(t)).max() == residual[f"classical/harmonic-node-error-M{M}"]
+
+    nt, nx = SMALL_PARAMS["hpf"]["nt"], SMALL_PARAMS["hpf"]["nx"]
+    hpf = hpf_table(LagrangianModel(ModelParams(1, 1, np.array([1.0]))), Config(0.0, [0.0]),
+                    np.linspace(10.0, 11.0, nt), np.linspace(-1.0, 1.0, nx), M=16)
+    t, x, S = _columns(_table(out / "hpf" / "hpf.csv", ["t", "x", "S"], nt * nx)).reshape(3, nt, nx)
+    assert np.array_equal(t, np.broadcast_to(hpf.t_grid[:, None], (nt, nx)))
+    assert np.array_equal(x, np.broadcast_to(hpf.x_grid, (nt, nx)))
+    assert np.array_equal(S, hpf.S)
+
+    n = SMALL_PARAMS["quantum"]["n_points"]
+    psi = read_wavegrid(out / "quantum" / "packet.cqmw")
+    h = psi.spec.spacing(0)
+    rows = _table(out / "quantum" / "packet_density.csv", ["axis", "x", "density"], n)
+    assert {r[0] for r in rows} == {"0"}
+    x, dens = _columns(rows, 1)
+    assert np.array_equal(x, psi.spec.coords(0))
+    assert np.array_equal(dens, np.abs(psi.amplitudes) ** 2 * psi.spec.cell_volume / h)
+    assert dens.sum() * h == pytest.approx(1.0, abs=1e-10)
+
+    n = SMALL_PARAMS["pathint"]["n_points"]
+    kernel = read_kernel(out / "pathint" / "kernel.cqmk")
+    rows = _table(out / "pathint" / "kernel_slices.csv", ["which", "x", "abs_K", "arg_K"], 2 * n)
+    assert [r[0] for r in rows] == ["row"] * n + ["col"] * n
+    x, mod, arg = _columns(rows, 1)
+    slices = np.concatenate((kernel.matrix[n // 2, :], kernel.matrix[:, n // 2]))
+    assert np.array_equal(x, np.tile(kernel.grid.coords(0), 2))
+    assert np.array_equal(mod, np.abs(slices))
+    assert np.array_equal(arg, np.angle(slices))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(
+    st.floats(allow_nan=False, allow_infinity=False), st.integers(-2**63, 2**63 - 1),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8)), max_size=20))
+def test_write_csv_round_trip(tmp_path_factory, rows):
+    fname = tmp_path_factory.mktemp("csv") / "table.csv"
+    floats, ints, texts = (list(c) for c in zip(*rows)) if rows else ([], [], [])
+    _write_csv(fname, ["f", "i", "s"], floats, ints, texts)
+    back = _table(fname, ["f", "i", "s"], len(rows))
+    # float.hex tells -0.0 from 0.0 and keeps every subnormal bit
+    assert [float(r[0]).hex() for r in back] == [v.hex() for v in floats]
+    assert [int(r[1]) for r in back] == ints
+    assert [r[2] for r in back] == texts
 
 
 def test_concurrent_suites_give_the_serial_body(monkeypatch):

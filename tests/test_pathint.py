@@ -15,7 +15,7 @@ from cqm.pathint import (PropagatorKernel, SliceScheme, _alias_safe_oversampling
                          _chain, _free_kernel_row, _next_fast_len,
                          _quadrature_weight,
                          classical_split, compose_kernels, free_kernel_exact,
-                         kernel_slices_csv, propagate_wavefunction,
+                         propagate_wavefunction,
                          read_kernel, relational_propagator,
                          sliced_propagator, write_kernel)
 from cqm.qgrid import (GridSpec, HamiltonianSpec, WaveGrid, _fft_plan, evolve,
@@ -557,14 +557,6 @@ def test_kernel_roundtrip_property(tmp_path_factory, kernel, data):
     f.write_bytes(raw + bytes(k))
     with pytest.raises(ValueError, match=f"^{k} trailing bytes"):
         read_kernel(f)
-
-
-def test_kernel_csv(tmp_path, kernel256):
-    f = tmp_path / "slices.csv"
-    kernel_slices_csv(f, kernel256)
-    rows = f.read_text().strip().splitlines()
-    assert rows[0] == "which,x,abs_K,arg_K"
-    assert len(rows) == 1 + 2 * 256
 
 
 def test_relational_split_normalization(grid256):

@@ -9,7 +9,7 @@ from cqm.cocycle import CocycleAccumulator, path_cocycle
 from cqm.dressing import frame_shift
 from cqm.qgrid import (GridSpec, HamiltonianSpec, WaveGrid,
                        boost_covariance_check, commutator_expectation,
-                       density_csv, dress_wavefunction, evolve, frame_change,
+                       dress_wavefunction, evolve, frame_change,
                        gaussian_packet, meta_action, momentum_apply,
                        read_wavegrid, write_wavegrid, _fft_plan,
                        _free_propagate, _infidelity, _kinetic_phase, _l2,
@@ -612,17 +612,6 @@ def test_wavegrid_roundtrip_property(tmp_path_factory, psi, data):
     f.write_bytes(raw + bytes(k))
     with pytest.raises(ValueError, match=f"^{k} trailing bytes"):
         read_wavegrid(f)
-
-
-def test_density_csv(tmp_path, spec512):
-    psi = gaussian_packet(spec512, 0.0, 1.0)
-    f = tmp_path / "dens.csv"
-    density_csv(f, psi)
-    rows = f.read_text().strip().splitlines()
-    assert rows[0] == "axis,x,density"
-    assert len(rows) == 1 + 512
-    total = sum(float(r.split(",")[2]) for r in rows[1:]) * spec512.spacing(0)
-    assert total == pytest.approx(1.0, abs=1e-10)
 
 
 def test_momentum_apply_second_axis():
