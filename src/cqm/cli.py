@@ -103,14 +103,18 @@ def validate_config(cfg: dict) -> None:
 
 
 def _environment() -> dict:
-    """Interpreter, numpy, CPUs and thread settings the run had."""
+    """Interpreter, numpy (SIMD levels, BLAS build), CPUs and threads the run had."""
     try:
         affinity = sorted(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
         affinity = None
+    build = np.show_config(mode="dicts")
     return {
         "python": "%d.%d.%d" % sys.version_info[:3],
         "numpy": np.__version__,
+        # the levels numpy dispatches to; NPY_DISABLE_CPU_FEATURES lowers them
+        "simd": build["SIMD Extensions"],
+        "blas": {key: build["Build Dependencies"]["blas"][key] for key in ("name", "version")},
         "affinity": affinity,
         "chain_threads": pathint._chain_threads(),
         "threads": {var: os.environ.get(var) for var in (

@@ -757,11 +757,13 @@ def _suite_pathint(model_params: ModelParams, params: dict,
                         _infidelity(lhs.amplitudes, rhs.amplitudes), 1e-3))
 
     if out is not None:
-        # the central row and column of |K| and arg K
+        # the central row and column of |K| and arg K; the phase as the
+        # imaginary part of the complex log, which has libm's bits at every
+        # SIMD level (np.angle's AVX-512 loop rounds differently)
         slices = np.concatenate((kernel.matrix[n // 2, :], kernel.matrix[:, n // 2]))
         _write_csv(out / "kernel_slices.csv", ["which", "x", "abs_K", "arg_K"],
                    ["row"] * n + ["col"] * n, np.tile(x, 2), np.abs(slices),
-                   np.angle(slices))
+                   np.log(slices).imag)
         pathint.write_kernel(out / "kernel.cqmk", kernel)
     return checks
 

@@ -129,7 +129,8 @@ def _quadrature_weight(grid: GridSpec) -> np.ndarray:
     lo, hi, _ = grid.axes[0]
     r = np.abs(grid.coords(0) - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
     s = np.clip((r - 0.80) / (0.985 - 0.80), 0.0, 1.0)
-    taper = 1.0 - s ** 3 * (6 * s ** 2 - 15 * s + 10)
+    # s * s * s, not s ** 3: np.power's AVX-512 loop rounds differently
+    taper = 1.0 - s * s * s * (6 * s ** 2 - 15 * s + 10)
     return taper * grid.spacing(0)
 
 

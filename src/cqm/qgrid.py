@@ -78,6 +78,8 @@ class GridSpec:
         for lo, hi, n in axes:
             if not hi > lo:
                 raise ValueError("axis needs hi > lo")
+            if not np.isfinite(hi - lo):  # an infinite bound or width
+                raise ValueError("axis needs finite bounds and a finite width")
             if n < 8:
                 raise ValueError("axis needs at least 8 points")
         object.__setattr__(self, "axes", axes)

@@ -3,6 +3,9 @@ import json
 import runpy
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 REPO = Path(__file__).resolve().parents[1]
 oracle = runpy.run_path(str(REPO / "scripts" / "oracle.py"), run_name="oracle")
 
@@ -48,3 +51,42 @@ def test_oracle_same_tree_twice_agrees(tmp_path, capsys):
     assert capsys.readouterr().out == "2 configs, 0 differences\n"
     assert oracle["main"](["diff", str(paths[0]), str(paths[2])]) == 1
     assert capsys.readouterr().out == "\n".join(lines + ["2 configs, 1 differences"]) + "\n"
+
+
+# NPY_DISABLE_CPU_FEATURES per SIMD level: the full level, AVX2 without
+# AVX-512, and the X86_V2 baseline
+LEVELS = {"full": "", "X86_V3": "X86_V4 AVX512_ICL AVX512_SPR",
+          "X86_V2": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+@pytest.mark.skipif(
+    "X86_V4" not in np.show_config(mode="dicts")["SIMD Extensions"].get("found", []),
+    reason="needs a CPU with X86_V4 (AVX-512) to compare levels")
+def test_readme_config_across_simd_levels(tmp_path):
+    cfg = oracle["committed_configs"]()["readme-seed42"]
+    entries, reports = {}, {}
+    for level, features in LEVELS.items():
+        entries[level] = oracle["run_config"](REPO, cfg, tmp_path / level, features)
+        reports[level] = json.loads((tmp_path / level / "out" / "report.json").read_text())
+    # each child really ran at its level
+    found = {level: set(report["timing"]["environment"]["simd"].get("found", []))
+             for level, report in reports.items()}
+    assert "X86_V4" in found["full"]
+    assert "X86_V3" in found["X86_V3"] and "X86_V4" not in found["X86_V3"]
+    assert "X86_V3" not in found["X86_V2"]
+
+    # AVX2 and AVX-512 machines write the same bytes: body, residuals, artifacts
+    full, v3, v2 = (entries[level] for level in LEVELS)
+    assert len(full["artifacts"]) == 10
+    assert oracle["diff_manifests"]({"configs": {"readme": full}},
+                                    {"configs": {"readme": v3}}) == []
+
+    # below AVX2 the verdicts and the exit code hold, and each residual stays
+    # within 1e-3 of its gate
+    tol = {f"{suite}/{c['name']}": c["tol"]
+           for suite, e in reports["full"]["experiments"].items() for c in e["checks"]}
+    assert v2["exit"] == full["exit"] == 1  # the known red check
+    assert v2["checks"].keys() == full["checks"].keys()
+    for name, (residual, passed) in full["checks"].items():
+        assert v2["checks"][name][1] == passed, name
+        assert abs(v2["checks"][name][0] - residual) <= 1e-3 * tol[name], name

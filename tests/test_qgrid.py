@@ -29,8 +29,30 @@ def H1():
 def test_grid_validation():
     with pytest.raises(ValueError):
         GridSpec(((-1.0, 1.0, 4),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="hi > lo"):
         GridSpec(((1.0, -1.0, 16),))
+    inf = float("inf")
+    for lo, hi in ((-inf, 0.0), (0.0, inf), (-inf, inf), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match="finite bounds"):
+            GridSpec(((-1.0, 1.0, 16), (lo, hi, 16)))
+    with pytest.raises(ValueError, match="hi > lo"):
+        GridSpec(((inf, inf, 16),))
+
+
+# the first axis's lo at -inf, then its hi at +inf
+@pytest.mark.parametrize("offset, bound", [(12, -np.inf), (20, np.inf)])
+def test_wavegrid_with_an_infinite_bound_fails_to_read(tmp_path, spec512, offset, bound):
+    import struct
+
+    f = tmp_path / "state.cqmw"
+    write_wavegrid(f, gaussian_packet(spec512, 0.0, 1.0))
+    raw = bytearray(f.read_bytes())
+    # magic and version, the block's axis count, then its (lo, hi, n) triples
+    assert struct.unpack_from("<dd", raw, 12) == spec512.axes[0][:2]
+    raw[offset:offset + 8] = struct.pack("<d", bound)
+    f.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="finite bounds"):
+        read_wavegrid(f)
 
 
 def test_norm_preservation(spec512, H1):
