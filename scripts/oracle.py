@@ -2,7 +2,7 @@
 """Refactor oracle: run a fixed list of `cqm run` configs on one source tree
 and compare what two trees produced.
 
-    python scripts/oracle.py run TREE MANIFEST.json [--disable-cpu-features FEATURES]
+    python scripts/oracle.py run TREE MANIFEST.json
     python scripts/oracle.py diff OLD.json NEW.json
 
 `run` runs every config of `committed_configs()` on `TREE/src`, each in a fresh
@@ -16,11 +16,12 @@ change with its parent, check the parent out beside the working tree, e.g.
 the same for both: the `probe-heavy` configs are read from this checkout's
 `perfbench/workloads.py`.
 
-`--disable-cpu-features` sets `NPY_DISABLE_CPU_FEATURES` in every child run,
-so one machine can imitate a lower SIMD level: "X86_V4 AVX512_ICL AVX512_SPR"
-runs at X86_V3 (AVX2 without AVX-512), and adding X86_V3 runs at the X86_V2
-baseline.  Diffing a tree's manifest at the full level against its manifest
-at a lower one shows what depends on the level.
+Every child run inherits the environment, so `NPY_DISABLE_CPU_FEATURES` set
+for `run` lets one machine imitate a lower SIMD level:
+`NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"` runs at X86_V3
+(AVX2 without AVX-512), and adding X86_V3 runs at the X86_V2 baseline.  The
+manifest records the variable.  Diffing a tree's manifest at the full level
+against its manifest at a lower one shows what depends on the level.
 """
 from __future__ import annotations
 
@@ -76,8 +77,7 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_config(tree: Path, cfg: dict, workdir: Path,
-               disable_cpu_features: str | None = None) -> dict:
+def run_config(tree: Path, cfg: dict, workdir: Path) -> dict:
     """One fresh `cqm run` of ``cfg`` on ``tree``'s sources, its output in
     ``workdir / "out"``: its manifest entry."""
     workdir.mkdir(parents=True)
@@ -85,8 +85,6 @@ def run_config(tree: Path, cfg: dict, workdir: Path,
     cfg_path.write_text(json.dumps(cfg))
     env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"),
                **{name: "1" for name in THREADS})
-    if disable_cpu_features is not None:
-        env["NPY_DISABLE_CPU_FEATURES"] = disable_cpu_features
     proc = subprocess.run([sys.executable, "-m", "cqm.cli", "run", str(cfg_path),
                            "--out", str(out)], env=env, capture_output=True)
     entry = {"exit": proc.returncode, "checks": {}, "body": None, "artifacts": {}}
@@ -104,13 +102,12 @@ def run_config(tree: Path, cfg: dict, workdir: Path,
     return entry
 
 
-def run_configs(tree: Path, configs: dict[str, dict],
-                disable_cpu_features: str | None = None) -> dict:
+def run_configs(tree: Path, configs: dict[str, dict]) -> dict:
     """The manifest of every config in ``configs`` run on ``tree``."""
     with tempfile.TemporaryDirectory() as tmp:
-        return {"tree": str(tree), "disable_cpu_features": disable_cpu_features,
-                "configs": {name: run_config(tree, cfg, Path(tmp) / name,
-                                             disable_cpu_features)
+        return {"tree": str(tree),
+                "disable_cpu_features": os.environ.get("NPY_DISABLE_CPU_FEATURES"),
+                "configs": {name: run_config(tree, cfg, Path(tmp) / name)
                             for name, cfg in configs.items()}}
 
 
@@ -147,15 +144,12 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run the config list on one source tree")
     p_run.add_argument("tree", type=Path)
     p_run.add_argument("manifest", type=Path)
-    p_run.add_argument("--disable-cpu-features", metavar="FEATURES",
-                       help="NPY_DISABLE_CPU_FEATURES for every run, e.g. "
-                            "\"X86_V4 AVX512_ICL AVX512_SPR\"")
     p_diff = sub.add_parser("diff", help="compare two manifests")
     p_diff.add_argument("old", type=Path)
     p_diff.add_argument("new", type=Path)
     args = ap.parse_args(argv)
     if args.command == "run":
-        manifest = run_configs(args.tree, committed_configs(), args.disable_cpu_features)
+        manifest = run_configs(args.tree, committed_configs())
         args.manifest.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
         print(f"{len(manifest['configs'])} configs -> {args.manifest}")
         return 0

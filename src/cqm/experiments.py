@@ -111,7 +111,8 @@ def _write_csv(fname, header, *columns) -> None:
     commas and CRLF line ends (the csv module's default dialect, RFC 4180).
     """
     with open(fname, "w", newline="") as fh:
-        csv.writer(fh).writerows([header, *zip(*(np.asarray(c).tolist() for c in columns))])
+        csv.writer(fh).writerows(
+            [header, *zip(*(np.asarray(c).tolist() for c in columns), strict=True)])
 
 
 # ----------------------------------------------------------------------

@@ -625,6 +625,11 @@ def test_write_csv_round_trip(tmp_path_factory, rows):
     assert [r[2] for r in back] == texts
 
 
+def test_write_csv_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError):
+        _write_csv(tmp_path / "table.csv", ["a", "b"], [1.0, 2.0], [3.0])
+
+
 def test_concurrent_suites_give_the_serial_body(monkeypatch):
     # the suites share only the model; a short switch interval makes the
     # threads interleave often, and 3 workers are more than most CPU masks

@@ -62,11 +62,12 @@ LEVELS = {"full": "", "X86_V3": "X86_V4 AVX512_ICL AVX512_SPR",
 @pytest.mark.skipif(
     "X86_V4" not in np.show_config(mode="dicts")["SIMD Extensions"].get("found", []),
     reason="needs a CPU with X86_V4 (AVX-512) to compare levels")
-def test_readme_config_across_simd_levels(tmp_path):
+def test_readme_config_across_simd_levels(tmp_path, monkeypatch):
     cfg = oracle["committed_configs"]()["readme-seed42"]
     entries, reports = {}, {}
     for level, features in LEVELS.items():
-        entries[level] = oracle["run_config"](REPO, cfg, tmp_path / level, features)
+        monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", features)
+        entries[level] = oracle["run_config"](REPO, cfg, tmp_path / level)
         reports[level] = json.loads((tmp_path / level / "out" / "report.json").read_text())
     # each child really ran at its level
     found = {level: set(report["timing"]["environment"]["simd"].get("found", []))
