@@ -162,7 +162,7 @@ def run_from_config(cfg: dict, out_dir: Path | None) -> dict:
         from concurrent.futures import ThreadPoolExecutor
 
         # one suite per CPU, pathint (the longest, registered last) first;
-        # numpy and scipy release the GIL in the array work
+        # numpy releases the GIL in the array work
         with ThreadPoolExecutor(n_workers) as pool:
             futures = {name: pool.submit(run_one, name) for name in reversed(names)}
         results = [futures[name].result() for name in names]

@@ -96,8 +96,15 @@ def dressed_action(model: LagrangianModel, path: DiscretePath,
     params = model.params
     i = _anchor_index(anchor, params)
     internal, external = decompose_shift(params, path.x, i)
-    direct = action(model, replace(path, x=internal, anchor=i))
     split = action(model, path) + path_cocycle(model, path, -external).real_value
+    return _cross_checked_action(model, replace(path, x=internal, anchor=i), split)
+
+
+def _cross_checked_action(model: LagrangianModel, rel_path: DiscretePath,
+                          split) -> float | np.ndarray:
+    """``action`` of a relational path, checked against ``split``, the bare
+    action plus the cocycle integral of the dressing field."""
+    direct = action(model, rel_path)
     scale = 1.0 + abs(direct) + abs(split)
     bad = np.flatnonzero(abs(direct - split) > 1e-9 * scale)
     if bad.size:
@@ -158,7 +165,10 @@ def identity_suite(model: LagrangianModel, path: DiscretePath, i, j,
     c_u_ybar = pc(path, u_i + ybar_i)
     c_rel_z = pc(rel_i, z_ij)
     c_rel_ybar = pc(rel_i, ybar_i)
-    s_i = dressed_action(model, path, i)
+    c_u_j = pc(path, u_j)
+    # the dressed actions of both anchors, from the splits above
+    s_bare = action(model, path)
+    s_i = _cross_checked_action(model, rel_i, s_bare + c_u_i)
 
     out: dict[str, float | np.ndarray] = {}
 
@@ -183,7 +193,7 @@ def identity_suite(model: LagrangianModel, path: DiscretePath, i, j,
         c_u_ybar - (c_u_i + c_rel_ybar))
 
     # frame change of the dressing cocycle: c(u_j) = c(u_i) + c(f_{u_i}(.), Z)
-    out["dressing-cocycle-frame-shift"] = abs(pc(path, u_j) - (c_u_i + c_rel_z))
+    out["dressing-cocycle-frame-shift"] = abs(c_u_j - (c_u_i + c_rel_z))
 
     # internal transformation of the frame shift: Z^Y = Z + (Y_i - Y_j)
     z_transformed = extY_i - decompose_shift(params, path_Y.x, j)[1]
@@ -197,10 +207,10 @@ def identity_suite(model: LagrangianModel, path: DiscretePath, i, j,
 
     # frame covariance of the dressed action: S^{u_j} = S^{u_i} + c(f_{u_i}(.), Z)
     out["dressed-action-frame-covariance"] = abs(
-        dressed_action(model, path, j) - (s_i + c_rel_z))
+        _cross_checked_action(model, rel_j, s_bare + c_u_j) - (s_i + c_rel_z))
 
     # first-kind residual of the dressed action: S[(gamma^u)^Ybar] = S^u + c_{gamma^u}(Ybar)
-    lhs = action(model, residual_first_kind(params, rel_i, Y))
+    lhs = action(model, shift_path_nodes(rel_i, ybar_i))
     out["dressed-action-internal-shift"] = abs(lhs - (s_i + c_rel_ybar))
 
     return out

@@ -619,7 +619,8 @@ def _suite_frame(model_params: ModelParams, params: dict,
     checks.append(Check("frame-roundtrip-fidelity", "frame-change-unitarity",
                         _infidelity(back.amplitudes, psi_rel.amplitudes), 1e-8))
 
-    sym = qgrid.WaveGrid(spec1, 0.0, np.exp(-x ** 2 / 4).astype(complex),
+    # complex exp: real np.exp rounds differently in its AVX-512 loop
+    sym = qgrid.WaveGrid(spec1, 0.0, np.exp((-(x * x) / 4).astype(complex)),
                          frame="relational", anchor=0).normalized()
     sswap = qgrid.frame_change(sym, 1, phase01)
     align = sym.inner(sswap) / abs(sym.inner(sswap))

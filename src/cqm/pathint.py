@@ -421,7 +421,7 @@ def classical_split(kernel: PropagatorKernel, hpf: HPFSample | None = None):
             raise ValueError(f"principal-function table starts at x = "
                              f"{float(hpf.x0[0])!r}, not a grid point")
         covered = (x >= hpf.x_grid[0]) & (x <= hpf.x_grid[-1])
-        col = hpf.spline()(kernel.t1, x[covered])[0]
+        col = hpf.spline(kernel.t1, x[covered])[0]
         stats["hpf_column_deviation"] = float(
             np.abs(S_c[covered, j] - col).max())
     return S_c, normalization, stats

@@ -33,9 +33,9 @@ def _fresh_modules(code: str, prefixes: tuple[str, ...]) -> list[str]:
 
 
 def test_cli_import_leaves_scipy_and_the_thread_pool_unloaded():
-    # setup_s rests on these loading at first use: scipy inside the Newton
-    # solve and the splines, concurrent.futures inside a banded chain, and
-    # numpy.fft inside the first transform
+    # setup_s rests on these loading at first use or never: concurrent.futures
+    # inside a banded chain, numpy.fft inside the first transform, and scipy,
+    # which no module of cqm imports
     assert _fresh_modules("import sys, cqm.cli", (
         "scipy", "concurrent.futures", "numpy.fft")) == []
 
@@ -48,6 +48,23 @@ def test_pathint_run_loads_no_scipy_fft():
             "run_experiment('pathint', ModelParams(2, 1, [1.0, 2.0]), "
             "{'n_points': 64, 'n_slices': 4, 'n_points_2d': 32}, 1, None)")
     assert _fresh_modules(code, ("scipy.fft",)) == []
+
+
+def test_readme_run_loads_no_scipy(tmp_path):
+    # the Newton solve, the principal-function spline and the boost resampler
+    # are numpy kernels; scipy is only the tests' reference
+    import runpy
+
+    root = Path(__file__).resolve().parents[1]
+    cfg = runpy.run_path(str(root / "scripts" / "oracle.py"),
+                         run_name="oracle")["committed_configs"]()["readme-seed42"]
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    code = ("import sys\n"
+            "from cqm.cli import main\n"
+            f"assert main(['run', {str(tmp_path / 'config.json')!r}, '--out', "
+            f"{str(tmp_path / 'out')!r}]) == 1  # the known red check\n")
+    assert _fresh_modules(code, ("scipy",)) == []
+    assert (tmp_path / "out" / "report.json").exists()
 
 
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))

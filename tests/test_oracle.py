@@ -91,3 +91,20 @@ def test_readme_config_across_simd_levels(tmp_path, monkeypatch):
     for name, (residual, passed) in full["checks"].items():
         assert v2["checks"][name][1] == passed, name
         assert abs(v2["checks"][name][0] - residual) <= 1e-3 * tol[name], name
+
+
+@pytest.mark.skipif(
+    "X86_V4" not in np.show_config(mode="dicts")["SIMD Extensions"].get("found", []),
+    reason="needs a CPU with X86_V4 (AVX-512) to compare levels")
+def test_probe_heavy_frame_config_across_simd_levels(tmp_path, monkeypatch):
+    # the frame suite's symmetric state at 384 points went through real
+    # np.exp, whose AVX-512 loop moved symmetric-state-frame-flip
+    cfg = oracle["committed_configs"]()["probe-heavy-frame"]
+    entries = {}
+    for level in ("full", "X86_V3"):
+        monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", LEVELS[level])
+        entries[level] = oracle["run_config"](REPO, cfg, tmp_path / level)
+    assert entries["full"]["exit"] == 0
+    assert "frame/symmetric-state-frame-flip" in entries["full"]["checks"]
+    assert oracle["diff_manifests"]({"configs": {"frame": entries["full"]}},
+                                    {"configs": {"frame": entries["X86_V3"]}}) == []

@@ -419,6 +419,30 @@ def test_boost_covariance_refinement(H1):
     assert errs[1] < errs[0] and errs[2] < errs[1]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(8, 96), st.floats(-50.0, 50.0), st.floats(0.5, 100.0), st.data())
+def test_periodic_resample_matches_periodic_cubic_spline(n, lo, width, data):
+    from scipy.interpolate import CubicSpline
+
+    spec = GridSpec(((lo, lo + width, n),))
+    values = data.draw(arrays(np.complex128, n, elements=st.complex_numbers(
+        max_magnitude=1e3, allow_nan=False, allow_infinity=False)), label="values")
+    # points up to two periods away on either side, and the grid itself
+    points = np.concatenate([data.draw(arrays(
+        float, data.draw(st.integers(1, 40), label="m"),
+        elements=st.floats(lo - 2 * width, lo + 3 * width)), label="points"),
+        spec.coords(0)])
+    x = np.append(spec.coords(0), lo + width)
+    wrapped = (points - lo) % width + lo
+
+    def ref(part):
+        return CubicSpline(x, np.append(part, part[0]), bc_type="periodic")(wrapped)
+
+    got = _periodic_resample(spec, values, points)
+    scale = max(1.0, np.abs(values).max())
+    assert np.abs(got - (ref(values.real) + 1j * ref(values.imag))).max() < 1e-12 * scale
+
+
 def test_boost_covariance_rejects_large_shift(spec512, H1):
     psi = gaussian_packet(spec512, 0.0, 1.0)
     with pytest.raises(ValueError):
