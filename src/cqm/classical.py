@@ -237,7 +237,10 @@ def _newton_banded(model: LagrangianModel, t: np.ndarray, x: np.ndarray,
     accepted if the residual is below its rounding floor: the second
     difference m (x[k+1] - 2 x[k] + x[k-1]) / h^2 of nodes each held to half
     an ulp is off by up to 2 eps m |x| / h^2, which grows as M^2 (harmonic
-    stalls measured at 0.7 to 1.0 eps m |x| / h^2 for M from 400 to 10^5).
+    solves stalled at 0.7 to 1.0 eps m |x| / h^2 for M from 400 to 10^5).
+    The residual cannot see the error of a step itself, about cond * eps
+    with cond ~ M^2, so the iteration does not stop at the floor but goes
+    on refining until it stalls.
     """
     dim = x.shape[1]
     h = t[1] - t[0]
@@ -384,7 +387,7 @@ class HPFSample:
     S: np.ndarray
 
     def spline(self, t: float, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """S, dS/dt and dS/dx at time ``t`` on the points ``x``.
+        """S, dS/dt and dS/dx at time ``t`` on the 1-D array of points ``x``.
 
         The tensor-product interpolant of the table: a cubic along t for
         every x column, then one along x through that row and its t
@@ -393,13 +396,10 @@ class HPFSample:
         fits with s = 0); an axis of one point raises ``ValueError``.
         Outside the table the end pieces extrapolate.
         """
-        x = np.asarray(x, dtype=float)
         row, row_t = _not_a_knot(self.t_grid, self.S, np.array([float(t)]))
         vals, ders = _not_a_knot(self.x_grid, np.stack([row[0], row_t[0]], axis=1),
-                                 x.ravel())
-        shape = x.shape
-        return (vals[:, 0].reshape(shape), vals[:, 1].reshape(shape),
-                ders[:, 0].reshape(shape))
+                                 np.asarray(x, dtype=float))
+        return vals[:, 0], vals[:, 1], ders[:, 0]
 
 
 def hpf_table(model: LagrangianModel, p0: Config, t_grid, x_grid, M: int = 64,
