@@ -50,8 +50,8 @@ class DiscretePath:
     """A kinematical history sampled at M+1 parameter nodes.
 
     ``x`` has shape (M+1, dim), or (n, M+1, dim) for a stack of n histories
-    on the shared grid.  ``deparametrized`` means t coincides with the
-    parameter grid; ``anchor`` marks relational paths (coordinates relative
+    on the shared grid.  ``deparametrized`` tells whether t coincides with
+    the parameter grid; ``anchor`` marks relational paths (coordinates relative
     to that particle, whose block is identically zero; a stack carries one
     anchor per history).
     """
@@ -59,7 +59,6 @@ class DiscretePath:
     tau: np.ndarray
     t: np.ndarray
     x: np.ndarray
-    deparametrized: bool = True
     anchor: int | np.ndarray | None = None
 
     def __post_init__(self):
@@ -70,11 +69,13 @@ class DiscretePath:
             raise ValueError("parameter grid must be strictly increasing")
         if not np.all(np.diff(t) > 0):
             raise ValueError("times must be strictly increasing")
-        if self.deparametrized and not np.array_equal(tau, t):
-            raise ValueError("deparametrized path requires t == tau")
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "x", x)
+
+    @property
+    def deparametrized(self) -> bool:
+        return np.array_equal(self.tau, self.t)
 
     @property
     def n_intervals(self) -> int:
@@ -97,7 +98,7 @@ class DiscretePath:
     @classmethod
     def from_nodes(cls, t: Sequence[float], x: np.ndarray, anchor: int | None = None) -> "DiscretePath":
         t = np.asarray(t, dtype=float)
-        return cls(t, t, np.asarray(x, dtype=float), True, anchor)
+        return cls(t, t, np.asarray(x, dtype=float), anchor)
 
     @classmethod
     def straight(cls, p0: Config, p1: Config, M: int) -> "DiscretePath":

@@ -107,7 +107,6 @@ class CocycleAccumulator:
     """
 
     real_value: float | np.ndarray
-    hbar: float
     phase: complex | np.ndarray
 
     @classmethod
@@ -116,7 +115,7 @@ class CocycleAccumulator:
         # divide before going complex: for a float this is the exponent
         # -1j * value / hbar rounds to, while numpy's complex division of an
         # array multiplies by 1/hbar and rounds differently
-        return cls(value, float(hbar), np.exp(-1j * (value / hbar)))
+        return cls(value, np.exp(-1j * (value / hbar)))
 
     @property
     def inverse_phase(self) -> complex:

@@ -288,7 +288,7 @@ def _suite_classical(model_params: ModelParams, params: dict,
     tau = np.linspace(0.0, 0.5, 41)
     t = 2.0 * tau
     x = np.sin(t)[:, None]
-    par = DiscretePath(tau, t, x, deparametrized=False)
+    par = DiscretePath(tau, t, x)
     dep = DiscretePath.from_nodes(t, x)
     checks.append(Check("reparametrization-invariance", "action-gauge-split",
                         abs(classical.action(free1, par)
@@ -595,7 +595,7 @@ def _suite_frame(model_params: ModelParams, params: dict,
     spec1 = qgrid.GridSpec(((-20.0, 20.0, n),))
     x = spec1.coords(0)
     amp = np.exp(-(x - 1.3) ** 2 / 4 + 0.4j * x)
-    psi_rel = qgrid.WaveGrid(spec1, 0.0, amp, frame="relational", anchor=0).normalized()
+    psi_rel = qgrid.WaveGrid(spec1, 0.0, amp, anchor=0).normalized()
 
     free2 = LagrangianModel(ModelParams(2, 1, np.array([1.0, 2.0]), hbar))
     t = np.linspace(0, 1, 33)
@@ -621,7 +621,7 @@ def _suite_frame(model_params: ModelParams, params: dict,
 
     # complex exp: real np.exp rounds differently in its AVX-512 loop
     sym = qgrid.WaveGrid(spec1, 0.0, np.exp((-(x * x) / 4).astype(complex)),
-                         frame="relational", anchor=0).normalized()
+                         anchor=0).normalized()
     sswap = qgrid.frame_change(sym, 1, phase01)
     align = sym.inner(sswap) / abs(sym.inner(sswap))
     checks.append(Check("symmetric-state-frame-flip", "frame-change-unitarity",
@@ -647,7 +647,7 @@ def _suite_frame(model_params: ModelParams, params: dict,
     H2 = qgrid.HamiltonianSpec((m_anchor, 1.0), hbar=hbar)
     T = float(params["T"])
     slice_after = qgrid.dress_wavefunction(qgrid._free_propagate(f, H2, T), 0)
-    H_rel = qgrid.HamiltonianSpec((1.0,), hbar=hbar, frame="relational", anchor=0)
+    H_rel = qgrid.HamiltonianSpec((1.0,), hbar=hbar, anchor=0)
     evolved_rel = qgrid._free_propagate(sliced, H_rel, T)
     checks.append(Check("dress-evolve-commutation", "relational-schrodinger",
                         _l2(slice_after.amplitudes - evolved_rel.amplitudes)

@@ -23,20 +23,21 @@ independently, so they run in row bands, one thread per CPU in the process's
 affinity mask (limit it with e.g. ``taskset``), and each band takes its rows
 a block of about 1 MiB at a time; the bits depend on neither the band count
 nor the block size.  Comparisons against the closed-form kernel are meaningful
-on the central half-box, away from wrap-around artifacts.
+on the central half-box, away from wrap-around artifacts.  A kernel with an
+``anchor`` is relational; it meets only kernels and states of that anchor.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .classical import HPFSample
 from .cocycle import LagrangianModel
-from .qgrid import (GridSpec, WaveGrid, _fft_plan, _read_artifact,
-                    _write_artifact)
+from .qgrid import (GridSpec, WaveGrid, _check_anchor, _fft_plan,
+                    _read_artifact, _write_artifact)
 
 __all__ = [
     "SliceScheme",
@@ -76,7 +77,7 @@ class SliceScheme:
 
 @dataclass(frozen=True)
 class PropagatorKernel:
-    """Complex kernel matrix K[x, x0] between the t0 and t1 grids."""
+    """Complex kernel matrix K[x, x0] between the t0 and t1 grids, bare or anchored."""
 
     matrix: np.ndarray
     grid: GridSpec
@@ -84,8 +85,10 @@ class PropagatorKernel:
     t1: float
     mass: float
     hbar: float
-    frame: str = "bare"
     anchor: int | None = None
+
+    def __post_init__(self):
+        _check_anchor(self.anchor, self.grid.ndim)
 
     @property
     def duration(self) -> float:
@@ -135,19 +138,21 @@ def _quadrature_weight(grid: GridSpec) -> np.ndarray:
 
 
 def _alias_safe_oversampling(n_out: int, box: float, dt: float, mass: float,
-                             hbar: float, n_cap: int = 8192) -> int:
+                             hbar: float) -> int:
     # quadrature aliases of the one-step Fresnel factor have stationary points
     # displaced by pi*hbar*dt/(mass*h); keep them outside 0.75*box
     n_min = int(np.ceil(0.75 * box * box * mass / (np.pi * hbar * dt)))
     factor = max(1, -(-n_min // n_out))
     n_int = n_out * factor
-    if n_int > n_cap:
+    if n_int > _N_INT_CAP:
         raise ValueError(
             f"internal quadrature budget exceeded (needs {n_int} points); "
             "use thicker slices or a smaller box")
     return n_int
 
 
+# largest oversampled grid the chain may build
+_N_INT_CAP = 8192
 # bytes of the row block each band of the chain works through at a time
 _CHAIN_BLOCK_BYTES = 1 << 20
 
@@ -326,15 +331,15 @@ def _chain(grid: GridSpec, dt: float, mass: float, hbar: float,
 
 
 def sliced_propagator(model: LagrangianModel, scheme: SliceScheme,
-                      mass: float | None = None, frame: str = "bare",
-                      anchor: int | None = None) -> PropagatorKernel:
-    """Compose exact one-step free kernels into the full propagator.
+                      mass: float | None = None) -> PropagatorKernel:
+    """Compose exact one-step free kernels into the bare propagator.
 
-    Free model only.  One slice returns the exact one-step kernel sampled on
-    the grid; more slices run the quadrature chain on the oversampled grid,
-    two slices per FFT pair from the closed-form two-slice kernel (even
-    counts) or the one-step kernel (odd counts), holding n_out/2 + 1
-    propagated columns in O(n_out * n_int) memory.
+    Free model only; ``mass`` defaults to a one-dimensional model's.  One
+    slice returns the exact one-step kernel sampled on the grid; more slices
+    run the quadrature chain on the oversampled grid, two slices per FFT pair
+    from the closed-form two-slice kernel (even counts) or the one-step kernel
+    (odd counts), holding n_out/2 + 1 propagated columns in O(n_out * n_int)
+    memory.
     """
     if model.potential is not None:
         raise ValueError("sliced propagators are implemented for the free model")
@@ -348,8 +353,7 @@ def sliced_propagator(model: LagrangianModel, scheme: SliceScheme,
         K = free_kernel_exact(scheme.grid, scheme.dt, mass, hbar)
     else:
         (K,) = _chain(scheme.grid, scheme.dt, mass, hbar, (M,))
-    return PropagatorKernel(K, scheme.grid, scheme.t0, scheme.t1, mass, hbar,
-                            frame, anchor)
+    return PropagatorKernel(K, scheme.grid, scheme.t0, scheme.t1, mass, hbar)
 
 
 def relational_propagator(model: LagrangianModel, scheme: SliceScheme,
@@ -364,20 +368,19 @@ def relational_propagator(model: LagrangianModel, scheme: SliceScheme,
         raise ValueError("relational slicing is implemented for N=2, d=1")
     if not 0 <= anchor < 2:
         raise IndexError("anchor out of range")
-    other = 1 - anchor
-    return sliced_propagator(model, scheme, mass=float(params.masses[other]),
-                             frame="relational", anchor=anchor)
+    kernel = sliced_propagator(model, scheme, mass=float(params.masses[1 - anchor]))
+    return replace(kernel, anchor=anchor)
 
 
 def compose_kernels(later: PropagatorKernel, earlier: PropagatorKernel) -> PropagatorKernel:
     """Chain two kernels over the shared intermediate grid (tapered quadrature)."""
-    if later.grid != earlier.grid:
-        raise ValueError("kernels must share the grid")
+    for name in ("grid", "mass", "hbar", "anchor"):
+        if getattr(later, name) != getattr(earlier, name):
+            raise ValueError(f"kernels must share the {name}")
     if abs(later.t0 - earlier.t1) > 1e-12:
         raise ValueError("kernels are not contiguous in time")
     K = later.matrix @ (_quadrature_weight(later.grid)[:, None] * earlier.matrix)
-    return PropagatorKernel(K, later.grid, earlier.t0, later.t1, later.mass,
-                            later.hbar, later.frame, later.anchor)
+    return replace(later, matrix=K, t0=earlier.t0)
 
 
 def classical_split(kernel: PropagatorKernel, hpf: HPFSample | None = None):
@@ -431,10 +434,11 @@ def propagate_wavefunction(kernel: PropagatorKernel, psi0: WaveGrid) -> WaveGrid
     """Quadrature of K(x, x0) psi0(x0) over the initial grid."""
     if psi0.spec != kernel.grid:
         raise ValueError("state grid does not match the kernel grid")
+    if psi0.anchor != kernel.anchor:
+        raise ValueError("state anchor does not match the kernel anchor")
     h = kernel.grid.spacing(0)
     amp = kernel.matrix @ psi0.amplitudes * h
-    return WaveGrid(kernel.grid, kernel.t1, amp, frame=kernel.frame,
-                    anchor=kernel.anchor)
+    return WaveGrid(kernel.grid, kernel.t1, amp, anchor=kernel.anchor)
 
 
 def write_kernel(fname, kernel: PropagatorKernel) -> None:

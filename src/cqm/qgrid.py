@@ -12,10 +12,10 @@ use the same layer.  A free evolution (no potential) is
 one exact spectral phase exp(-i E_k T / hbar) rather than a run of steps; the
 `frame`, `pathint` and `boost` suites propagate that way, and `evolve` is
 left to the `quantum` suite, whose norm check gates the stepper itself.  The
-same grids carry the relational (anchored) states; dressing a bare
-N-particle state restricts it to the zero-anchor slice, and changing the
-anchor is an exact index permutation of the reduced grid times a
-unit-modulus phase.
+same grids carry the relational states, those with an ``anchor`` (the
+reference particle); dressing a bare N-particle state restricts it to the
+zero-anchor slice, and changing the anchor is an exact index permutation of
+the reduced grid times a unit-modulus phase.
 """
 from __future__ import annotations
 
@@ -113,6 +113,12 @@ class GridSpec:
                                 indexing="ij"))
 
 
+def _check_anchor(anchor: int | None, n_axes: int) -> None:
+    """Relational on n_axes axes: n_axes + 1 particles, the anchor one of them."""
+    if anchor is not None and not 0 <= anchor <= n_axes:
+        raise ValueError(f"anchor {anchor} is not a particle of {n_axes + 1}")
+
+
 @dataclass(frozen=True)
 class WaveGrid:
     """Complex amplitudes on a grid at one time, bare or anchored."""
@@ -120,7 +126,6 @@ class WaveGrid:
     spec: GridSpec
     t: float
     amplitudes: np.ndarray
-    frame: str = "bare"
     anchor: int | None = None
 
     def __post_init__(self):
@@ -130,10 +135,7 @@ class WaveGrid:
         if not np.all(np.isfinite(amp.view(float))):
             raise ValueError("amplitudes must be finite")
         object.__setattr__(self, "amplitudes", amp)
-        if self.frame not in ("bare", "relational"):
-            raise ValueError("frame must be 'bare' or 'relational'")
-        if self.frame == "relational" and self.anchor is None:
-            raise ValueError("relational frame needs an anchor")
+        _check_anchor(self.anchor, self.spec.ndim)
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)
@@ -154,11 +156,11 @@ class HamiltonianSpec:
     masses: tuple[float, ...]
     potential: np.ndarray | None = None
     hbar: float = 1.0
-    frame: str = "bare"
     anchor: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
+        _check_anchor(self.anchor, len(self.masses))
         if not all(np.isfinite(m) and m > 0 for m in self.masses):
             raise ValueError("masses must be finite and positive")
         if not (np.isfinite(self.hbar) and self.hbar > 0):
@@ -197,8 +199,8 @@ def _check_hamiltonian(psi: WaveGrid, H: HamiltonianSpec) -> None:
         raise ValueError("propagation supports at most 3 grid axes")
     if len(H.masses) != psi.spec.ndim:
         raise ValueError("one mass per grid axis required")
-    if H.frame != psi.frame or H.anchor != psi.anchor:
-        raise ValueError("Hamiltonian frame does not match the state")
+    if H.anchor != psi.anchor:
+        raise ValueError("Hamiltonian anchor does not match the state")
 
 
 def _fft_plan(shape: tuple[int, ...]):
@@ -423,14 +425,6 @@ def boost_covariance_check(psi0: WaveGrid, vboost: float, T: float,
     return _l2(route_a - route_b) / _l2(route_b)
 
 
-def _zero_index(spec: GridSpec, axis: int) -> int:
-    x = spec.coords(axis)
-    idx = int(np.argmin(np.abs(x)))
-    if abs(x[idx]) > 1e-12 * max(1.0, abs(x).max()):
-        raise ValueError("grid axis must contain the origin for slicing")
-    return idx
-
-
 def dress_wavefunction(psi: WaveGrid, anchor: int) -> WaveGrid:
     """Relational state seen from the anchor particle.
 
@@ -438,26 +432,19 @@ def dress_wavefunction(psi: WaveGrid, anchor: int) -> WaveGrid:
     zero (the relational chart), keeping the remaining axes in particle
     order: the pure composition form.
     """
-    if psi.frame != "bare":
+    if psi.anchor is not None:
         raise ValueError("dress_wavefunction expects a bare state")
     if psi.spec.ndim < 2:
         raise ValueError("need at least two particle axes to dress")
     if not 0 <= anchor < psi.spec.ndim:
         raise IndexError("anchor axis out of range")
-    idx0 = _zero_index(psi.spec, anchor)
+    x = psi.spec.coords(anchor)
+    idx0 = int(np.argmin(np.abs(x)))
+    if abs(x[idx0]) > 1e-12 * max(1.0, abs(x).max()):
+        raise ValueError("grid axis must contain the origin for slicing")
     amp = np.take(psi.amplitudes, idx0, axis=anchor)
     axes = tuple(ax for a, ax in enumerate(psi.spec.axes) if a != anchor)
-    return WaveGrid(GridSpec(axes), psi.t, amp, frame="relational", anchor=anchor)
-
-
-def _compatible_symmetric_axes(spec: GridSpec) -> tuple[float, float, int]:
-    lo, hi, n = spec.axes[0]
-    for ax in spec.axes:
-        if ax != (lo, hi, n):
-            raise ValueError("frame change needs identical axes")
-    if abs(lo + hi) > 1e-12 * (hi - lo) or n % 2:
-        raise ValueError("frame change needs symmetric axes with even point count")
-    return lo, hi, n
+    return WaveGrid(GridSpec(axes), psi.t, amp, anchor=anchor)
 
 
 def frame_change(psi: WaveGrid, new_anchor: int,
@@ -469,7 +456,7 @@ def frame_change(psi: WaveGrid, new_anchor: int,
     axis reappears as -xbar^i_j), followed by the inverse frame-change phase.
     Unit-modulus phase and permutation make this an exact L2 isometry.
     """
-    if psi.frame != "relational":
+    if psi.anchor is None:
         raise ValueError("frame_change expects a relational state")
     i = psi.anchor
     ndim = psi.spec.ndim
@@ -479,7 +466,11 @@ def frame_change(psi: WaveGrid, new_anchor: int,
     j = new_anchor
     if j == i:
         return replace(psi, amplitudes=psi.amplitudes * z_phase.inverse_phase)
-    lo, hi, n = _compatible_symmetric_axes(psi.spec)
+    lo, hi, n = psi.spec.axes[0]
+    if any(ax != (lo, hi, n) for ax in psi.spec.axes):
+        raise ValueError("frame change needs identical axes")
+    if abs(lo + hi) > 1e-12 * (hi - lo) or n % 2:
+        raise ValueError("frame change needs symmetric axes with even point count")
 
     old_particles = [p for p in range(n_particles) if p != i]
     new_particles = [p for p in range(n_particles) if p != j]
@@ -498,7 +489,7 @@ def frame_change(psi: WaveGrid, new_anchor: int,
         else:
             old_index.append((grids[new_axis_of[q]] - r_yi + n // 2) % n)
     amp = psi.amplitudes[tuple(old_index)] * z_phase.inverse_phase
-    return WaveGrid(psi.spec, psi.t, amp, frame="relational", anchor=j)
+    return WaveGrid(psi.spec, psi.t, amp, anchor=j)
 
 
 def meta_action(psi_series: list[WaveGrid], hpf: HPFSample, direction,

@@ -232,7 +232,7 @@ def test_criterion_09_frame_change_unitarity():
     spec = GridSpec(((-20.0, 20.0, n),))
     x = spec.coords(0)
     psi = WaveGrid(spec, 0.0, np.exp(-(x - 1.5) ** 2 / 4 + 0.6j * x),
-                   frame="relational", anchor=0).normalized()
+                   anchor=0).normalized()
     t = np.linspace(0, 1, 33)
     bare = DiscretePath.from_nodes(t, np.stack([0.1 * t, 0.3 + 0.4 * t], axis=1))
     rel0 = dress_path(free2.params, bare, 0)
@@ -268,7 +268,7 @@ def test_criterion_10_dress_evolve_commutation():
     bare = evolve(psi2, H2, T / steps, steps)
     lhs = dress_wavefunction(bare, 0)
     rel0 = dress_wavefunction(psi2, 0)
-    H_rel = HamiltonianSpec((1.0,), frame="relational", anchor=0)
+    H_rel = HamiltonianSpec((1.0,), anchor=0)
     rhs = evolve(rel0, H_rel, T / steps, steps)
     err = float(np.linalg.norm(lhs.amplitudes - rhs.amplitudes)
                 / np.linalg.norm(rhs.amplitudes))

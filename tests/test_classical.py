@@ -27,9 +27,21 @@ def test_action_reparametrization_invariance(free1):
     tau = np.linspace(0.0, 0.5, 33)
     t = 2.0 * tau
     x = np.sin(t)[:, None]
-    par = DiscretePath(tau, t, x, deparametrized=False)
+    par = DiscretePath(tau, t, x)
     dep = DiscretePath.from_nodes(t, x)
     assert abs(action(free1, par) - action(free1, dep)) < 1e-12
+
+
+def test_deparametrized_is_derived(free1):
+    # t == tau is read off the arrays; the time-derivative laws need it
+    tau = np.linspace(0.0, 0.5, 9)
+    par = DiscretePath(tau, 2.0 * tau, np.zeros((9, 1)))
+    assert not par.deparametrized
+    assert DiscretePath(tau, tau.copy(), np.zeros((9, 1))).deparametrized
+    with pytest.raises(ValueError, match="el_residual requires a deparametrized"):
+        el_residual(free1, par)
+    with pytest.raises(ValueError, match="noether_charge requires a deparametrized"):
+        noether_charge(free1, par, Shift(np.array([1.0])))
 
 
 def test_action_degenerate_grid(free1):

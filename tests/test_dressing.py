@@ -325,7 +325,7 @@ def test_dressed_action_stack_raises_on_one_failed_probe(free3, rng, monkeypatch
     def skewed(model, path, field):
         acc = real(model, path, field)
         return CocycleAccumulator.from_value(
-            acc.real_value + np.array([0.0, 0.0, 1.0, 0.0]), acc.hbar)
+            acc.real_value + np.array([0.0, 0.0, 1.0, 0.0]), model.params.hbar)
 
     monkeypatch.setattr(dressing, "path_cocycle", skewed)
     with pytest.raises(RuntimeError, match="cross-check failed"):

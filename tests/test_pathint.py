@@ -1,5 +1,6 @@
 import struct
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -370,7 +371,7 @@ def test_relational_kernel_mass(grid256):
     free2 = LagrangianModel(ModelParams(2, 1, np.array([1.0, 2.0])))
     scheme = SliceScheme(8, grid256, 0.0, 1.0)
     rel = relational_propagator(free2, scheme, anchor=0)
-    assert rel.frame == "relational"
+    assert rel.anchor == 0
     assert rel.mass == 2.0
     exact = free_kernel_exact(grid256, 1.0, 2.0, 1.0)
     cen = _central(grid256)
@@ -384,7 +385,7 @@ def test_relational_kernel_small_time_delta():
     # aliases cannot reach for these durations
     grid = GridSpec(((-15.0, 15.0, 512),))
     free2 = LagrangianModel(ModelParams(2, 1, np.array([1.0, 2.0])))
-    psi0 = gaussian_packet(grid, 0.0, 1.0)
+    psi0 = WaveGrid(grid, 0.0, gaussian_packet(grid, 0.0, 1.0).amplitudes, anchor=0)
     cen = _central(grid)
     errs = []
     for T in (0.8, 0.5, 0.3):
@@ -394,6 +395,40 @@ def test_relational_kernel_small_time_delta():
                     / np.linalg.norm(psi0.amplitudes[cen]))
     assert errs[2] < errs[1] < errs[0]
     assert errs[2] < 0.06
+
+
+_GRID8 = GridSpec(((-4.0, 4.0, 8),))
+_BARE8 = PropagatorKernel.delta(_GRID8, 0.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("build", [
+    # an anchor names one of the ndim + 1 particles
+    pytest.param(lambda: WaveGrid(GridSpec(_GRID8.axes * 2), 0.0, np.ones((8, 8)),
+                                  anchor=-1), id="state-anchor-not-a-particle"),
+    # a relational Hamiltonian's anchor is checked where it is stored
+    pytest.param(lambda: HamiltonianSpec((1.0,), anchor=2),
+                 id="hamiltonian-anchor-not-a-particle"),
+    # and a kernel's where it is built, not at its first use
+    pytest.param(lambda: PropagatorKernel(np.eye(8), _GRID8, 0.0, 1.0, 1.0, 1.0,
+                                          anchor=2), id="kernel-anchor-not-a-particle"),
+    pytest.param(lambda: propagate_wavefunction(replace(_BARE8, anchor=0),
+                                                WaveGrid(_GRID8, 0.0, np.ones(8))),
+                 id="relational-kernel-on-bare-state"),
+    pytest.param(lambda: compose_kernels(_BARE8, replace(_BARE8, anchor=0)),
+                 id="compose-bare-with-relational"),
+    # frame_change looks the anchor up among the particles
+    pytest.param(lambda: WaveGrid(_GRID8, 0.0, np.ones(8), anchor=5),
+                 id="anchor-5-on-one-axis"),
+])
+def test_mismatched_anchors_are_refused(build):
+    with pytest.raises(ValueError, match="anchor"):
+        build()
+
+
+@pytest.mark.parametrize("field", ["mass", "hbar"])
+def test_compose_requires_equal_mass_and_hbar(field):
+    with pytest.raises(ValueError, match=f"share the {field}"):
+        compose_kernels(_BARE8, replace(_BARE8, **{field: 2.0}))
 
 
 def test_anchor_swap_alignment(grid256):
@@ -420,7 +455,7 @@ def test_anchor_one_kernel_is_the_bare_mass_one_chain(grid256, kernel256):
     free2 = LagrangianModel(ModelParams(2, 1, np.array([1.0, 2.0])))
     k1 = relational_propagator(free2, SliceScheme(8, grid256, 0.0, 1.0), anchor=1)
     assert np.array_equal(k1.matrix, kernel256.matrix)
-    assert (k1.mass, k1.frame, k1.anchor) == (1.0, "relational", 1)
+    assert (k1.mass, k1.anchor) == (1.0, 1)
 
 
 def test_refinement_levels_stay_converged():
@@ -529,7 +564,7 @@ def _ordered_pair():
 
 @st.composite
 def kernels(draw):
-    # version 1 keeps no frame or anchor: bare kernels only, until version 2
+    # version 1 keeps no anchor: bare kernels only, until version 2
     lo, hi = draw(_ordered_pair())
     grid = GridSpec(((lo, hi, draw(st.integers(8, 10))),))
     t0, t1 = draw(_ordered_pair())
@@ -546,7 +581,7 @@ def test_kernel_roundtrip_property(tmp_path_factory, kernel, data):
     write_kernel(f, kernel)
     back = read_kernel(f)
     # repr tells -0.0 from 0.0: every field comes back exactly
-    for name in ("grid", "t0", "t1", "mass", "hbar", "frame", "anchor"):
+    for name in ("grid", "t0", "t1", "mass", "hbar", "anchor"):
         assert repr(getattr(back, name)) == repr(getattr(kernel, name))
     assert np.array_equal(back.matrix.view(np.uint64), kernel.matrix.view(np.uint64))
     raw = f.read_bytes()

@@ -319,11 +319,11 @@ def test_free_propagate_validation(spec512, H1):
         _free_propagate(psi, HamiltonianSpec((1.0,), potential=0.5 * x ** 2), 1.0)
     with pytest.raises(ValueError, match="one mass per grid axis"):
         _free_propagate(psi, HamiltonianSpec((1.0, 2.0)), 1.0)
-    rel = HamiltonianSpec((1.0,), frame="relational", anchor=0)
-    with pytest.raises(ValueError, match="frame does not match"):
+    rel = HamiltonianSpec((1.0,), anchor=0)
+    with pytest.raises(ValueError, match="anchor does not match"):
         _free_propagate(psi, rel, 1.0)
-    anchored = WaveGrid(spec512, 0.0, psi.amplitudes, frame="relational", anchor=1)
-    with pytest.raises(ValueError, match="frame does not match"):
+    anchored = WaveGrid(spec512, 0.0, psi.amplitudes, anchor=1)
+    with pytest.raises(ValueError, match="anchor does not match"):
         _free_propagate(anchored, rel, 1.0)
     for T in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="T must be positive"):
@@ -463,7 +463,6 @@ def separable_two_particle():
 def test_dress_wavefunction_separable(separable_two_particle):
     spec2, x, psi = separable_two_particle
     rel = dress_wavefunction(psi, 0)
-    assert rel.frame == "relational"
     assert rel.anchor == 0
     i0 = int(np.argmin(np.abs(x)))
     assert np.array_equal(rel.amplitudes, psi.amplitudes[i0, :])
@@ -512,7 +511,7 @@ def test_frame_change_unitary(free2, rng):
     spec = GridSpec(((-20.0, 20.0, 256),))
     x = spec.coords(0)
     psi = WaveGrid(spec, 0.0, np.exp(-(x - 2) ** 2 / 4 + 0.7j * x),
-                   frame="relational", anchor=0).normalized()
+                   anchor=0).normalized()
     ph01, ph10 = _phase_pair(free2)
     out = frame_change(psi, 1, ph01)
     assert out.anchor == 1
@@ -530,7 +529,7 @@ def test_frame_change_symmetric_state(free2):
     spec = GridSpec(((-20.0, 20.0, 256),))
     x = spec.coords(0)
     psi = WaveGrid(spec, 0.0, np.exp(-x ** 2 / 4).astype(complex),
-                   frame="relational", anchor=0).normalized()
+                   anchor=0).normalized()
     ph01, _ = _phase_pair(free2)
     out = frame_change(psi, 1, ph01)
     align = psi.inner(out) / abs(psi.inner(out))
@@ -542,7 +541,7 @@ def test_frame_change_three_particles(rng):
     n = 64
     spec = GridSpec(((-8.0, 8.0, n), (-8.0, 8.0, n)))
     amp = rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape)
-    psi = WaveGrid(spec, 0.0, amp, frame="relational", anchor=0).normalized()
+    psi = WaveGrid(spec, 0.0, amp, anchor=0).normalized()
     phase = CocycleAccumulator.from_value(0.37, 1.0)
     out = frame_change(psi, 1, phase)
     assert out.anchor == 1
@@ -631,8 +630,8 @@ def grid_axes(draw):
 
 @st.composite
 def bare_snapshots(draw):
-    # format version 1 has no frame or anchor field, so only bare states
-    # round-trip; the relational metadata waits for version 2
+    # format version 1 has no anchor field, so only bare states round-trip;
+    # the anchor waits for version 2
     spec = GridSpec(tuple(draw(st.lists(grid_axes(), min_size=1, max_size=3))))
     return WaveGrid(spec, draw(finite),
                     draw(arrays(np.complex128, spec.shape, elements=amplitude)))
@@ -647,7 +646,7 @@ def test_wavegrid_roundtrip_property(tmp_path_factory, psi, data):
     # repr tells -0.0 from 0.0: grid and time come back exactly
     assert repr(back.spec) == repr(psi.spec)
     assert repr(back.t) == repr(psi.t)
-    assert (back.frame, back.anchor) == ("bare", None)
+    assert back.anchor is None
     assert np.array_equal(back.amplitudes.view(np.uint64),
                           psi.amplitudes.view(np.uint64))
     raw = f.read_bytes()
