@@ -70,6 +70,9 @@ def committed_configs() -> dict[str, dict]:
                                             {"classical": {"gauge_field": FIELD_1D}})
     configs["classical-field-2d"] = _config(README_MODEL, "classical", 3,
                                             {"classical": {"gauge_field": FIELD_2D}})
+    # odd sizes: the odd reflection of the chain and an odd slice count
+    configs["pathint-odd"] = _config(README_MODEL, "pathint", 3, {"pathint": {
+        "n_points": 257, "n_slices": 7, "n_points_2d": 64}})
     return configs
 
 

@@ -17,7 +17,11 @@ K = K1 W K1 ... W K1 is complex symmetric (K = K^T), because K1 is symmetric
 Toeplitz and the taper W diagonal.  The taper is even about the box centre and
 vanishes at the first grid point, so the reflection K[i, j] = K[n - i, n - j]
 holds exactly for i, j >= 1; only the n//2 + 1 columns 0..n//2 are
-propagated.  A chain of fewer slices of the same step and parity is a
+propagated.  The reflection maps each central block
+K[w:n - w + 1, w:n - w + 1] onto itself, so a caller that reads only such a
+block (the relational checks) has the chain propagate only its columns
+w..n//2 and allocate only the block, the same bits as that block of the
+whole matrix.  A chain of fewer slices of the same step and parity is a
 snapshot of a longer one on the way.  The propagated columns evolve
 independently, so they run in row bands, one thread per CPU in the process's
 affinity mask (limit it with e.g. ``taskset``), and each band takes its rows
@@ -181,9 +185,11 @@ def _chain_threads() -> int:
 
 
 def _chain(grid: GridSpec, dt: float, mass: float, hbar: float,
-           counts: tuple[int, ...]) -> list[np.ndarray]:
+           counts: tuple[int, ...], window: int = 0) -> list[np.ndarray]:
     """Kernel matrices of the chains of m slices of step dt, for each m >= 2
-    in the ascending counts.
+    in the ascending counts, or their central blocks
+    K[window:n_out - window + 1, window:n_out - window + 1] for a window
+    0 <= window <= n_out//2 (0, the default, is the whole matrix).
 
     On the fine grid (spacing h, n points), with alpha = mass h^2 / (2 hbar dt),
     p = sqrt(mass / (2 pi i hbar dt)) and indices counted from the box centre,
@@ -196,10 +202,13 @@ def _chain(grid: GridSpec, dt: float, mass: float, hbar: float,
     and one FFT pair advances the chain two slices.  Even counts start from
     K2's closed-form columns, odd counts from K1's; the counts of one parity
     are snapshots of one run, so the kernel of m slices is the same bits
-    whatever else is requested.  Only columns 0..n_out//2 are propagated; the
-    others come from K[i, j] = K[n_out - i, n_out - j] and row 0 from K = K^T
-    (see the module docstring).  The centred chirps are even under that
-    reflection, so the rounding of their phases keeps it.
+    whatever else is requested.  Only columns window..n_out//2 are
+    propagated, and only the block is allocated; the others come from
+    K[i, j] = K[n_out - i, n_out - j], which maps the block onto itself, and
+    row 0 (window 0 only) from K = K^T (see the module docstring).  The
+    centred chirps are even under that reflection, so the rounding of their
+    phases keeps it.  Each column evolves on its own, so a block is bit for
+    bit the same block of the whole matrix.
 
     The propagated columns run in contiguous row bands, one thread per CPU in
     the affinity mask (``_chain_threads``; a tool such as ``taskset`` limits
@@ -211,6 +220,8 @@ def _chain(grid: GridSpec, dt: float, mass: float, hbar: float,
     neither the band count nor the block size.
     """
     lo, hi, n_out = grid.axes[0]
+    if not 0 <= window <= n_out // 2:
+        raise ValueError(f"window {window} is outside 0..{n_out // 2}")
     n = _alias_safe_oversampling(n_out, hi - lo, dt, mass, hbar)
     fine = GridSpec(((lo, hi, n),))
     stride = n // n_out
@@ -266,12 +277,15 @@ def _chain(grid: GridSpec, dt: float, mass: float, hbar: float,
     # axis; every buffer is allocated here, and each band runs its rows
     # through its own block buffer
     h = n_out // 2 + 1
-    n_bands = min(_chain_threads(), h)
-    bounds = [h * i // n_bands for i in range(n_bands + 1)]
+    n_bands = min(_chain_threads(), h - window)
+    bounds = [window + (h - window) * i // n_bands for i in range(n_bands + 1)]
     block = max(1, min(_CHAIN_BLOCK_BYTES // (16 * L),
                        max(b - a for a, b in zip(bounds, bounds[1:]))))
     buffers = np.empty((n_bands, block, L), dtype=complex)
-    found = {m: np.empty((n_out, n_out), dtype=complex) for m in counts}
+    # the block's rows and columns are window..window + nb - 1
+    nb = min(n_out, n_out - 2 * window + 1)
+    keep = slice(window, window + nb)
+    found = {m: np.empty((nb, nb), dtype=complex) for m in counts}
     runs = []
     for first in (1, 2):
         wanted = [m for m in counts if m % 2 == first % 2]
@@ -314,19 +328,25 @@ def _chain(grid: GridSpec, dt: float, mass: float, hbar: float,
                         step = diag_rev if flipped else diag
                     if m in wanted:
                         snap = rows[:, n - 1::-stride] if flipped else rows[:, :n:stride]
-                        np.multiply(snap, out_chirp, out=found[m][:, lo:hi].T)
+                        np.multiply(snap[:, keep], out_chirp[keep],
+                                    out=found[m][:, lo - window:hi - window].T)
 
     if n_bands == 1:
-        run_band(buffers[0], 0, h)
+        run_band(buffers[0], window, h)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         # numpy's FFTs and ufunc loops release the GIL
         with ThreadPoolExecutor(n_bands) as pool:
             list(pool.map(run_band, buffers, bounds[:-1], bounds[1:]))
+    # in block indices the reflection is a -> r - a; it covers rows top..,
+    # where top is 1 only for the whole matrix, whose row 0 has no mirror
+    r = n_out - 2 * window
+    top, hb = r + 1 - nb, h - window
     for K in found.values():
-        K[1:, h:] = K[:0:-1, n_out - h:0:-1]
-        K[0, h:] = K[h:, 0]
+        K[top:, hb:] = K[top:, top:r - hb + 1][::-1, ::-1]
+        if top:
+            K[0, h:] = K[h:, 0]
     return [found[m] for m in counts]
 
 
@@ -356,31 +376,40 @@ def sliced_propagator(model: LagrangianModel, scheme: SliceScheme,
     return PropagatorKernel(K, scheme.grid, scheme.t0, scheme.t1, mass, hbar)
 
 
-def relational_propagator(model: LagrangianModel, scheme: SliceScheme,
-                          anchor: int) -> PropagatorKernel:
-    """Sliced propagator of the anchored relational dynamics (two particles).
-
-    The reduced coordinate carries the non-anchor particle's mass, matching
-    the kinetic term of the relational Lagrangian.
-    """
+def _relative_mass(model: LagrangianModel, anchor: int) -> float:
+    """Mass of the reduced coordinate of a two-particle line anchored on
+    ``anchor``: the other particle's, matching the kinetic term of the
+    relational Lagrangian."""
     params = model.params
     if params.n_particles != 2 or params.spatial_dim != 1:
         raise ValueError("relational slicing is implemented for N=2, d=1")
-    if not 0 <= anchor < 2:
-        raise IndexError("anchor out of range")
-    kernel = sliced_propagator(model, scheme, mass=float(params.masses[1 - anchor]))
+    _check_anchor(anchor, 1)
+    return float(params.masses[1 - anchor])
+
+
+def relational_propagator(model: LagrangianModel, scheme: SliceScheme,
+                          anchor: int) -> PropagatorKernel:
+    """Sliced propagator of the anchored relational dynamics (two particles),
+    its reduced coordinate carrying the non-anchor particle's mass."""
+    kernel = sliced_propagator(model, scheme, mass=_relative_mass(model, anchor))
     return replace(kernel, anchor=anchor)
 
 
-def compose_kernels(later: PropagatorKernel, earlier: PropagatorKernel) -> PropagatorKernel:
-    """Chain two kernels over the shared intermediate grid (tapered quadrature)."""
+def _composed_rows(later: PropagatorKernel, earlier: PropagatorKernel,
+                   rows=slice(None)) -> np.ndarray:
+    """Rows ``rows`` of the composed kernel matrix, once the kernels are
+    checked to compose; each entry is the same sum as in the whole product."""
     for name in ("grid", "mass", "hbar", "anchor"):
         if getattr(later, name) != getattr(earlier, name):
             raise ValueError(f"kernels must share the {name}")
     if abs(later.t0 - earlier.t1) > 1e-12:
         raise ValueError("kernels are not contiguous in time")
-    K = later.matrix @ (_quadrature_weight(later.grid)[:, None] * earlier.matrix)
-    return replace(later, matrix=K, t0=earlier.t0)
+    return later.matrix[rows] @ (_quadrature_weight(later.grid)[:, None] * earlier.matrix)
+
+
+def compose_kernels(later: PropagatorKernel, earlier: PropagatorKernel) -> PropagatorKernel:
+    """Chain two kernels over the shared intermediate grid (tapered quadrature)."""
+    return replace(later, matrix=_composed_rows(later, earlier), t0=earlier.t0)
 
 
 def classical_split(kernel: PropagatorKernel, hpf: HPFSample | None = None):

@@ -436,8 +436,7 @@ def dress_wavefunction(psi: WaveGrid, anchor: int) -> WaveGrid:
         raise ValueError("dress_wavefunction expects a bare state")
     if psi.spec.ndim < 2:
         raise ValueError("need at least two particle axes to dress")
-    if not 0 <= anchor < psi.spec.ndim:
-        raise IndexError("anchor axis out of range")
+    _check_anchor(anchor, psi.spec.ndim - 1)
     x = psi.spec.coords(anchor)
     idx0 = int(np.argmin(np.abs(x)))
     if abs(x[idx0]) > 1e-12 * max(1.0, abs(x).max()):
@@ -456,13 +455,12 @@ def frame_change(psi: WaveGrid, new_anchor: int,
     axis reappears as -xbar^i_j), followed by the inverse frame-change phase.
     Unit-modulus phase and permutation make this an exact L2 isometry.
     """
-    if psi.anchor is None:
-        raise ValueError("frame_change expects a relational state")
+    if psi.anchor is None or new_anchor is None:
+        raise ValueError("frame_change maps a relational state to another anchor")
     i = psi.anchor
     ndim = psi.spec.ndim
     n_particles = ndim + 1
-    if not 0 <= new_anchor < n_particles:
-        raise IndexError("new anchor out of range")
+    _check_anchor(new_anchor, ndim)
     j = new_anchor
     if j == i:
         return replace(psi, amplitudes=psi.amplitudes * z_phase.inverse_phase)

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from cqm import pathint
 from cqm.bundle import Config, ModelParams
 from cqm.classical import hpf_table
-from cqm.cocycle import LagrangianModel
+from cqm.cocycle import CocycleAccumulator, LagrangianModel
 from cqm.experiments import run_experiment
 from cqm.pathint import (PropagatorKernel, SliceScheme, _alias_safe_oversampling,
                          _chain, _free_kernel_row, _next_fast_len,
@@ -19,7 +19,8 @@ from cqm.pathint import (PropagatorKernel, SliceScheme, _alias_safe_oversampling
                          propagate_wavefunction,
                          read_kernel, relational_propagator,
                          sliced_propagator, write_kernel)
-from cqm.qgrid import (GridSpec, HamiltonianSpec, WaveGrid, _fft_plan, evolve,
+from cqm.qgrid import (GridSpec, HamiltonianSpec, WaveGrid, _fft_plan, _infidelity,
+                       _l2, dress_wavefunction, evolve, frame_change,
                        gaussian_packet, read_wavegrid, write_wavegrid)
 
 
@@ -212,7 +213,8 @@ def test_kernel_bits_do_not_depend_on_band_count(monkeypatch, n_out, counts):
     # into row bands, and each band into row blocks, moves no bit; n_out = 9
     # has 5 columns, fewer than the last band count asked for.  The blocks
     # are one row, a size that divides no band evenly, the default, and
-    # larger than any band.
+    # larger than any band.  Nor does propagating only a central window of
+    # columns: the largest windows leave 2 and 1 columns, fewer than 3 bands.
     grid = GridSpec(((-15.0, 15.0, n_out),))
     n_int = _alias_safe_oversampling(n_out, 30.0, 1.0 / 8, 1.0, 1.0)
     row_bytes = 16 * _next_fast_len(2 * n_int - 1)
@@ -230,6 +232,16 @@ def test_kernel_bits_do_not_depend_on_band_count(monkeypatch, n_out, counts):
     for banded in runs[1:]:
         for K, serial in zip(banded, runs[0], strict=True):
             assert np.array_equal(K, serial)
+    for window in (1, n_out // 4, n_out // 2 - 1, n_out // 2):
+        for bands in (1, 3):
+            monkeypatch.setattr(pathint, "_chain_threads", lambda: bands)
+            blocks = _chain(grid, 1.0 / 8, 1.0, 1.0, counts, window=window)
+            monkeypatch.undo()
+            for B, K in zip(blocks, runs[0], strict=True):
+                assert np.array_equal(B, K[window:n_out - window + 1,
+                                           window:n_out - window + 1])
+    with pytest.raises(ValueError, match="window"):
+        _chain(grid, 1.0 / 8, 1.0, 1.0, counts, window=n_out // 2 + 1)
 
 
 def test_one_band_starts_no_thread(monkeypatch):
@@ -263,25 +275,42 @@ def test_half_chain_is_a_snapshot():
         full, sliced_propagator(free1, SliceScheme(8, grid, 0.0, 1.0)).matrix)
 
 
-@pytest.mark.parametrize("M", [8, 5])
+@pytest.mark.parametrize("M", [8, 5, 7])
 def test_suite_semigroup_matches_separate_halves(M):
     # even M takes the half chain from the full run, odd M builds it apart;
-    # either way the check equals composing two independently built halves
-    params = {"n_points": 256, "n_slices": M, "n_points_2d": 32}
+    # either way the check equals composing two independently built halves.
+    # The suite composes only the central rows and builds only the central
+    # block of the relational kernel; the relational checks are the same
+    # numbers as from the whole relational_propagator matrix.  At 44 points
+    # the rounded x = 7.5 leaves the central half-box one index short of
+    # symmetric, so the block is one index wider than it on one side.
     model = ModelParams(2, 1, np.array([1.0, 2.0]))
-    checks = run_experiment("pathint", model, params, seed=1, out=None)
-    (semi,) = [c for c in checks if c.name == "kernel-semigroup"]
-    grid = GridSpec(((-15.0, 15.0, 256),))
     free1 = LagrangianModel(ModelParams(1, 1, np.array([1.0])))
-    full = sliced_propagator(free1, SliceScheme(M, grid, 0.0, 1.0))
-    h1 = sliced_propagator(free1, SliceScheme(M // 2, grid, 0.0, 0.5))
-    h2 = sliced_propagator(free1, SliceScheme(M // 2, grid, 0.5, 1.0))
-    comp = compose_kernels(h2, h1)
-    cen = _central(grid)
-    Kc = full.matrix[np.ix_(cen, cen)]
-    expected = (np.linalg.norm(comp.matrix[np.ix_(cen, cen)] - Kc)
-                / np.linalg.norm(Kc))
-    assert abs(semi.residual - expected) <= 1e-12
+    free2 = LagrangianModel(model)
+    for n in (256, 257, 44):
+        params = {"n_points": n, "n_slices": M, "n_points_2d": 32}
+        checks = {c.name: c.residual
+                  for c in run_experiment("pathint", model, params, seed=1, out=None)}
+        grid = GridSpec(((-15.0, 15.0, n),))
+        full = sliced_propagator(free1, SliceScheme(M, grid, 0.0, 1.0))
+        h1 = sliced_propagator(free1, SliceScheme(M // 2, grid, 0.0, 0.5))
+        h2 = sliced_propagator(free1, SliceScheme(M // 2, grid, 0.5, 1.0))
+        comp = compose_kernels(h2, h1)
+        cen = _central(grid)
+        Kc = full.matrix[np.ix_(cen, cen)]
+        expected = (np.linalg.norm(comp.matrix[np.ix_(cen, cen)] - Kc)
+                    / np.linalg.norm(Kc))
+        assert abs(checks["kernel-semigroup"] - expected) <= 1e-12
+
+        rel = relational_propagator(free2, SliceScheme(M, grid, 0.0, 1.0), anchor=0)
+        E2c = free_kernel_exact(grid, 1.0, 2.0, 1.0)[np.ix_(cen, cen)]
+        assert checks["relational-kernel-mass"] == (
+            _l2(rel.matrix[np.ix_(cen, cen)] - E2c) / _l2(E2c))
+        fc, xc = ((-np.arange(n)) % n)[cen], grid.coords(0)[cen]
+        aligned = rel.matrix[np.ix_(fc, fc)] * np.exp(
+            1j * (model.masses[0] - model.masses[1])
+            * (xc[:, None] - xc[None, :]) ** 2 / (2 * 1.0 * 1.0))
+        assert checks["anchor-swap-fidelity"] == _infidelity(aligned, Kc)
 
 
 def test_semigroup():
@@ -423,6 +452,26 @@ _BARE8 = PropagatorKernel.delta(_GRID8, 0.0, 1.0, 1.0)
 def test_mismatched_anchors_are_refused(build):
     with pytest.raises(ValueError, match="anchor"):
         build()
+
+
+_FREE2 = LagrangianModel(ModelParams(2, 1, np.array([1.0, 2.0])))
+
+
+@pytest.mark.parametrize("anchor", [2, -1])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda a: relational_propagator(
+        _FREE2, SliceScheme(2, _GRID8, 0.0, 1.0), anchor=a), id="relational_propagator"),
+    pytest.param(lambda a: dress_wavefunction(
+        WaveGrid(GridSpec(_GRID8.axes * 2), 0.0, np.ones((8, 8))), a),
+        id="dress_wavefunction"),
+    pytest.param(lambda a: frame_change(
+        WaveGrid(_GRID8, 0.0, np.ones(8), anchor=0), a,
+        CocycleAccumulator.from_value(0.0, 1.0)), id="frame_change"),
+])
+def test_out_of_range_anchor_is_a_value_error(call, anchor):
+    # an anchor that names no particle of the state or model
+    with pytest.raises(ValueError, match=f"anchor {anchor} is not a particle"):
+        call(anchor)
 
 
 @pytest.mark.parametrize("field", ["mass", "hbar"])

@@ -555,6 +555,10 @@ def test_frame_change_requires_relational(spec512):
     psi = gaussian_packet(spec512, 0.0, 1.0)
     with pytest.raises(ValueError):
         frame_change(psi, 1, CocycleAccumulator.from_value(0.0, 1.0))
+    # nor may it map a relational state to a bare one
+    with pytest.raises(ValueError):
+        frame_change(WaveGrid(spec512, 0.0, psi.amplitudes, anchor=0), None,
+                     CocycleAccumulator.from_value(0.0, 1.0))
 
 
 def test_meta_action_solution_small(wkb_setup):
