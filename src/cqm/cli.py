@@ -122,6 +122,17 @@ def _environment() -> dict:
     }
 
 
+def _peak_rss_mib() -> float | None:
+    """The process's peak resident set so far in MiB (``ru_maxrss``: KiB on
+    Linux, bytes on macOS), or None where ``resource`` is missing."""
+    try:
+        import resource
+    except ImportError:  # Windows has no resource module
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
 def run_from_config(cfg: dict, out_dir: Path | None) -> dict:
     """Execute the configured suites and assemble the report structure."""
     model_params = ModelParams.from_dict(cfg["model"])
@@ -161,11 +172,17 @@ def run_from_config(cfg: dict, out_dir: Path | None) -> dict:
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        # one suite per CPU, pathint (the longest, registered last) first;
-        # numpy releases the GIL in the array work
-        with ThreadPoolExecutor(n_workers) as pool:
-            futures = {name: pool.submit(run_one, name) for name in reversed(names)}
-        results = [futures[name].result() for name in names]
+        # one suite per CPU; numpy releases the GIL in the array work.  The
+        # calling thread runs pathint (the longest, registered last) itself:
+        # glibc gives each thread a malloc arena and keeps freed blocks
+        # resident in it, so pathint's 4 MiB matrices, run on a fresh pool
+        # thread, would raise the peak RSS of every further run in the
+        # process.  A pool of n_workers - 1 runs the others, the last first.
+        *others, last = names
+        with ThreadPoolExecutor(n_workers - 1) as pool:
+            futures = {name: pool.submit(run_one, name) for name in reversed(others)}
+            own = run_one(last)
+        results = [futures[name].result() for name in others] + [own]
     for name, (checks, error, trace, seconds) in zip(names, results):
         entry = report["experiments"][name] = {"laws": list(REGISTRY[name].laws)}
         if trace is not None:
@@ -178,6 +195,7 @@ def run_from_config(cfg: dict, out_dir: Path | None) -> dict:
         entry.update(checks=[c.to_dict() for c in scaled], passed=exp_passed)
         report["passed"] = report["passed"] and exp_passed
     report["timing"]["total"] = time.perf_counter() - total0
+    report["timing"]["peak_rss_mib"] = _peak_rss_mib()
     return report
 
 

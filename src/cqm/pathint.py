@@ -395,21 +395,42 @@ def relational_propagator(model: LagrangianModel, scheme: SliceScheme,
     return replace(kernel, anchor=anchor)
 
 
-def _composed_rows(later: PropagatorKernel, earlier: PropagatorKernel,
-                   rows=slice(None)) -> np.ndarray:
-    """Rows ``rows`` of the composed kernel matrix, once the kernels are
-    checked to compose; each entry is the same sum as in the whole product."""
+def compose_kernels(later: PropagatorKernel, earlier: PropagatorKernel) -> PropagatorKernel:
+    """Chain two kernels over the shared intermediate grid (tapered quadrature).
+
+    The matrix is ``later.matrix @ (w[:, None] * earlier.matrix)`` with the
+    tapered weights w.  Some rows of ``later.matrix`` times the weighted
+    matrix, which may be weighted in place, give the same bits as those rows
+    of the whole product (the ``pathint`` suite's semigroup check)."""
     for name in ("grid", "mass", "hbar", "anchor"):
         if getattr(later, name) != getattr(earlier, name):
             raise ValueError(f"kernels must share the {name}")
     if abs(later.t0 - earlier.t1) > 1e-12:
         raise ValueError("kernels are not contiguous in time")
-    return later.matrix[rows] @ (_quadrature_weight(later.grid)[:, None] * earlier.matrix)
+    matrix = later.matrix @ (_quadrature_weight(later.grid)[:, None] * earlier.matrix)
+    return replace(later, matrix=matrix, t0=earlier.t0)
 
 
-def compose_kernels(later: PropagatorKernel, earlier: PropagatorKernel) -> PropagatorKernel:
-    """Chain two kernels over the shared intermediate grid (tapered quadrature)."""
-    return replace(later, matrix=_composed_rows(later, earlier), t0=earlier.t0)
+def _split(matrix: np.ndarray, x: np.ndarray, mass: float, T: float,
+           hbar: float) -> tuple[np.ndarray, np.ndarray]:
+    """Critical action S_c[i, j] = mass (x_i - x_j)^2 / 2T between the points
+    ``x`` and the normalization ``matrix * exp(-i S_c / hbar)``.  Every entry
+    is elementwise, so the block of ``matrix`` on some points gives the same
+    bits as that block of the whole split."""
+    S_c = mass * (x[:, None] - x[None, :]) ** 2 / (2 * T)
+    # matrix * exp(-i S_c / hbar), in one complex buffer
+    normalization = -1j * S_c / hbar
+    np.exp(normalization, out=normalization)
+    np.multiply(matrix, normalization, out=normalization)
+    return S_c, normalization
+
+
+def _spread(block: np.ndarray) -> dict:
+    """Mean of a normalization block and its largest deviation from it,
+    relative to the mean."""
+    mean = block.mean()
+    return {"normalization_mean": complex(mean),
+            "max_rel_deviation": float(np.abs(block - mean).max() / np.abs(mean))}
 
 
 def classical_split(kernel: PropagatorKernel, hpf: HPFSample | None = None):
@@ -422,26 +443,19 @@ def classical_split(kernel: PropagatorKernel, hpf: HPFSample | None = None):
     column of S_c is cross-checked over the grid points the table covers and
     the deviation reported; the table must start at the kernel's start time,
     from a grid point (to 1e-9 of a grid step), and cover the kernel's end
-    time.
+    time.  The split is elementwise (``_split``), so a caller that needs only
+    the stats may split the central block alone and take ``_spread`` of it,
+    the same bits (the ``pathint`` suite does).
     """
     x = kernel.grid.coords(0)
     T = kernel.duration
     if T <= 0:
         raise ValueError("classical split needs a finite duration")
-    S_c = kernel.mass * (x[:, None] - x[None, :]) ** 2 / (2 * T)
-    # kernel.matrix * exp(-i S_c / hbar), in one complex buffer
-    normalization = -1j * S_c / kernel.hbar
-    np.exp(normalization, out=normalization)
-    np.multiply(kernel.matrix, normalization, out=normalization)
+    S_c, normalization = _split(kernel.matrix, x, kernel.mass, T, kernel.hbar)
     lo, hi, _ = kernel.grid.axes[0]
     center = 0.5 * (lo + hi)
     cen = np.abs(x - center) <= 0.25 * (hi - lo)
-    block = normalization[np.ix_(cen, cen)]
-    mean = block.mean()
-    stats = {
-        "normalization_mean": complex(mean),
-        "max_rel_deviation": float(np.abs(block - mean).max() / np.abs(mean)),
-    }
+    stats = _spread(normalization[np.ix_(cen, cen)])
     if hpf is not None:
         if hpf.t0 != kernel.t0:
             raise ValueError(f"principal-function table starts at t = {hpf.t0!r}, "

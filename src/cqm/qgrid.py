@@ -132,7 +132,8 @@ class WaveGrid:
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.shape != self.spec.shape:
             raise ValueError("amplitude shape does not match grid")
-        if not np.all(np.isfinite(amp.view(float))):
+        # on the complex array, so any memory layout is accepted
+        if not np.all(np.isfinite(amp)):
             raise ValueError("amplitudes must be finite")
         object.__setattr__(self, "amplitudes", amp)
         _check_anchor(self.anchor, self.spec.ndim)
@@ -524,7 +525,8 @@ def _write_artifact(fname, blocks, scalars, payload) -> None:
                 fh.write(struct.pack("<ddI", lo, hi, n))
             fh.write(struct.pack("<d", t))
         fh.write(struct.pack(f"<{len(scalars)}d", *scalars))
-        fh.write(np.ascontiguousarray(payload).astype("<c16").tobytes())
+        # through the array's buffer: no copy when it is already C-ordered <c16
+        fh.write(np.ascontiguousarray(payload, dtype="<c16"))
 
 
 def _read_artifact(fname, n_blocks: int, n_scalars: int):

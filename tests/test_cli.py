@@ -461,6 +461,8 @@ def test_environment_recorded_under_timing(monkeypatch):
         assert env["blas"] == {key: build["Build Dependencies"]["blas"][key]
                                for key in ("name", "version")}
         json.dumps(env, allow_nan=False)
+        peak = rep["timing"]["peak_rss_mib"]
+        assert isinstance(peak, float) and peak > 0
         rep.pop("timing")
         bodies.append(json.dumps(rep, sort_keys=True))
     assert bodies[0] == bodies[1]
@@ -662,6 +664,31 @@ def test_one_worker_starts_no_thread(monkeypatch):
     report = run_from_config(_small_all(), None)
     assert threading.active_count() == alive
     assert all("error" not in e for e in report["experiments"].values())
+
+
+def test_all_run_keeps_pathint_on_the_calling_thread(monkeypatch):
+    # pathint's large matrices stay in the calling thread's malloc arena; two
+    # workers whatever the CPU mask
+    import threading
+    from dataclasses import replace
+
+    threads = {}
+
+    def recording(name, fn):
+        def run(*args):
+            threads[name] = threading.get_ident()
+            return fn(*args)
+        return run
+
+    for name, exp in list(REGISTRY.items()):
+        monkeypatch.setitem(REGISTRY, name, replace(exp, fn=recording(name, exp.fn)))
+    monkeypatch.setattr(pathint, "_chain_threads", lambda: 2)
+    report = run_from_config(_small_all(), None)
+    assert set(threads) == set(REGISTRY)
+    assert threads.pop("pathint") == threading.get_ident()
+    assert threading.get_ident() not in threads.values()
+    monkeypatch.setattr(pathint, "_chain_threads", lambda: 1)
+    assert _body(report) == _body(run_from_config(_small_all(), None))
 
 
 def test_crash_in_a_concurrent_run(tmp_path, monkeypatch, capsys):

@@ -298,9 +298,17 @@ def test_suite_semigroup_matches_separate_halves(M):
         comp = compose_kernels(h2, h1)
         cen = _central(grid)
         Kc = full.matrix[np.ix_(cen, cen)]
-        expected = (np.linalg.norm(comp.matrix[np.ix_(cen, cen)] - Kc)
-                    / np.linalg.norm(Kc))
-        assert abs(checks["kernel-semigroup"] - expected) <= 1e-12
+        # the suite takes its dense checks on the central blocks only, the
+        # same bits as from the whole matrices
+        assert checks["kernel-semigroup"] == (
+            _l2(comp.matrix[np.ix_(cen, cen)] - Kc) / _l2(Kc))
+        assert checks["classical-split-uniformity"] == (
+            classical_split(full)[2]["max_rel_deviation"])
+        exact = free_kernel_exact(grid, 1.0, 1.0, 1.0)
+        Ec = exact[np.ix_(cen, cen)]
+        assert checks["kernel-vs-analytic"] == _l2(Kc - Ec) / _l2(Ec)
+        one = sliced_propagator(free1, SliceScheme(1, grid, 0.0, 1.0))
+        assert checks["one-slice-exactness"] == np.abs(one.matrix - exact).max()
 
         rel = relational_propagator(free2, SliceScheme(M, grid, 0.0, 1.0), anchor=0)
         E2c = free_kernel_exact(grid, 1.0, 2.0, 1.0)[np.ix_(cen, cen)]
@@ -311,6 +319,22 @@ def test_suite_semigroup_matches_separate_halves(M):
             1j * (model.masses[0] - model.masses[1])
             * (xc[:, None] - xc[None, :]) ** 2 / (2 * 1.0 * 1.0))
         assert checks["anchor-swap-fidelity"] == _infidelity(aligned, Kc)
+
+
+def test_suite_peak_memory(tmp_path):
+    # the suite holds at most about 3.5 dense 512^2 complex matrices (4 MiB
+    # each) at once; a small run first, so the peak counts no import
+    import tracemalloc
+
+    model = ModelParams(2, 1, np.array([1.0, 2.0]))
+    run_experiment("pathint", model, {"n_points": 16, "n_points_2d": 8}, 1, None)
+    tracemalloc.start()
+    try:
+        run_experiment("pathint", model, {}, 1, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15 * 2**20
 
 
 def test_semigroup():

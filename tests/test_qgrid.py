@@ -603,6 +603,19 @@ def test_wavegrid_binary_roundtrip(tmp_path, spec512, rng):
     assert f.read_bytes()[:4] == b"CQMW"
 
 
+def test_wavegrid_writes_a_strided_state_as_its_contiguous_copy(tmp_path, rng):
+    # the writer hands the file a C-ordered <c16 buffer; a transposed 2-D
+    # state must be converted, not written in its memory order
+    spec = GridSpec(((-4.0, 4.0, 8), (-5.0, 5.0, 10)))
+    amp = (rng.normal(size=(10, 8)) + 1j * rng.normal(size=(10, 8))).T
+    assert not amp.flags.c_contiguous
+    strided, copied = tmp_path / "strided.cqmw", tmp_path / "copied.cqmw"
+    write_wavegrid(strided, WaveGrid(spec, 0.5, amp))
+    write_wavegrid(copied, WaveGrid(spec, 0.5, np.ascontiguousarray(amp)))
+    assert strided.read_bytes() == copied.read_bytes()
+    assert np.array_equal(read_wavegrid(strided).amplitudes, amp)
+
+
 def test_wavegrid_truncated_file(tmp_path, spec512):
     f = tmp_path / "state.cqmw"
     write_wavegrid(f, gaussian_packet(spec512, 0.0, 1.0))
