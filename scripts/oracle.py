@@ -73,6 +73,8 @@ def committed_configs() -> dict[str, dict]:
     # odd sizes: the odd reflection of the chain and an odd slice count
     configs["pathint-odd"] = _config(README_MODEL, "pathint", 3, {"pathint": {
         "n_points": 257, "n_slices": 7, "n_points_2d": 64}})
+    # a 1024^2 relational state: the free phase spans many row blocks
+    configs["frame-1024"] = _config(README_MODEL, "frame", 3, {"frame": {"n_points": 1024}})
     return configs
 
 

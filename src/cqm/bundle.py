@@ -69,8 +69,7 @@ class ModelParams:
 
     def block(self, i: int) -> slice:
         """Coordinate slice of particle i (0-based)."""
-        if not 0 <= i < self.n_particles:
-            raise IndexError(f"particle index {i} out of range")
+        i = _particle_index(i, self.n_particles, "particle index")
         d = self.spatial_dim
         return slice(i * d, (i + 1) * d)
 
@@ -156,16 +155,23 @@ def right_action(p: Config, X: Shift) -> Config:
     return Config(p.t, p.x + X.v)
 
 
+def _particle_index(value, n: int, name: str, stacked: bool = False
+                    ) -> int | np.ndarray:
+    """``value`` as one of n particles: an int, or with ``stacked`` also an
+    integer array of them.  A bool, a float (1.7 or NaN), an array where one
+    index is wanted, or an index outside 0..n - 1 raises ValueError naming
+    ``name``."""
+    i = np.asarray(value)
+    if i.dtype.kind not in "iu" or (i.ndim and not stacked):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if np.any((i < 0) | (i >= n)):
+        raise ValueError(f"{name} {value} is not a particle of {n}")
+    return i if i.ndim else int(i)
+
+
 def _anchor_index(anchor, params: ModelParams) -> int | np.ndarray:
     """One anchor as an int, or an integer array of anchors (one per row)."""
-    i = np.asarray(anchor)
-    if i.ndim == 0:
-        i = int(anchor)
-    elif i.dtype.kind not in "iu":
-        raise TypeError(f"anchors must be integers, got dtype {i.dtype}")
-    if np.any((i < 0) | (i >= params.n_particles)):
-        raise IndexError(f"anchor particle {i} out of range")
-    return i
+    return _particle_index(anchor, params.n_particles, "anchor", stacked=True)
 
 
 def decompose_shift(params: ModelParams, values, anchor: int | np.ndarray | str = 0
@@ -189,6 +195,10 @@ def decompose_shift(params: ModelParams, values, anchor: int | np.ndarray | str 
         a = blocks.mean(axis=-2)
     else:
         i = _anchor_index(anchor, params)
+        if not isinstance(i, int) and (values.ndim < 2
+                                       or i.shape != values.shape[:1]):
+            raise ValueError(f"anchors of shape {i.shape} do not give one "
+                             f"per row of values of shape {values.shape}")
         # block i of every row, or block i[k] of stacked row k
         a = (blocks[..., i, :] if isinstance(i, int)
              else blocks[np.arange(i.size), ..., i, :])

@@ -577,12 +577,29 @@ def _suite_dress(model_params: ModelParams, params: dict,
 # frame suite (relational quantum states)
 
 def _relative_state(spec2: qgrid.GridSpec, sigma: float, k0: float) -> qgrid.WaveGrid:
+    """Normalised exp(-r^2 / (4 sigma^2) + i k0 r) of the periodic relative
+    coordinate r = x_1 - x_0 on a square two-particle grid.
+
+    Built in place: one real and one complex grid at the peak, with the
+    operations, and so the bits, of the meshgrid form
+    ``r = (X1 - X0 + L) % (2 L) - L``,
+    ``exp(-r ** 2 / (4 sigma ** 2) + 1j * k0 * r)`` and ``normalized()``.
+    """
     x = spec2.coords(0)
     L = 0.5 * (spec2.axes[0][1] - spec2.axes[0][0])
-    X0, X1 = np.meshgrid(x, x, indexing="ij")
-    rel = (X1 - X0 + L) % (2 * L) - L
-    amp = np.exp(-rel ** 2 / (4 * sigma ** 2) + 1j * k0 * rel)
-    return qgrid.WaveGrid(spec2, 0.0, amp).normalized()
+    rel = x[None, :] - x[:, None]
+    rel += L
+    rel %= 2 * L
+    rel -= L
+    amp = (1j * k0) * rel
+    np.square(rel, out=rel)
+    np.negative(rel, out=rel)
+    rel /= 4 * sigma ** 2
+    amp += rel
+    del rel
+    np.exp(amp, out=amp)
+    amp /= qgrid.WaveGrid(spec2, 0.0, amp).norm()
+    return qgrid.WaveGrid(spec2, 0.0, amp)
 
 
 def _suite_frame(model_params: ModelParams, params: dict,
@@ -694,8 +711,7 @@ def _suite_pathint(model_params: ModelParams, params: dict,
     checks.append(Check("kernel-modulus-uniformity", "kernel-modulus-uniformity",
                         float(mod.std() / mod.mean()), 1e-3))
     # each dense matrix goes once its checks are taken, so the chains below
-    # start with less memory held; kernel stays for the anchor swap and the
-    # artifacts
+    # start with less memory held
     del Ec, mod
 
     # classical_split's stats, from the central block alone
@@ -703,6 +719,28 @@ def _suite_pathint(model_params: ModelParams, params: dict,
     checks.append(Check("classical-split-uniformity", "kernel-classical-split",
                         pathint._spread(split)["max_rel_deviation"], 1e-3))
     del split
+
+    # all that reads the whole kernel, which then goes before the semigroup
+    # product: the wave-propagation residual (reported below, in check
+    # order) and the artifacts
+    psi0 = qgrid.gaussian_packet(grid, 0.0, 1.0, 0.5)
+    via_kernel = pathint.propagate_wavefunction(kernel, psi0)
+    H1 = qgrid.HamiltonianSpec((1.0,), hbar=hbar)
+    via_phase = qgrid._free_propagate(psi0, H1, 1.0)
+    wave = Check("kernel-wave-propagation", "kernel-wave-propagation",
+                 _l2(via_kernel.amplitudes - via_phase.amplitudes)
+                 / _l2(via_phase.amplitudes), 1e-2)
+    del via_kernel, via_phase
+    if out is not None:
+        # the central row and column of |K| and arg K; the phase as the
+        # imaginary part of the complex log, which has libm's bits at every
+        # SIMD level (np.angle's AVX-512 loop rounds differently)
+        slices = np.concatenate((kernel.matrix[n // 2, :], kernel.matrix[:, n // 2]))
+        _write_csv(out / "kernel_slices.csv", ["which", "x", "abs_K", "arg_K"],
+                   ["row"] * n + ["col"] * n, np.tile(x, 2), np.abs(slices),
+                   np.log(slices).imag)
+        pathint.write_kernel(out / "kernel.cqmk", kernel)
+    del kernel
 
     # compose_kernels(half2, half1) with half2 the half moved to 0.5..1 (the
     # free kernel depends on the times only through the duration), its
@@ -712,21 +750,14 @@ def _suite_pathint(model_params: ModelParams, params: dict,
     Sc = (rows @ Kh)[:, cen]
     checks.append(Check("kernel-semigroup", "kernel-semigroup",
                         _l2(Sc - Kc) / _l2(Kc), 1e-3))
-    del Kc, Kh, rows, Sc
+    del Kh, rows, Sc
 
     one = pathint.sliced_propagator(free1, pathint.SliceScheme(1, grid, 0.0, 1.0))
     np.subtract(one.matrix, exact, out=one.matrix)
     checks.append(Check("one-slice-exactness", "kernel-analytic-free",
                         float(np.abs(one.matrix).max()), 1e-12))
     del one, exact
-
-    psi0 = qgrid.gaussian_packet(grid, 0.0, 1.0, 0.5)
-    via_kernel = pathint.propagate_wavefunction(kernel, psi0)
-    H1 = qgrid.HamiltonianSpec((1.0,), hbar=hbar)
-    via_phase = qgrid._free_propagate(psi0, H1, 1.0)
-    checks.append(Check("kernel-wave-propagation", "kernel-wave-propagation",
-                        _l2(via_kernel.amplitudes - via_phase.amplitudes)
-                        / _l2(via_phase.amplitudes), 1e-2))
+    checks.append(wave)
 
     delta = pathint.PropagatorKernel.delta(grid, 0.0, 1.0, hbar)
     ident = pathint.propagate_wavefunction(delta, psi0)
@@ -751,15 +782,15 @@ def _suite_pathint(model_params: ModelParams, params: dict,
     del E2c
 
     # anchored on particle 1 the reduced coordinate carries mass 1: the bare
-    # chain, so kernel.matrix is that relational kernel's matrix; the index
+    # chain, so Kc is the central block of that relational kernel; the index
     # flip i -> -i mod n reverses the block
     xc = x[cen]
     aligned = rel[::-1, ::-1][inner] * np.exp(
         1j * (free2.params.masses[0] - free2.params.masses[1])
         * (xc[:, None] - xc[None, :]) ** 2 / (2 * hbar * 1.0))
     checks.append(Check("anchor-swap-fidelity", "relational-kernel-mass",
-                        _infidelity(aligned, kernel.matrix[central]), 1e-3))
-    del rel, aligned
+                        _infidelity(aligned, Kc), 1e-3))
+    del Kc, rel, aligned
 
     # dressed propagation vs dressing the bare evolution (heavy anchor)
     n2 = params["n_points_2d"]
@@ -776,16 +807,6 @@ def _suite_pathint(model_params: ModelParams, params: dict,
     rhs = pathint.propagate_wavefunction(relk, qgrid.dress_wavefunction(psi_b, 0))
     checks.append(Check("dressed-bare-propagation-fidelity", "relational-kernel-mass",
                         _infidelity(lhs.amplitudes, rhs.amplitudes), 1e-3))
-
-    if out is not None:
-        # the central row and column of |K| and arg K; the phase as the
-        # imaginary part of the complex log, which has libm's bits at every
-        # SIMD level (np.angle's AVX-512 loop rounds differently)
-        slices = np.concatenate((kernel.matrix[n // 2, :], kernel.matrix[:, n // 2]))
-        _write_csv(out / "kernel_slices.csv", ["which", "x", "abs_K", "arg_K"],
-                   ["row"] * n + ["col"] * n, np.tile(x, 2), np.abs(slices),
-                   np.log(slices).imag)
-        pathint.write_kernel(out / "kernel.cqmk", kernel)
     return checks
 
 

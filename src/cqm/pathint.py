@@ -210,12 +210,14 @@ def _chain(grid: GridSpec, dt: float, mass: float, hbar: float,
     phases keeps it.  Each column evolves on its own, so a block is bit for
     bit the same block of the whole matrix.
 
-    The propagated columns run in contiguous row bands, one thread per CPU in
-    the affinity mask (``_chain_threads``; a tool such as ``taskset`` limits
-    it), inline when there is one band.  Each band takes its rows in blocks
-    of ``_CHAIN_BLOCK_BYTES`` (no more rows than the largest band), runs
-    both parities on each block in its own block buffer, allocated here with
-    every other buffer, and writes the block's columns of each K.  Every
+    The propagated columns run in contiguous row bands, one per CPU in the
+    affinity mask (``_chain_threads``; a tool such as ``taskset`` limits
+    it): the calling thread runs band 0 and a pool of one thread per other
+    band runs the rest, so one band starts no thread.  Each band takes its
+    rows in blocks of ``_CHAIN_BLOCK_BYTES`` (no more rows than the largest
+    band), runs both parities on each block in its own block buffer,
+    allocated here with every other buffer, and writes the block's columns
+    of each K.  Every
     column sees the same operations in the same order, so the bits depend on
     neither the band count nor the block size.
     """
@@ -337,8 +339,10 @@ def _chain(grid: GridSpec, dt: float, mass: float, hbar: float,
         from concurrent.futures import ThreadPoolExecutor
 
         # numpy's FFTs and ufunc loops release the GIL
-        with ThreadPoolExecutor(n_bands) as pool:
-            list(pool.map(run_band, buffers, bounds[:-1], bounds[1:]))
+        with ThreadPoolExecutor(n_bands - 1) as pool:
+            rest = pool.map(run_band, buffers[1:], bounds[1:-1], bounds[2:])
+            run_band(buffers[0], bounds[0], bounds[1])
+            list(rest)
     # in block indices the reflection is a -> r - a; it covers rows top..,
     # where top is 1 only for the whole matrix, whose row 0 has no mirror
     r = n_out - 2 * window

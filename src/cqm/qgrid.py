@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .bundle import _particle_index
 from .classical import HPFSample
 from .cocycle import CocycleAccumulator
 
@@ -47,6 +48,8 @@ __all__ = [
 
 _MAGIC = b"CQMW"
 _VERSION = 1
+# bytes of the row block of the free phase that _free_propagate holds at once
+_PHASE_BLOCK_BYTES = 1 << 20
 
 
 # The residual forms of every suite.  Their sums are np.sum over a contiguous
@@ -114,9 +117,10 @@ class GridSpec:
 
 
 def _check_anchor(anchor: int | None, n_axes: int) -> None:
-    """Relational on n_axes axes: n_axes + 1 particles, the anchor one of them."""
-    if anchor is not None and not 0 <= anchor <= n_axes:
-        raise ValueError(f"anchor {anchor} is not a particle of {n_axes + 1}")
+    """Relational on n_axes axes: n_axes + 1 particles, the anchor one of
+    them, an integer; None is bare."""
+    if anchor is not None:
+        _particle_index(anchor, n_axes + 1, "anchor")
 
 
 @dataclass(frozen=True)
@@ -185,14 +189,27 @@ def gaussian_packet(spec: GridSpec, centers, sigmas, k0=None) -> WaveGrid:
     return psi.normalized()
 
 
-def _kinetic_phase(spec: GridSpec, H: HamiltonianSpec, dt: float) -> np.ndarray:
+def _kinetic_phase(spec: GridSpec, H: HamiltonianSpec, dt: float,
+                   rows: slice = slice(None)) -> np.ndarray:
+    """exp(-i E_k dt / hbar) on the grid, or on ``rows`` of its first axis.
+
+    The kinetic energy is summed in place, axis by axis, and the phase built
+    in one complex buffer, with the operations of
+    ``np.exp(-1j * kin * dt / hbar)``; every entry is elementwise, so a block
+    of rows is the same bits as those rows of the whole phase.
+    """
     ks = [spec.kvec(a) for a in range(spec.ndim)]
-    kin = np.zeros(spec.shape)
+    ks[0] = ks[0][rows]
+    kin = np.zeros(tuple(k.size for k in ks))
     for a, k in enumerate(ks):
         shape = [1] * spec.ndim
         shape[a] = k.size
-        kin = kin + (H.hbar ** 2 * k.reshape(shape) ** 2) / (2 * H.masses[a])
-    return np.exp(-1j * kin * dt / H.hbar)
+        kin += (H.hbar ** 2 * k.reshape(shape) ** 2) / (2 * H.masses[a])
+    phase = -1j * kin
+    del kin
+    phase *= dt
+    phase /= H.hbar
+    return np.exp(phase, out=phase)
 
 
 def _check_hamiltonian(psi: WaveGrid, H: HamiltonianSpec) -> None:
@@ -247,18 +264,31 @@ def _free_propagate(psi: WaveGrid, H: HamiltonianSpec, T: float) -> WaveGrid:
 
     For a Hamiltonian without a potential a Strang step is this phase at
     dt, so ``steps`` steps are the same operator with ``steps`` times the
-    rounding and a dt bound.  The input amplitudes are not written to.
+    rounding and a dt bound.  The state is transformed into one array, which
+    is spectrum and result; the phase multiplies it in row blocks of at most
+    ``_PHASE_BLOCK_BYTES``, each block's phase built for that block, so the
+    whole phase is never held.  The bits are those of ``_apply_kinetic``
+    with the whole ``_kinetic_phase``.  The input amplitudes are not written
+    to.
     """
     _check_hamiltonian(psi, H)
     if H.potential is not None:
         raise ValueError("exact propagation holds for the free Hamiltonian")
     if not T > 0:
         raise ValueError("T must be positive")
-    # the phase's temporaries are freed before the one work array exists, so
-    # the peak holds one complex grid fewer; that array is spectrum and result
-    expK = _kinetic_phase(psi.spec, H, T)
+    fft, ifft, per_axis = _fft_plan(psi.spec.shape)
     amp = np.empty_like(psi.amplitudes)
-    _apply_kinetic(psi.amplitudes, expK, amp, amp)
+    src = psi.amplitudes
+    for axes, _ in per_axis:
+        fft(src, 1, axes=axes, out=amp)
+        src = amp
+    step = max(1, _PHASE_BLOCK_BYTES // amp[:1].nbytes)
+    for lo in range(0, amp.shape[0], step):
+        block = amp[lo:lo + step]
+        np.multiply(_kinetic_phase(psi.spec, H, T, slice(lo, lo + step)), block,
+                    out=block)
+    for axes, inv_n in per_axis:
+        ifft(amp, inv_n, axes=axes, out=amp)
     return replace(psi, t=psi.t + T, amplitudes=amp)
 
 

@@ -224,9 +224,17 @@ def test_decompose_projection_pair(v):
         1 + np.abs(v).max())
 
 
+@pytest.mark.parametrize("i", [2, -1, 1.7, 1.0, True, float("nan"), np.array([0])])
+def test_block_refuses_a_non_particle(i):
+    params = ModelParams(2, 1, np.array([1.0, 1.0]))
+    assert params.block(np.int64(1)) == slice(1, 2)
+    with pytest.raises(ValueError, match="particle index"):
+        params.block(i)
+
+
 def test_decompose_anchor_out_of_range():
     params = ModelParams(2, 1, np.array([1.0, 1.0]))
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match="anchor"):
         decompose_shift(params, [1.0, 2.0], anchor=5)
 
 

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cqm.bundle import Config, GaugeField, ModelParams
+from cqm.bundle import Config, GaugeField, ModelParams, decompose_shift
 from cqm.classical import (DiscretePath, action, gauge_transform_path,
                            solve_critical_path)
 from cqm.cocycle import LagrangianModel, path_cocycle
@@ -9,6 +12,7 @@ from cqm.dressing import (RelationalConfig, dress_config, dress_path,
                           dressed_action, dressed_critical_path,
                           dressing_field_along, frame_shift, identity_suite,
                           residual_first_kind)
+from cqm.qgrid import _check_anchor
 from conftest import random_path
 
 
@@ -241,7 +245,7 @@ def test_dressed_critical_with_potential():
 def test_dressing_choice_object_as_anchor(free2):
     rel = dress_config(free2.params, Config(0.0, [5.0, 2.0]), np.int64(0))
     assert np.array_equal(rel.xbar, [0.0, -3.0])
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match="anchor"):
         dress_config(free2.params, Config(0.0, [5.0, 2.0]), 7)
 
 
@@ -306,10 +310,38 @@ def test_identity_suite_stack_mixed_anchors(rng, n_particles, spatial_dim):
 def test_stacked_anchors_are_checked(free3, rng):
     stack = DiscretePath.from_nodes(np.linspace(0, 1, 5),
                                     rng.normal(size=(2, 5, 3)))
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match="anchor"):
         dress_path(free3.params, stack, np.array([0, 3]))
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="anchor"):
         dress_path(free3.params, stack, np.array([0.0, 1.0]))
+
+
+# three particles: 0, 1 and 2 are anchors, nothing else is
+_BAD_ANCHORS = st.one_of(
+    st.integers(3, 2**62), st.integers(-2**62, -1),
+    st.sampled_from([1.7, 1.0, True, False, float("nan"), np.float64(0.5),
+                     np.array([0, 1]), None, "0"]),
+    st.floats(),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(anchor=_BAD_ANCHORS)
+def test_bad_anchors_raise_value_error(anchor):
+    params = ModelParams(3, 1, np.array([1.0, 2.0, 0.5]))
+    path = DiscretePath.from_nodes(np.linspace(0, 1, 4),
+                                   np.arange(12.0).reshape(4, 3))
+    calls = [lambda: decompose_shift(params, path.x, anchor),
+             lambda: dress_path(params, path, anchor),
+             lambda: frame_shift(params, path, anchor, 0),
+             lambda: frame_shift(params, path, 0, anchor)]
+    if anchor is not None:  # None is the bare state's anchor
+        calls.append(lambda: _check_anchor(anchor, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="anchor"):
+                call()
 
 
 def test_dressed_action_stack_raises_on_one_failed_probe(free3, rng, monkeypatch):

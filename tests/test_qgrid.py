@@ -11,9 +11,10 @@ from cqm.qgrid import (GridSpec, HamiltonianSpec, WaveGrid,
                        boost_covariance_check, commutator_expectation,
                        dress_wavefunction, evolve, frame_change,
                        gaussian_packet, meta_action, momentum_apply,
-                       read_wavegrid, write_wavegrid, _fft_plan,
-                       _free_propagate, _infidelity, _kinetic_phase, _l2,
-                       _periodic_resample)
+                       read_wavegrid, write_wavegrid, _apply_kinetic,
+                       _fft_plan, _free_propagate, _infidelity, _kinetic_phase,
+                       _l2, _periodic_resample)
+from cqm import qgrid
 
 
 @pytest.fixture
@@ -328,6 +329,38 @@ def test_free_propagate_validation(spec512, H1):
     for T in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="T must be positive"):
             _free_propagate(psi, H1, T)
+
+
+def _phase_expression(spec, H, dt):
+    """The kinetic phase as one expression over fresh arrays."""
+    kin = np.zeros(spec.shape)
+    for a in range(spec.ndim):
+        shape = [1] * spec.ndim
+        shape[a] = spec.shape[a]
+        kin = kin + (H.hbar ** 2 * spec.kvec(a).reshape(shape) ** 2) / (2 * H.masses[a])
+    return np.exp(-1j * kin * dt / H.hbar)
+
+
+# 7 rows a block: no block count divides 512, 384 or 33 rows, so every run
+# ends in a short block
+@pytest.mark.parametrize("shape, masses", [
+    ((512,), (1.0,)), ((384, 384), (2000.0, 1.0)), ((33, 40, 24), (1.0, 2.0, 0.5)),
+])
+def test_blockwise_free_propagate_is_the_whole_phase(monkeypatch, shape, masses):
+    spec = GridSpec(tuple((-15.0, 15.0, n) for n in shape))
+    ndim = len(shape)
+    psi = gaussian_packet(spec, [0.5] * ndim, [1.5] * ndim, [0.5] * ndim)
+    H = HamiltonianSpec(masses, hbar=0.8)
+    T = 0.37
+    phase = _kinetic_phase(spec, H, T)
+    assert np.array_equal(phase, _phase_expression(spec, H, T))
+    whole = np.empty_like(psi.amplitudes)
+    _apply_kinetic(psi.amplitudes, phase, whole, whole)
+    assert np.array_equal(_free_propagate(psi, H, T).amplitudes, whole)
+    row_bytes = 16 * int(np.prod(shape[1:]))
+    monkeypatch.setattr(qgrid, "_PHASE_BLOCK_BYTES", 7 * row_bytes + 5)
+    assert shape[0] % 7
+    assert np.array_equal(_free_propagate(psi, H, T).amplitudes, whole)
 
 
 def _boost_inline(psi0, vboost, T, H):
@@ -725,3 +758,40 @@ def test_spreading_with_scaled_hbar():
     dens = np.abs(out.amplitudes) ** 2 * spec.cell_volume
     var = float(np.sum(x ** 2 * dens) - np.sum(x * dens) ** 2)
     assert abs(var - (sigma0 ** 2 + (hbar * T / (2 * m * sigma0)) ** 2)) < 1e-6
+
+
+@pytest.mark.parametrize("n", [8, 9, 256, 384])
+@pytest.mark.parametrize("sigma, k0", [(2.0, 1.0), (1.5, 0.5), (0.7, -2.3)])
+def test_relative_state_matches_meshgrid_form(n, sigma, k0):
+    from cqm.experiments import _relative_state
+
+    spec2 = GridSpec(((-20.0, 20.0, n), (-20.0, 20.0, n)))
+    x = spec2.coords(0)
+    L = 20.0
+    X0, X1 = np.meshgrid(x, x, indexing="ij")
+    rel = (X1 - X0 + L) % (2 * L) - L
+    amp = np.exp(-rel ** 2 / (4 * sigma ** 2) + 1j * k0 * rel)
+    expected = WaveGrid(spec2, 0.0, amp).normalized()
+    psi = _relative_state(spec2, sigma, k0)
+    assert psi.spec == spec2 and psi.t == 0.0 and psi.anchor is None
+    assert np.array_equal(psi.amplitudes, expected.amplitudes)
+
+
+def test_frame_suite_peak_memory():
+    # at 384^2 (2.25 MiB a complex grid) the 2-D path holds the state and
+    # the propagated array, and the free phase only a 1 MiB row block at a
+    # time; a small run first, so the peak counts no import
+    import tracemalloc
+
+    from cqm.bundle import ModelParams
+    from cqm.experiments import run_experiment
+
+    model = ModelParams(2, 1, np.array([1.0, 2.0]))
+    run_experiment("frame", model, {"n_points": 8}, 1, None)
+    tracemalloc.start()
+    try:
+        run_experiment("frame", model, {"n_points": 384}, 1, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * 2**20
