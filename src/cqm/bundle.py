@@ -206,11 +206,6 @@ def decompose_shift(params: ModelParams, values, anchor: int | np.ndarray | str 
     return values - external, external
 
 
-def _smooth_bump(s: np.ndarray) -> np.ndarray:
-    # sin^2 profile: exactly zero at s=0,1
-    return np.sin(np.pi * np.clip(s, 0.0, 1.0)) ** 2
-
-
 @dataclass(frozen=True)
 class GaugeField:
     """A sampled time-dependent shift X(t), interpolated linearly.
@@ -286,21 +281,6 @@ class GaugeField:
         v = np.asarray(v, dtype=float)
         times = np.linspace(t0, t1, n)
         return cls(times, times[:, None] * v[..., None, :])
-
-    @classmethod
-    def constant(cls, v: np.ndarray, t0: float = 0.0, t1: float = 1.0) -> "GaugeField":
-        v = np.asarray(v, dtype=float)
-        return cls(np.array([t0, t1]), np.stack([v, v]))
-
-    @classmethod
-    def bump(cls, direction: np.ndarray, t0: float, t1: float, n: int = 65) -> "GaugeField":
-        """Smooth single bump supported on (t0, t1), zero at the endpoints."""
-        direction = np.asarray(direction, dtype=float)
-        times = np.linspace(t0, t1, n)
-        prof = _smooth_bump((times - t0) / (t1 - t0))
-        prof[0] = 0.0
-        prof[-1] = 0.0
-        return cls(times, prof[:, None] * direction[None, :], support=(t0, t1))
 
     @classmethod
     def sine_modes(cls, coeffs, t0: float, t1: float, n: int = 65) -> "GaugeField":

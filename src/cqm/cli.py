@@ -246,7 +246,9 @@ def _cmd_run(args) -> int:
 def _cmd_list(_args) -> int:
     for name, exp in REGISTRY.items():
         print(f"{name}: {exp.description}")
-        print(f"    laws: {', '.join(exp.laws)}")
+        for check, law, tol, *needs in exp.checks:
+            print(f"    check {check} ({law}): residual < {tol!r}"
+                  + "".join(f", when {p} is set" for p in needs))
         for p in exp.params:
             low = {int: f" in [{p.minimum}, {p.maximum}]",
                    float: f" > {p.minimum}"}.get(p.type, "")

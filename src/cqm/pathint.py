@@ -40,7 +40,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .classical import HPFSample
 from .cocycle import LagrangianModel
-from .qgrid import (GridSpec, WaveGrid, _check_anchor, _fft_plan,
+from .qgrid import (GridSpec, WaveGrid, _check_anchor, _count, _fft_plan,
                     _read_artifact, _write_artifact)
 
 __all__ = [
@@ -67,8 +67,7 @@ class SliceScheme:
     t1: float
 
     def __post_init__(self):
-        if self.n_slices < 1:
-            raise ValueError("need at least one slice")
+        object.__setattr__(self, "n_slices", _count(self.n_slices, "n_slices", 1))
         if not self.t1 > self.t0:
             raise ValueError("need t1 > t0")
         if self.grid.ndim != 1:

@@ -70,6 +70,16 @@ def _infidelity(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * _l2(a - np.exp(-1j * np.arctan2(im, re)) * b) ** 2
 
 
+def _count(value, name: str, minimum: int) -> int:
+    """``value`` as an ``int`` of at least ``minimum``: an int or a numpy
+    integer, not a bool; any other value (8.7, "12", NaN) or a smaller one
+    raises ValueError naming ``name``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic grid, one (lo, hi, n) triple per axis."""
@@ -77,14 +87,13 @@ class GridSpec:
     axes: tuple[tuple[float, float, int], ...]
 
     def __post_init__(self):
-        axes = tuple((float(lo), float(hi), int(n)) for lo, hi, n in self.axes)
+        axes = tuple((float(lo), float(hi), _count(n, "axis point count", 8))
+                     for lo, hi, n in self.axes)
         for lo, hi, n in axes:
             if not hi > lo:
                 raise ValueError("axis needs hi > lo")
             if not np.isfinite(hi - lo):  # an infinite bound or width
                 raise ValueError("axis needs finite bounds and a finite width")
-            if n < 8:
-                raise ValueError("axis needs at least 8 points")
         object.__setattr__(self, "axes", axes)
 
     @property

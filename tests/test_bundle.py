@@ -57,7 +57,7 @@ def test_gauge_apply_boost():
 
 
 def test_gauge_apply_batches():
-    G = GaugeField.constant(np.array([1.0, -2.0]))
+    G = GaugeField([0.0, 1.0], [[1.0, -2.0], [1.0, -2.0]])
     # a valid (3, 2) batch shifts row by row
     p = Config(0.5, np.arange(6.0).reshape(3, 2))
     assert np.array_equal(right_action(p, Shift(G.value_at(p.t))).x,
@@ -70,13 +70,13 @@ def test_gauge_apply_batches():
 
 
 def test_gauge_apply_zero_field():
-    G = GaugeField.constant(np.zeros(2))
+    G = GaugeField([0.0, 1.0], np.zeros((2, 2)))
     p = Config(0.7, [1.0, -2.0])
     assert np.array_equal(right_action(p, Shift(G.value_at(p.t))).x, p.x)
 
 
 def test_gauge_apply_outside_support():
-    G = GaugeField.bump(np.array([1.0]), 1.0, 2.0)
+    G = GaugeField.sine_modes([[1.0]], 1.0, 2.0)
     for p in (Config(0.5, [3.0]), Config(2.0, [3.0])):
         assert np.array_equal(right_action(p, Shift(G.value_at(p.t))).x, [3.0])
 
@@ -171,7 +171,7 @@ def test_value_at_is_per_column_interp(G, extra):
 
 
 def test_gauge_field_json_roundtrip():
-    G = GaugeField.bump(np.array([1.0, 2.0]), 0.0, 1.0, n=9)
+    G = GaugeField.sine_modes([[1.0, 2.0]], 0.0, 1.0, n=9)
     G2 = GaugeField.from_dict(G.to_dict())
     assert np.array_equal(G.values, G2.values)
     assert G.support == G2.support
@@ -285,7 +285,7 @@ def test_model_params_json_roundtrip():
 @settings(max_examples=100, deadline=None)
 @given(st.floats(min_value=-3, max_value=6, allow_nan=False))
 def test_gauge_support_window_property(t):
-    G = GaugeField.bump(np.array([1.0, -2.0]), 1.0, 2.0)
+    G = GaugeField.sine_modes([[1.0, -2.0]], 1.0, 2.0)
     p = Config(t, [0.5, 0.5])
     moved = right_action(p, Shift(G.value_at(p.t)))
     if t <= 1.0 or t >= 2.0:

@@ -60,7 +60,7 @@ def test_gauge_split_agreement(free2, rng):
 
 def test_gauge_split_zero_field(free2, rng):
     path = random_path(rng, 2)
-    G = GaugeField.constant(np.zeros(2))
+    G = GaugeField([0.0, 1.0], np.zeros((2, 2)))
     assert action_gauge_transformed(free2, path, G) == pytest.approx(
         action(free2, path), abs=1e-14)
 

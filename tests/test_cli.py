@@ -33,10 +33,13 @@ def test_list_command(capsys):
     out = capsys.readouterr().out
     for name, exp in REGISTRY.items():
         assert name in out
+        # every declared check with its law and gate
+        for check, law, tol, *_ in exp.checks:
+            assert f"    check {check} ({law}): residual < {tol!r}" in out
         for p in exp.params:
             assert f"    {p.name}: " in out
             assert f"default {p.default!r}" in out
-    assert "laws:" in out
+    assert "residual < 1e-10, when gauge_field is set" in out
     assert "all:" in out
 
 
@@ -238,6 +241,16 @@ def test_bad_model_rejected(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_configured_field_check_needs_a_field():
+    cfg = {"model": MINI_MODEL, "experiment": "classical", "seed": 5,
+           "params": {"classical": {"n_pairs": 3, "M": 20}}}
+    entry = run_from_config(cfg, None)["experiments"]["classical"]
+    names = [c["name"] for c in entry["checks"]]
+    assert "gauge-split-configured-field" not in names
+    assert names == [check.format(M=20) for check, _, _, *needs
+                     in REGISTRY["classical"].checks if not needs]
+
+
 def test_classical_suite_documents_known_red(tmp_path):
     # the M=200 analytic-match check sits below the second-order
     # discretisation floor (1.44e-6 > 1e-6) and is expected to fail
@@ -280,13 +293,15 @@ def test_gauge_field_loadable_from_config(tmp_path):
     from cqm.bundle import GaugeField
     import numpy as np
 
-    field = GaugeField.bump(np.array([0.5, -0.3]), 0.0, 1.0, n=17)
+    field = GaugeField.sine_modes([[0.5, -0.3]], 0.0, 1.0, n=17)
     cfg = {"model": MINI_MODEL, "experiment": "classical", "seed": 5,
            "params": {"classical": {"n_pairs": 3,
                                     "gauge_field": field.to_dict()}}}
     rep = run_from_config(cfg, None)
     names = [c["name"] for c in rep["experiments"]["classical"]["checks"]]
-    assert "gauge-split-configured-field" in names
+    # reported in its declared place, second
+    assert names[:3] == ["gauge-split", "gauge-split-configured-field",
+                         "boost-boundary-term"]
     check = next(c for c in rep["experiments"]["classical"]["checks"]
                  if c["name"] == "gauge-split-configured-field")
     assert check["passed"]
@@ -393,7 +408,7 @@ def test_nan_residual_fails_its_check(monkeypatch, suite, module, func, names):
         return np.nan * out
 
     monkeypatch.setattr(mod, func, poisoned)
-    field = GaugeField.bump(np.array([0.5, -0.3]), 0.0, 1.0, n=17)
+    field = GaugeField.sine_modes([[0.5, -0.3]], 0.0, 1.0, n=17)
     params = {"n_probes": 100, "n_pairs": 2, "M": 20, "gauge_field": field.to_dict()}
     model = ModelParams(2, 1, np.array([1.0, 2.0]))
     # each suite reads only the keys it declares
@@ -713,6 +728,34 @@ def test_crash_in_a_concurrent_run(tmp_path, monkeypatch, capsys):
         {"name": "suite-error", "law": "RuntimeError", "residual": 1.0, "tol": 0.0,
          "passed": False}]
     assert _body(report) == _body(serial)
+
+
+@pytest.mark.parametrize("change, culprit", [("extra", "undeclared-check"),
+                                             ("missing", "static-endpoint-action")])
+def test_suite_returning_other_checks_is_a_suite_error(monkeypatch, change, culprit):
+    from dataclasses import replace
+
+    real = REGISTRY["hpf"].fn
+
+    def altered(*args):
+        residuals = real(*args)
+        if change == "extra":
+            residuals[culprit] = 0.0
+        else:
+            del residuals[culprit]
+        return residuals
+
+    monkeypatch.setattr(pathint, "_chain_threads", lambda: 1)
+    intact = run_from_config(_small_all(), None)["experiments"]
+    monkeypatch.setitem(REGISTRY, "hpf", replace(REGISTRY["hpf"], fn=altered))
+    report = run_from_config(_small_all(), None)["experiments"]
+    entry = report.pop("hpf")
+    assert [c["name"] for c in entry["checks"]] == ["suite-error"]
+    assert entry["checks"][0]["law"] == "ValueError"
+    assert "'hpf'" in entry["error"] and culprit in entry["error"]
+    # the other suites of the run are unaffected
+    del intact["hpf"]
+    assert report == intact
 
 
 def test_report_body_independent_of_blas_threads(tmp_path):

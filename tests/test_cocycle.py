@@ -144,10 +144,11 @@ def test_path_cocycle_boost_equals_boundary_term(free2, rng):
 
 def test_path_cocycle_zero_and_constant(free2, rng):
     path = random_path(rng, 2)
-    zero = path_cocycle(free2, path, GaugeField.constant(np.zeros(2)))
+    zero = path_cocycle(free2, path, GaugeField([0.0, 1.0], np.zeros((2, 2))))
     assert zero.real_value == 0.0
     assert zero.phase == 1.0 + 0.0j
-    const = path_cocycle(free2, path, GaugeField.constant(rng.normal(size=2)))
+    c = rng.normal(size=2)
+    const = path_cocycle(free2, path, GaugeField([0.0, 1.0], [c, c]))
     assert const.real_value == 0.0
 
 
@@ -155,8 +156,8 @@ def test_path_cocycle_needs_two_nodes(free1):
     path = DiscretePath.from_nodes([0.0, 1.0], np.zeros((2, 1)))
     bad = type("P", (), {"t": np.array([0.0]), "x": np.zeros((1, 1))})()
     with pytest.raises(ValueError):
-        path_cocycle(free1, bad, GaugeField.constant(np.zeros(1)))
-    path_cocycle(free1, path, GaugeField.constant(np.zeros(1)))
+        path_cocycle(free1, bad, GaugeField([0.0, 1.0], np.zeros((2, 1))))
+    path_cocycle(free1, path, GaugeField([0.0, 1.0], np.zeros((2, 1))))
 
 
 def test_u1_composition_on_paths(free2, rng):

@@ -156,7 +156,7 @@ def test_identity_suite_random(free3, rng):
 
 def test_identity_suite_zero_internal_field(free3, rng):
     path = random_path(rng, 3)
-    G = GaugeField.constant(np.zeros(3))
+    G = GaugeField([0.0, 1.0], np.zeros((2, 3)))
     res = identity_suite(free3, path, 0, 1, G)
     assert res["frame-shift-internal-transform"] == 0.0
 

@@ -578,6 +578,25 @@ def test_scheme_validation(grid256):
         SliceScheme(4, spec2, 0.0, 1.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [8.7, 9.0, np.float64(9.0), np.float64(3.0), 2.5,
+                                   "12", True, np.bool_(True), float("nan"),
+                                   float("inf"), None, 0, -8, np.int64(-3)])
+def test_sizes_must_be_integers(grid256, value):
+    with pytest.raises(ValueError, match="axis point count must be an integer >= 8"):
+        GridSpec(((-1.0, 1.0, value),))
+    with pytest.raises(ValueError, match="n_slices must be an integer >= 1"):
+        SliceScheme(value, grid256, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("n", [9, np.int64(9), np.uint16(9), np.int32(9)])
+def test_numpy_integer_sizes_are_accepted(grid256, n):
+    assert GridSpec(((-1.0, 1.0, n),)).axes[0][2] == 9
+    assert type(GridSpec(((-1.0, 1.0, n),)).axes[0][2]) is int
+    scheme = SliceScheme(n, grid256, 0.0, 0.9)
+    assert type(scheme.n_slices) is int and scheme.dt == 0.9 / 9
+
+
 def test_kernel_binary_roundtrip(tmp_path, kernel256):
     f = tmp_path / "kernel.cqmk"
     write_kernel(f, kernel256)
