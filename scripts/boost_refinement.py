@@ -8,20 +8,20 @@ sweeping the grid resolution.  Writes a CSV of relative L2 discrepancies.
 """
 import sys
 
+from cqm.experiments import _write_csv
 from cqm.qgrid import GridSpec, HamiltonianSpec, boost_covariance_check, gaussian_packet
 
 
 def main() -> int:
     out = sys.argv[1] if len(sys.argv) > 1 else "boost_refinement.csv"
     H = HamiltonianSpec((1.0,))
-    rows = ["n_points,rel_l2_error"]
-    for n in (256, 512, 1024, 2048, 4096):
+    ns = (256, 512, 1024, 2048, 4096)
+    errs = []
+    for n in ns:
         spec = GridSpec(((-20.0, 20.0, n),))
-        err = boost_covariance_check(gaussian_packet(spec, 0.0, 1.0), 1.0, 1.0, H)
-        rows.append(f"{n},{err!r}")
-        print(rows[-1])
-    with open(out, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+        errs.append(boost_covariance_check(gaussian_packet(spec, 0.0, 1.0), 1.0, 1.0, H))
+        print(f"{n},{errs[-1]!r}")
+    _write_csv(out, ["n_points", "rel_l2_error"], ns, errs)
     print(f"wrote {out}")
     return 0
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from cqm.bundle import ModelParams
 from cqm.cocycle import LagrangianModel
+from cqm.experiments import _write_csv
 from cqm.pathint import SliceScheme, free_kernel_exact, sliced_propagator
 from cqm.qgrid import GridSpec, _l2
 
@@ -22,7 +23,7 @@ from cqm.qgrid import GridSpec, _l2
 def main() -> int:
     out = sys.argv[1] if len(sys.argv) > 1 else "kernel_study.csv"
     free1 = LagrangianModel(ModelParams(1, 1, np.array([1.0])))
-    rows = ["n_points,n_slices,rel_l2_central,modulus_std_over_mean"]
+    rows = []
     for n in (256, 512, 1024):
         grid = GridSpec(((-15.0, 15.0, n),))
         x = grid.coords(0)
@@ -36,10 +37,10 @@ def main() -> int:
             kc = K.matrix[np.ix_(cen, cen)]
             rel = _l2(kc - ec) / _l2(ec)  # the suite's kernel-vs-analytic form
             mod = np.abs(kc)
-            rows.append(f"{n},{M},{rel!r},{float(mod.std() / mod.mean())!r}")
-            print(f"{rows[-1]}  build {build_s:.3f} s")
-    with open(out, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+            rows.append((n, M, float(rel), float(mod.std() / mod.mean())))
+            print(",".join(map(repr, rows[-1])), f" build {build_s:.3f} s")
+    _write_csv(out, ["n_points", "n_slices", "rel_l2_central",
+                     "modulus_std_over_mean"], *zip(*rows))
     print(f"wrote {out}")
     return 0
 

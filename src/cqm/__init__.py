@@ -18,9 +18,9 @@ from .cocycle import (CocycleAccumulator, LagrangianModel, boost_boundary_term,
 from .classical import (DiscretePath, FlatCocyclicConnection, HPFSample,
                         action, el_residual, flat_connection, hpf_table,
                         noether_charge, solve_critical_path)
-from .dressing import (RelationalConfig, dress_config, dress_path,
-                       dressed_action, dressed_critical_path, frame_shift,
-                       identity_suite, residual_first_kind)
+from .dressing import (dress_config, dress_path, dressed_action,
+                       dressed_critical_path, frame_shift, identity_suite,
+                       residual_first_kind)
 from .qgrid import (GridSpec, HamiltonianSpec, WaveGrid,
                     boost_covariance_check, dress_wavefunction, evolve,
                     frame_change, gaussian_packet, meta_action,

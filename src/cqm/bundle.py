@@ -6,12 +6,13 @@ The translation group R^{dN} acts by adding a shift to x at fixed t; a
 time-dependent shift X(t) is a gauge field (extended Galilean transformation,
 covering boosts X(t) = v*t and accelerations).  The shift group splits into an
 "external" diagonal part (all particles moved identically) and an "internal"
-remainder.  ``decompose_shift`` is that split, anchored on one particle or on
-the per-axis mean, and it is the one place that knows the per-particle block
-layout: dressing on particle i is its anchored split of the configuration
-(internal part: the relational coordinates; external part: -u_i, with u_i
-the dressing field).  A GaugeField may hold a stack of fields on one sample
-grid, evaluated at once for a stack of paths.
+remainder.  ``decompose_shift`` is that split, anchored on one particle, and
+it is the one place that knows the per-particle block layout: dressing on
+particle i is its anchored split of the configuration (internal part: the
+relational coordinates; external part: -u_i, with u_i the dressing field).
+A relational configuration or path is only ever such a dressing.  A
+GaugeField may hold a stack of fields on one sample grid, evaluated at once
+for a stack of paths.
 """
 from __future__ import annotations
 
@@ -174,34 +175,28 @@ def _anchor_index(anchor, params: ModelParams) -> int | np.ndarray:
     return _particle_index(anchor, params.n_particles, "anchor", stacked=True)
 
 
-def decompose_shift(params: ModelParams, values, anchor: int | np.ndarray | str = 0
+def decompose_shift(params: ModelParams, values, anchor: int | np.ndarray = 0
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Split (..., dim) values into (internal, external) parts along the last axis.
 
     ``values`` is a shift, a configuration, a path's node samples or an
     (n, M+1, dim) stack of them.  With an integer anchor i the external part
     replicates particle i's block, so the internal part has an exactly zero
-    block i; an (n,) integer array gives one anchor per stacked row.  With
-    anchor="mean" the external part replicates the per-axis mean over
-    particles.  The internal part is ``values - external``, one rounding.
+    block i; an (n,) integer array gives one anchor per stacked row.  The
+    internal part is ``values - external``, one rounding.
     """
     values = np.asarray(values, dtype=float)
     if values.shape[-1:] != (params.dim,):
         raise ValueError("shift dimension does not match model")
     blocks = values.reshape(values.shape[:-1]
                             + (params.n_particles, params.spatial_dim))
-    # isinstance first: an anchor array == "mean" would compare elementwise
-    if isinstance(anchor, str) and anchor == "mean":
-        a = blocks.mean(axis=-2)
-    else:
-        i = _anchor_index(anchor, params)
-        if not isinstance(i, int) and (values.ndim < 2
-                                       or i.shape != values.shape[:1]):
-            raise ValueError(f"anchors of shape {i.shape} do not give one "
-                             f"per row of values of shape {values.shape}")
-        # block i of every row, or block i[k] of stacked row k
-        a = (blocks[..., i, :] if isinstance(i, int)
-             else blocks[np.arange(i.size), ..., i, :])
+    i = _anchor_index(anchor, params)
+    if not isinstance(i, int) and (values.ndim < 2 or i.shape != values.shape[:1]):
+        raise ValueError(f"anchors of shape {i.shape} do not give one "
+                         f"per row of values of shape {values.shape}")
+    # block i of every row, or block i[k] of stacked row k
+    a = (blocks[..., i, :] if isinstance(i, int)
+         else blocks[np.arange(i.size), ..., i, :])
     external = params.replicate(a)
     return values - external, external
 
@@ -273,13 +268,14 @@ class GaugeField:
         return out[..., 0, :] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
     @classmethod
-    def boost(cls, v: np.ndarray, t0: float, t1: float, n: int = 2) -> "GaugeField":
-        """Linear-in-time field X(t) = v * t (exact under linear interpolation).
+    def boost(cls, v: np.ndarray, t0: float, t1: float) -> "GaugeField":
+        """Linear-in-time field X(t) = v * t, sampled at t0 and t1 (exact
+        under linear interpolation).
 
         An (m, dim) array of velocities gives a stack of m fields.
         """
         v = np.asarray(v, dtype=float)
-        times = np.linspace(t0, t1, n)
+        times = np.linspace(t0, t1, 2)
         return cls(times, times[:, None] * v[..., None, :])
 
     @classmethod

@@ -53,7 +53,8 @@ class DiscretePath:
     on the shared grid.  ``deparametrized`` tells whether t coincides with
     the parameter grid; ``anchor`` marks relational paths (coordinates relative
     to that particle, whose block is identically zero; a stack carries one
-    anchor per history).
+    anchor per history), and only dressing sets it (``dressing.dress_path``,
+    ``dressing.dressed_critical_path``).
     """
 
     tau: np.ndarray
@@ -96,9 +97,9 @@ class DiscretePath:
         return np.diff(self.x, axis=-2) / np.diff(self.t)[:, None]
 
     @classmethod
-    def from_nodes(cls, t: Sequence[float], x: np.ndarray, anchor: int | None = None) -> "DiscretePath":
+    def from_nodes(cls, t: Sequence[float], x: np.ndarray) -> "DiscretePath":
         t = np.asarray(t, dtype=float)
-        return cls(t, t, np.asarray(x, dtype=float), anchor)
+        return cls(t, t, np.asarray(x, dtype=float))
 
     @classmethod
     def straight(cls, p0: Config, p1: Config, M: int) -> "DiscretePath":
@@ -314,10 +315,9 @@ def noether_charge(model: LagrangianModel, path: DiscretePath, chi: Shift):
     return t_mid, q
 
 
-def hpf_value(model: LagrangianModel, p0: Config, p1: Config, M: int = 64,
-              tol: float = 1e-10) -> float:
+def hpf_value(model: LagrangianModel, p0: Config, p1: Config, M: int = 64) -> float:
     """Action of the critical path from p0 to p1."""
-    return action(model, solve_critical_path(model, p0, p1, M, tol=tol))
+    return action(model, solve_critical_path(model, p0, p1, M))
 
 
 def free_hpf(model: LagrangianModel, p0: Config, t, x) -> np.ndarray:
@@ -403,8 +403,8 @@ class HPFSample:
         return vals[:, 0], vals[:, 1], ders[:, 0]
 
 
-def hpf_table(model: LagrangianModel, p0: Config, t_grid, x_grid, M: int = 64,
-              tol: float = 1e-10) -> HPFSample:
+def hpf_table(model: LagrangianModel, p0: Config, t_grid, x_grid, M: int = 64
+              ) -> HPFSample:
     """Tabulate the principal function over a rectangular (t, x) grid.
 
     One-dimensional configuration space only (the table is a surface).  With
@@ -427,7 +427,7 @@ def hpf_table(model: LagrangianModel, p0: Config, t_grid, x_grid, M: int = 64,
         S = np.empty((t_grid.size, x_grid.size))
         for i, tv in enumerate(t_grid):
             for j, xv in enumerate(x_grid):
-                S[i, j] = hpf_value(model, p0, Config(tv, [xv]), M=M, tol=tol)
+                S[i, j] = hpf_value(model, p0, Config(tv, [xv]), M=M)
     else:
         S = np.array([action(model, DiscretePath.straight(
             p0, Config(tv, x_grid[:, None]), M)) for tv in t_grid])

@@ -10,6 +10,10 @@ bare-frame formulas as sampled shift values; it is deliberately *not* a
 GaugeField (it depends on the configuration, not just on time), but the
 cocycle machinery consumes its node samples the same way.
 
+A relational configuration or path is only ever the dressing of a bare one
+on a particle index (``dress_config``, ``dress_path``), and
+``dressed_critical_path`` dresses its bare endpoints itself.
+
 Changing the anchor from particle i to particle j is the frame shift
 Z_ij(t) = u_j(t) - u_i(t) = x_i(t) - x_j(t), replicated across blocks; all
 transformation laws under internal shifts and frame changes reduce to the
@@ -22,19 +26,18 @@ residual array per identity, equal bit for bit to the per-history values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .bundle import (Config, GaugeField, ModelParams, _anchor_index,
-                     _frozen_array, decompose_shift)
+                     _particle_index, decompose_shift)
 from .classical import (DiscretePath, action, shift_path_nodes,
                         solve_critical_path)
 from .cocycle import (LagrangianModel, _field_at_nodes, _float_or_array,
                       path_cocycle)
 
 __all__ = [
-    "RelationalConfig",
     "dress_config",
     "dress_path",
     "dressing_field_along",
@@ -46,25 +49,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RelationalConfig:
-    """Relational coordinates: anchor block exactly zero."""
-
-    t: float
-    xbar: np.ndarray
-    anchor: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "xbar", _frozen_array(self.xbar))
-
-    def as_config(self) -> Config:
-        return Config(self.t, self.xbar)
-
-
-def dress_config(params: ModelParams, p: Config, anchor) -> RelationalConfig:
-    """Subtract the anchor particle's block from every block; time unchanged."""
-    i = _anchor_index(anchor, params)
-    return RelationalConfig(p.t, decompose_shift(params, p.x, i)[0], i)
+def dress_config(params: ModelParams, p: Config, anchor) -> Config:
+    """Subtract the anchor particle's block from every block, leaving that
+    block exactly zero; time unchanged."""
+    return Config(p.t, decompose_shift(params, p.x, anchor)[0])
 
 
 def dress_path(params: ModelParams, path: DiscretePath, anchor) -> DiscretePath:
@@ -210,29 +198,27 @@ def identity_suite(model: LagrangianModel, path: DiscretePath, i, j,
         _cross_checked_action(model, rel_j, s_bare + c_u_j) - (s_i + c_rel_z))
 
     # first-kind residual of the dressed action: S[(gamma^u)^Ybar] = S^u + c_{gamma^u}(Ybar)
-    lhs = action(model, shift_path_nodes(rel_i, ybar_i))
+    lhs = action(model, residual_first_kind(params, rel_i, Y))
     out["dressed-action-internal-shift"] = abs(lhs - (s_i + c_rel_ybar))
 
     return out
 
 
-def dressed_critical_path(model: LagrangianModel, q0: RelationalConfig,
-                          q1: RelationalConfig, M: int,
-                          tol: float = 1e-10) -> DiscretePath:
-    """Critical path of the dressed action on the reduced coordinates.
+def dressed_critical_path(model: LagrangianModel, p0: Config, p1: Config,
+                          M: int, anchor, tol: float = 1e-10) -> DiscretePath:
+    """Critical path of the dressed action between bare endpoints p0, p1,
+    dressed on the one particle ``anchor``.
 
     The anchor block is frozen at zero.  For the free model the non-anchor
     blocks are straight lines; with a (translation-invariant) potential the
     reduced boundary-value problem is solved by the same Newton iteration.
     """
-    if q0.anchor != q1.anchor:
-        raise ValueError("endpoints must share the anchor")
     params = model.params
-    i = q0.anchor
+    i = _particle_index(anchor, params.n_particles, "anchor")
+    q0, q1 = dress_config(params, p0, i), dress_config(params, p1, i)
 
     if model.potential is None:
-        path = DiscretePath.straight(q0.as_config(), q1.as_config(), M)
-        return replace(path, anchor=i)
+        return replace(DiscretePath.straight(q0, q1, M), anchor=i)
 
     # reduced model over the non-anchor blocks, anchor block pinned at zero
     red_params = ModelParams(params.n_particles - 1, params.spatial_dim,
@@ -250,6 +236,5 @@ def dressed_critical_path(model: LagrangianModel, q0: RelationalConfig,
         potential_grad=lambda xr: model.gradient(embed(xr))[..., sel],
     )
     red_path = solve_critical_path(
-        red_model, Config(q0.t, q0.xbar[sel]), Config(q1.t, q1.xbar[sel]),
-        M, tol=tol)
-    return DiscretePath.from_nodes(red_path.t, embed(red_path.x), anchor=i)
+        red_model, Config(q0.t, q0.x[sel]), Config(q1.t, q1.x[sel]), M, tol=tol)
+    return replace(red_path, x=embed(red_path.x), anchor=i)

@@ -517,17 +517,14 @@ def _suite_dress(model_params: ModelParams, params: dict,
     p1 = Config(1.0, [0.9, 0.4, -0.5])
     bare_crit = classical.solve_critical_path(n3, p0, p1, 80)
     anchor = 1
-    q0 = dressing.dress_config(n3.params, p0, anchor)
-    q1 = dressing.dress_config(n3.params, p1, anchor)
-    rel_crit = dressing.dressed_critical_path(n3, q0, q1, 80)
+    rel_crit = dressing.dressed_critical_path(n3, p0, p1, 80, anchor)
     dressed_bare = dressing.dress_path(n3.params, bare_crit, anchor)
     checks["dressed-variational-consistency"] = float(
         np.abs(rel_crit.x - dressed_bare.x).max())
 
     free2 = LagrangianModel(ModelParams(2, 1, np.array([1.0, 2.0])))
-    q0 = dressing.RelationalConfig(0.0, [0.0, 0.0], 0)
-    q1 = dressing.RelationalConfig(1.0, [0.0, 1.0], 0)
-    rel = dressing.dressed_critical_path(free2, q0, q1, 50)
+    rel = dressing.dressed_critical_path(
+        free2, Config(0.0, [0.0, 0.0]), Config(1.0, [0.0, 1.0]), 50, 0)
     checks["dressed-free-action"] = abs(classical.action(free2, rel) - 1.0)
 
     if out is not None:
@@ -581,7 +578,8 @@ def _suite_frame(model_params: ModelParams, params: dict,
     free2 = LagrangianModel(ModelParams(2, 1, np.array([1.0, 2.0]), hbar))
     t = np.linspace(0, 1, 33)
     nodes = np.stack([np.zeros(33), 0.3 + 0.5 * t], axis=1)
-    rel_path = DiscretePath.from_nodes(t, nodes, anchor=0)
+    bare_path = DiscretePath.from_nodes(t, nodes)
+    rel_path = dressing.dress_path(free2.params, bare_path, 0)
     z01 = dressing.frame_shift(free2.params, rel_path, 0, 1)
     phase01 = cocycle.path_cocycle(free2, rel_path, z01)
     swapped = qgrid.frame_change(psi_rel, 1, phase01)
@@ -591,7 +589,7 @@ def _suite_frame(model_params: ModelParams, params: dict,
             np.abs(swapped.amplitudes) - np.abs(psi_rel.amplitudes[flip_idx])).max()),
         "frame-change-isometry": abs(swapped.norm() - psi_rel.norm())}
 
-    rel_path_j = dressing.dress_path(free2.params, DiscretePath.from_nodes(t, nodes), 1)
+    rel_path_j = dressing.dress_path(free2.params, bare_path, 1)
     z10 = dressing.frame_shift(free2.params, rel_path_j, 1, 0)
     phase10 = cocycle.path_cocycle(free2, rel_path_j, z10)
     back = qgrid.frame_change(swapped, 0, phase10)

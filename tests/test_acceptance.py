@@ -21,8 +21,8 @@ from cqm.classical import (DiscretePath, action, action_gauge_split,
 from cqm.cli import run_from_config
 from cqm.cocycle import (LagrangianModel, cocycle_property_residual,
                          path_cocycle, pointwise_cocycle)
-from cqm.dressing import (dress_config, dress_path, dressed_critical_path,
-                          frame_shift, identity_suite)
+from cqm.dressing import (dress_path, dressed_critical_path, frame_shift,
+                          identity_suite)
 from cqm.pathint import (SliceScheme, classical_split, compose_kernels,
                          free_kernel_exact, relational_propagator,
                          sliced_propagator)
@@ -182,9 +182,7 @@ def test_criterion_06_relational_variational_consistency():
     bare = solve_critical_path(model, p0, p1, 100)
     worst = 0.0
     for anchor in range(3):
-        q0 = dress_config(model.params, p0, anchor)
-        q1 = dress_config(model.params, p1, anchor)
-        rel = dressed_critical_path(model, q0, q1, 100)
+        rel = dressed_critical_path(model, p0, p1, 100, anchor)
         dressed = dress_path(model.params, bare, anchor)
         worst = max(worst, float(np.abs(rel.x - dressed.x).max()))
     _report(6, "relational-variational-consistency", worst < 1e-8,

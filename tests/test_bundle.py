@@ -196,17 +196,10 @@ def test_decompose_particle_anchor():
     assert np.array_equal(internal, [0.0, 2.0])
 
 
-def test_decompose_mean_anchor():
-    params = ModelParams(2, 1, np.array([1.0, 1.0]))
-    internal, external = decompose_shift(params, [1.0, 3.0], anchor="mean")
-    assert np.array_equal(external, [2.0, 2.0])
-    assert np.array_equal(internal, [-1.0, 1.0])
-
-
 def test_decompose_diagonal_shift():
     params = ModelParams(3, 2, np.array([1.0, 1.0, 1.0]))
     X = params.replicate(np.array([0.4, -1.2]))
-    for anchor in (0, 2, "mean"):
+    for anchor in (0, 2):
         internal, _ = decompose_shift(params, X, anchor=anchor)
         assert np.abs(internal).max() <= 1e-15
 
@@ -240,20 +233,19 @@ def test_decompose_anchor_out_of_range():
 
 @pytest.mark.parametrize("spatial_dim", [1, 2])
 def test_decompose_stack_matches_rows(spatial_dim):
-    # an (n, M+1, dim) stack with one anchor per row, or the mean anchor,
-    # splits each row as a call on that row alone does, bit for bit
+    # an (n, M+1, dim) stack with one anchor per row splits each row as a
+    # call on that row alone does, bit for bit
     params = ModelParams(3, spatial_dim, np.array([1.0, 2.0, 0.5]))
     stack = np.random.default_rng(5).normal(size=(4, 7, params.dim))
     anchors = np.array([2, 0, 1, 2])
-    for anchor, per_row in ((anchors, anchors), ("mean", ["mean"] * 4)):
-        internal, external = decompose_shift(params, stack, anchor)
-        assert internal.shape == external.shape == stack.shape
-        for row, a, ir, er in zip(stack, per_row, internal, external):
-            row_int, row_ext = decompose_shift(params, row, a)
-            assert np.array_equal(ir, row_int) and np.array_equal(er, row_ext)
-            for k in (0, 6):
-                ni, ne = decompose_shift(params, row[k], a)
-                assert np.array_equal(ir[k], ni) and np.array_equal(er[k], ne)
+    internal, external = decompose_shift(params, stack, anchors)
+    assert internal.shape == external.shape == stack.shape
+    for row, a, ir, er in zip(stack, anchors, internal, external):
+        row_int, row_ext = decompose_shift(params, row, a)
+        assert np.array_equal(ir, row_int) and np.array_equal(er, row_ext)
+        for k in (0, 6):
+            ni, ne = decompose_shift(params, row[k], a)
+            assert np.array_equal(ir[k], ni) and np.array_equal(er[k], ne)
 
 
 def test_decompose_rejects_bad_input():
@@ -262,6 +254,9 @@ def test_decompose_rejects_bad_input():
         decompose_shift(params, [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         decompose_shift(params, [1.0, 2.0], anchor="median")
+    # the per-axis mean is not a particle: dressing anchors on one
+    with pytest.raises(ValueError, match="anchor"):
+        decompose_shift(params, [1.0, 2.0], "mean")
 
 
 def test_model_params_validation():
@@ -290,15 +285,3 @@ def test_gauge_support_window_property(t):
     moved = right_action(p, Shift(G.value_at(p.t)))
     if t <= 1.0 or t >= 2.0:
         assert np.array_equal(moved.x, p.x)
-
-
-@settings(max_examples=150, deadline=None)
-@given(vec(6))
-def test_decompose_mean_anchor_invariants(v):
-    params = ModelParams(3, 2, np.array([1.0, 1.0, 1.0]))
-    internal, external = decompose_shift(params, v, anchor="mean")
-    blocks = internal.reshape(3, 2)
-    scale = 1 + np.abs(v).max()
-    assert np.abs(blocks.mean(axis=0)).max() <= 1e-14 * scale
-    ext = external.reshape(3, 2)
-    assert np.array_equal(ext[0], ext[1]) and np.array_equal(ext[1], ext[2])

@@ -8,18 +8,16 @@ from cqm.bundle import Config, GaugeField, ModelParams, decompose_shift
 from cqm.classical import (DiscretePath, action, gauge_transform_path,
                            solve_critical_path)
 from cqm.cocycle import LagrangianModel, path_cocycle
-from cqm.dressing import (RelationalConfig, dress_config, dress_path,
-                          dressed_action, dressed_critical_path,
-                          dressing_field_along, frame_shift, identity_suite,
-                          residual_first_kind)
+from cqm.dressing import (dress_config, dress_path, dressed_action,
+                          dressed_critical_path, dressing_field_along,
+                          frame_shift, identity_suite, residual_first_kind)
 from cqm.qgrid import _check_anchor
 from conftest import random_path
 
 
 def test_dress_config_example(free2):
     rel = dress_config(free2.params, Config(0.0, [5.0, 2.0]), 0)
-    assert np.array_equal(rel.xbar, [0.0, -3.0])
-    assert rel.anchor == 0
+    assert np.array_equal(rel.x, [0.0, -3.0])
 
 
 def test_dress_config_external_invariance(free2, rng):
@@ -28,14 +26,14 @@ def test_dress_config_external_invariance(free2, rng):
     a = dress_config(free2.params, p, 1)
     b = dress_config(free2.params, shifted, 1)
     # exact in real arithmetic; one rounding of (x+X)-(x_i+X) in floats
-    assert np.abs(a.xbar - b.xbar).max() <= 1e-15 * (1 + np.abs(a.xbar).max())
-    assert b.xbar[free2.params.block(1)].max() == 0.0
+    assert np.abs(a.x - b.x).max() <= 1e-15 * (1 + np.abs(a.x).max())
+    assert b.x[free2.params.block(1)].max() == 0.0
 
 
 def test_dress_config_single_particle():
     params = ModelParams(1, 2, np.array([1.0]))
     rel = dress_config(params, Config(0.0, [3.0, -1.0]), 0)
-    assert np.array_equal(rel.xbar, [0.0, 0.0])
+    assert np.array_equal(rel.x, [0.0, 0.0])
 
 
 def test_dress_path_nodewise(free2, rng):
@@ -43,7 +41,7 @@ def test_dress_path_nodewise(free2, rng):
     rel = dress_path(free2.params, path, 0)
     assert rel.anchor == 0
     for k in (0, 10, -1):
-        expected = dress_config(free2.params, path.node(k), 0).xbar
+        expected = dress_config(free2.params, path.node(k), 0).x
         assert np.array_equal(rel.x[k], expected)
     assert np.abs(rel.x[:, 0]).max() == 0.0
 
@@ -199,18 +197,16 @@ def test_relational_lagrangian_pointwise(free3, rng):
 
 
 def test_dressed_critical_free(free2):
-    q0 = RelationalConfig(0.0, [0.0, 0.0], 0)
-    q1 = RelationalConfig(1.0, [0.0, 1.0], 0)
-    rel = dressed_critical_path(free2, q0, q1, 40)
+    rel = dressed_critical_path(free2, Config(0.0, [0.0, 0.0]),
+                                Config(1.0, [0.0, 1.0]), 40, 0)
     assert np.abs(rel.x[:, 0]).max() == 0.0
     assert np.allclose(rel.x[:, 1], rel.t, atol=1e-14)
     assert action(free2, rel) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dressed_critical_static(free2):
-    q0 = RelationalConfig(0.0, [0.0, 0.4], 0)
-    q1 = RelationalConfig(1.0, [0.0, 0.4], 0)
-    rel = dressed_critical_path(free2, q0, q1, 20)
+    rel = dressed_critical_path(free2, Config(0.0, [0.0, 0.4]),
+                                Config(1.0, [0.0, 0.4]), 20, 0)
     assert action(free2, rel) == 0.0
 
 
@@ -219,32 +215,55 @@ def test_dressed_critical_matches_dressed_bare(free3):
     p1 = Config(1.0, [0.9, 0.4, -0.5])
     bare = solve_critical_path(free3, p0, p1, 64)
     for anchor in range(3):
-        q0 = dress_config(free3.params, p0, anchor)
-        q1 = dress_config(free3.params, p1, anchor)
-        rel = dressed_critical_path(free3, q0, q1, 64)
+        rel = dressed_critical_path(free3, p0, p1, 64, anchor)
         dressed = dress_path(free3.params, bare, anchor)
         assert np.abs(rel.x - dressed.x).max() < 1e-8
 
 
-def test_dressed_critical_with_potential():
+def _bound_pair() -> LagrangianModel:
     # relative harmonic binding between two particles
-    params = ModelParams(2, 1, np.array([1.0, 2.0]))
-    model = LagrangianModel(
-        params,
+    return LagrangianModel(
+        ModelParams(2, 1, np.array([1.0, 2.0])),
         potential=lambda z: 0.5 * (z[..., 1] - z[..., 0]) ** 2,
         potential_grad=lambda z: z - z[..., ::-1])
-    q0 = RelationalConfig(0.0, [0.0, 0.0], 0)
-    q1 = RelationalConfig(np.pi / 2, [0.0, 1.0], 0)
-    rel = dressed_critical_path(model, q0, q1, 200, tol=1e-9)
+
+
+def test_dressed_critical_with_potential():
+    rel = dressed_critical_path(_bound_pair(), Config(0.0, [0.0, 0.0]),
+                                Config(np.pi / 2, [0.0, 1.0]), 200, 0, tol=1e-9)
     # reduced dynamics: m2 xbar'' = -xbar, frequency 1/sqrt(2)
     w = 1.0 / np.sqrt(2.0)
     expected = np.sin(w * rel.t) / np.sin(w * np.pi / 2)
     assert np.abs(rel.x[:, 1] - expected).max() < 1e-4
 
 
+@pytest.mark.parametrize("anchor", [7, -1, 1.7, True, np.float64(0.0),
+                                    np.array([0, 1])])
+def test_dressed_critical_path_refuses_a_non_particle_anchor(free2, anchor):
+    with pytest.raises(ValueError, match="anchor"):
+        dressed_critical_path(free2, Config(0.0, [0.5, 1.0]),
+                              Config(1.0, [0.0, 1.0]), 10, anchor)
+
+
+@pytest.mark.parametrize("bound", [False, True])
+def test_dressed_critical_path_dresses_bare_endpoints(free2, bound):
+    # bare endpoints whose anchor block is nonzero give the path of their
+    # dressings, bit for bit, with the anchor block exactly zero
+    model = _bound_pair() if bound else free2
+    p0, p1 = Config(0.0, [0.5, 1.0]), Config(1.3, [-0.4, 0.2])
+    for anchor in (0, 1):
+        rel = dressed_critical_path(model, p0, p1, 30, anchor)
+        dressed = dressed_critical_path(
+            model, dress_config(model.params, p0, anchor),
+            dress_config(model.params, p1, anchor), 30, anchor)
+        assert np.array_equal(rel.x, dressed.x) and np.array_equal(rel.t, dressed.t)
+        assert rel.anchor == anchor
+        assert np.all(rel.x[:, model.params.block(anchor)] == 0.0)
+
+
 def test_dressing_choice_object_as_anchor(free2):
     rel = dress_config(free2.params, Config(0.0, [5.0, 2.0]), np.int64(0))
-    assert np.array_equal(rel.xbar, [0.0, -3.0])
+    assert np.array_equal(rel.x, [0.0, -3.0])
     with pytest.raises(ValueError, match="anchor"):
         dress_config(free2.params, Config(0.0, [5.0, 2.0]), 7)
 
@@ -414,3 +433,28 @@ def test_dress_suite_matches_per_probe_loop(n_particles, hbar):
     assert checks["relational-lagrangian-pointwise"] == lag
     assert checks["external-shift-invariance"] == ext
     assert checks["gauge-substitution-rule"] == rule
+
+
+def test_first_kind_offset_turns_only_its_check_red(monkeypatch):
+    # negative control: a 1e-6 ramp added to the first-kind shift breaks
+    # S[(gamma^u)^Ybar] = S^u + c(Ybar) and no other law of the suite (a
+    # constant offset would leave the free action as it is)
+    from dataclasses import replace
+
+    from cqm import dressing
+    from cqm.experiments import run_experiment
+
+    real = dressing.residual_first_kind
+
+    def skewed(params, rel_path, G):
+        out = real(params, rel_path, G)
+        return replace(out, x=out.x + 1e-6 * out.t[:, None])
+
+    def red() -> set[str]:
+        return {c.name for c in run_experiment(
+            "dress", ModelParams(2, 1, np.array([1.0, 2.0])), {"n_probes": 20}, 3,
+            None) if not c.passed}
+
+    assert red() == set()
+    monkeypatch.setattr(dressing, "residual_first_kind", skewed)
+    assert red() == {"dressed-action-internal-shift"}
