@@ -75,6 +75,9 @@ def committed_configs() -> dict[str, dict]:
         "n_points": 257, "n_slices": 7, "n_points_2d": 64}})
     # a 1024^2 relational state: the free phase spans many row blocks
     configs["frame-1024"] = _config(README_MODEL, "frame", 3, {"frame": {"n_points": 1024}})
+    # a grid fine enough that the quantum suite's step is half the phase bound
+    configs["quantum-1024"] = _config(README_MODEL, "quantum", 3,
+                                      {"quantum": {"n_points": 1024}})
     return configs
 
 

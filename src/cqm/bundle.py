@@ -258,10 +258,14 @@ class GaugeField:
         out = np.take(self.values, k, axis=-2)
         lin = (j >= 0) & (j < self.times.size - 1) & (self.times[k] != t_arr)
         k = k[lin]
-        slope = (np.diff(self.values, axis=-2)[..., k, :]
-                 / np.diff(self.times)[k, None])
-        out[..., lin, :] = (slope * (t_arr[lin] - self.times[k])[:, None]
-                            + self.values[..., k, :])
+        # the slopes only at the brackets k, built in one buffer: the
+        # operations of np.diff, then / dt, * (t - t_k) and + f_k
+        d = self.values[..., k + 1, :]
+        d -= self.values[..., k, :]
+        d /= (self.times[k + 1] - self.times[k])[:, None]
+        d *= (t_arr[lin] - self.times[k])[:, None]
+        d += self.values[..., k, :]
+        out[..., lin, :] = d
         if self.support is not None:
             t0, t1 = self.support
             out[..., (t_arr <= t0) | (t_arr >= t1), :] = 0.0

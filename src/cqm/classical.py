@@ -54,7 +54,10 @@ class DiscretePath:
     the parameter grid; ``anchor`` marks relational paths (coordinates relative
     to that particle, whose block is identically zero; a stack carries one
     anchor per history), and only dressing sets it (``dressing.dress_path``,
-    ``dressing.dressed_critical_path``).
+    ``dressing.dressed_critical_path``).  Non-finite samples, and an anchor
+    whose block is not exactly zero at every node, raise ValueError; the
+    path does not know the particles' spatial dimension d, so the block is
+    the anchor's for some d that divides ``dim``.
     """
 
     tau: np.ndarray
@@ -66,6 +69,27 @@ class DiscretePath:
         tau, t, x = (_frozen_array(a) for a in (self.tau, self.t, self.x))
         if x.ndim not in (2, 3) or x.shape[-2] != t.size or tau.size != t.size:
             raise ValueError("inconsistent path arrays")
+        for name, a in (("tau", tau), ("t", t), ("x", x)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"path {name} must be finite")
+        if self.anchor is not None:
+            i = np.asarray(self.anchor)
+            if (i.dtype.kind not in "iu" or np.any(i < 0)
+                    or (i.ndim and (x.ndim != 3 or i.shape != x.shape[:1]))):
+                raise ValueError(f"anchor must be a particle index, or one per "
+                                 f"history of a stack, got {self.anchor!r}")
+            # block i, or block i[k] of history k, for each block width d
+            # that divides dim and has a block i
+            dim = x.shape[-1]
+            for d in range(1, dim + 1):
+                if dim % d or np.any(i >= dim // d):
+                    continue
+                blocks = x.reshape(x.shape[:-1] + (dim // d, d))
+                if not np.any(blocks[..., i, :] if i.ndim == 0
+                              else blocks[np.arange(i.size), ..., i, :]):
+                    break
+            else:
+                raise ValueError(f"anchor {self.anchor!r} has no exactly zero block")
         if not np.all(np.diff(tau) > 0):
             raise ValueError("parameter grid must be strictly increasing")
         if not np.all(np.diff(t) > 0):

@@ -68,6 +68,8 @@ class SliceScheme:
 
     def __post_init__(self):
         object.__setattr__(self, "n_slices", _count(self.n_slices, "n_slices", 1))
+        if not (np.isfinite(self.t0) and np.isfinite(self.t1)):
+            raise ValueError("need finite t0 and t1")
         if not self.t1 > self.t0:
             raise ValueError("need t1 > t0")
         if self.grid.ndim != 1:
@@ -80,7 +82,12 @@ class SliceScheme:
 
 @dataclass(frozen=True)
 class PropagatorKernel:
-    """Complex kernel matrix K[x, x0] between the t0 and t1 grids, bare or anchored."""
+    """Complex kernel matrix K[x, x0] between the t0 and t1 grids, bare or anchored.
+
+    The matrix is a finite complex array of shape ``grid.shape * 2`` (n × n
+    on a one-axis grid), mass and hbar are finite and positive, and t1 >= t0
+    (equal for the delta kernel); anything else raises ValueError.
+    """
 
     matrix: np.ndarray
     grid: GridSpec
@@ -92,6 +99,20 @@ class PropagatorKernel:
 
     def __post_init__(self):
         _check_anchor(self.anchor, self.grid.ndim)
+        # no copy of a complex128 matrix
+        matrix = np.asarray(self.matrix, dtype=complex)
+        if matrix.shape != self.grid.shape * 2:
+            raise ValueError(f"kernel matrix of shape {matrix.shape} does not "
+                             f"match its grid, {self.grid.shape * 2}")
+        if not np.isfinite(matrix).all():
+            raise ValueError("kernel matrix must be finite")
+        object.__setattr__(self, "matrix", matrix)
+        for name in ("mass", "hbar"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not (np.isfinite(self.t0) and np.isfinite(self.t1) and self.t1 >= self.t0):
+            raise ValueError("need finite t0 <= t1")
 
     @property
     def duration(self) -> float:

@@ -509,24 +509,25 @@ def test_all_suites_run_at_hbar_2(tmp_path):
 
 
 def test_crashing_suite_is_a_failed_check(tmp_path, capsys):
-    # 1024 points break quantum's fixed-step phase bound; every other suite
-    # still runs and a report is written
+    # 20 slices need more internal points than the chain may build; every
+    # other suite still runs and a report is written
     params = {"verify-cocycle": {"n_probes": 100}, "classical": {"n_pairs": 2, "M": 20},
-              "hpf": {"nt": 8, "nx": 8}, "quantum": {"n_points": 1024, "norm_steps": 10},
+              "hpf": {"nt": 8, "nx": 8}, "quantum": {"n_points": 64, "norm_steps": 10},
               "dress": {"n_probes": 2}, "frame": {"n_points": 32},
-              "pathint": {"n_points": 64, "n_points_2d": 16}}
+              "pathint": {"n_points": 64, "n_slices": 20, "n_points_2d": 16}}
     cfg = {"model": MINI_MODEL, "experiment": "all", "seed": 4, "params": params}
     out = tmp_path / "out"
     assert main(["run", str(_write(tmp_path, cfg)), "--out", str(out)]) == 1
-    assert "FAIL quantum/suite-error: dt too large" in capsys.readouterr().out
+    assert ("FAIL pathint/suite-error: internal quadrature budget exceeded"
+            in capsys.readouterr().out)
     report = json.loads((out / "report.json").read_text())
     assert set(report["experiments"]) == set(REGISTRY)
-    quantum = report["experiments"]["quantum"]
-    assert quantum["checks"] == [{"name": "suite-error", "law": "ValueError",
+    pathint = report["experiments"]["pathint"]
+    assert pathint["checks"] == [{"name": "suite-error", "law": "ValueError",
                                   "residual": 1.0, "tol": 0.0, "passed": False}]
-    assert "spectral kinetic phase bound" in quantum["error"]
+    assert "internal quadrature budget" in pathint["error"]
     for name in REGISTRY:
-        if name != "quantum":
+        if name != "pathint":
             alone = run_from_config(dict(cfg, experiment=name), None)
             assert report["experiments"][name] == alone["experiments"][name]
             assert "error" not in report["experiments"][name]
@@ -776,3 +777,15 @@ def test_report_body_independent_of_blas_threads(tmp_path):
         assert run.returncode == 1, run.stderr  # the known red check
         bodies.append(_body(json.loads((out / "report.json").read_text())))
     assert bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize("n_points", [1010, 1024])
+def test_quantum_step_follows_a_fine_grid(n_points):
+    # a fixed 1e-3 step broke the spectral phase bound from about 1010 points
+    cfg = {"model": MINI_MODEL, "experiment": "quantum", "seed": 3,
+           "params": {"quantum": {"n_points": n_points, "norm_steps": 100}}}
+    quantum = run_from_config(cfg, None)["experiments"]["quantum"]
+    assert "error" not in quantum
+    assert [c["name"] for c in quantum["checks"]] == [
+        name for name, *_ in REGISTRY["quantum"].checks]
+    assert all(c["passed"] for c in quantum["checks"])

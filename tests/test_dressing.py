@@ -438,7 +438,8 @@ def test_dress_suite_matches_per_probe_loop(n_particles, hbar):
 def test_first_kind_offset_turns_only_its_check_red(monkeypatch):
     # negative control: a 1e-6 ramp added to the first-kind shift breaks
     # S[(gamma^u)^Ybar] = S^u + c(Ybar) and no other law of the suite (a
-    # constant offset would leave the free action as it is)
+    # constant offset would leave the free action as it is); the ramp skips
+    # the anchor's block (d = 1), which a relational path keeps at zero
     from dataclasses import replace
 
     from cqm import dressing
@@ -448,7 +449,8 @@ def test_first_kind_offset_turns_only_its_check_red(monkeypatch):
 
     def skewed(params, rel_path, G):
         out = real(params, rel_path, G)
-        return replace(out, x=out.x + 1e-6 * out.t[:, None])
+        off_anchor = np.arange(out.dim) != np.asarray(out.anchor)[..., None, None]
+        return replace(out, x=out.x + 1e-6 * out.t[:, None] * off_anchor)
 
     def red() -> set[str]:
         return {c.name for c in run_experiment(
@@ -458,3 +460,69 @@ def test_first_kind_offset_turns_only_its_check_red(monkeypatch):
     assert red() == set()
     monkeypatch.setattr(dressing, "residual_first_kind", skewed)
     assert red() == {"dressed-action-internal-shift"}
+
+
+# x of the bare two-particle path whose block 0 runs 0.5 -> 1.5
+_T5 = np.linspace(0.0, 1.0, 5)
+_X5 = np.stack([np.linspace(0.5, 1.5, 5), np.linspace(-1.0, 1.0, 5)], axis=1)
+
+
+@pytest.mark.parametrize("fields, match", [
+    ({"anchor": 0}, "anchor 0 has no exactly zero block"),
+    ({"anchor": 1}, "anchor 1 has no exactly zero block"),
+    ({"anchor": 2}, "anchor 2 has no exactly zero block"),
+    ({"anchor": True}, "particle index"),
+    ({"anchor": 1.0}, "particle index"),
+    ({"anchor": -1}, "particle index"),
+    ({"anchor": np.array([0])}, "particle index"),
+    ({"t": np.array([0.0, 0.25, 0.5, 0.75, np.inf])}, "path t must be finite"),
+    ({"tau": np.array([0.0, 0.25, 0.5, 0.75, np.nan])}, "path tau must be finite"),
+    ({"x": np.where(_T5[:, None] > 0.6, np.nan, _X5)}, "path x must be finite"),
+    ({"x": np.where(_T5[:, None] > 0.6, -np.inf, _X5)}, "path x must be finite"),
+], ids=["found-block-0", "block-1", "no-particle-2", "bool", "float", "negative",
+        "array-on-one-path", "inf-t", "nan-tau", "nan-x", "inf-x"])
+def test_path_refuses_a_stamp_it_cannot_hold(fields, match):
+    from dataclasses import replace
+
+    bare = DiscretePath.from_nodes(_T5, _X5)
+    with pytest.raises(ValueError, match=match):
+        DiscretePath(**{"tau": _T5, "t": _T5, "x": _X5, **fields})
+    # replace goes through the same check
+    with pytest.raises(ValueError, match=match):
+        replace(bare, **fields)
+
+
+def test_stack_anchors_are_checked_per_history(free2):
+    from dataclasses import replace
+
+    x = np.stack([_X5, _X5[:, ::-1]])
+    path = DiscretePath.from_nodes(_T5, x)
+    rel = dress_path(free2.params, path, np.array([0, 1]))
+    assert np.array_equal(rel.anchor, [0, 1])
+    # each history's own block is zero, not the other one's
+    with pytest.raises(ValueError, match="no exactly zero block"):
+        replace(rel, anchor=np.array([1, 0]))
+    for bad in (np.array([0, 1, 0]), np.array([[0, 1]])):
+        with pytest.raises(ValueError, match="particle index"):
+            replace(rel, anchor=bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_every_dressing_stamp_passes_and_a_moved_block_is_refused(N, d, M, seed):
+    from dataclasses import replace
+
+    rng = np.random.default_rng(seed)
+    model = LagrangianModel(ModelParams(N, d, rng.uniform(0.5, 2.0, N)))
+    path = random_path(rng, N * d, M=M)
+    for anchor in range(N):
+        rel = dress_path(model.params, path, anchor)
+        assert rel.anchor == anchor
+        assert residual_first_kind(model.params, rel,
+                                   rng.normal(size=(M + 1, N * d))).anchor == anchor
+        # a path with no zero sample has no zero block at all
+        with pytest.raises(ValueError, match="no exactly zero block"):
+            replace(rel, x=path.x)
+    if N > 1:
+        p0, p1 = Config(0.0, rng.normal(size=N * d)), Config(1.0, rng.normal(size=N * d))
+        assert dressed_critical_path(model, p0, p1, M, N - 1).anchor == N - 1

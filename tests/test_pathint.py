@@ -597,6 +597,58 @@ def test_numpy_integer_sizes_are_accepted(grid256, n):
     assert type(scheme.n_slices) is int and scheme.dt == 0.9 / 9
 
 
+@pytest.mark.parametrize("fields, match", [
+    ({"matrix": np.eye(3, dtype=complex)}, "does not match its grid"),
+    ({"matrix": np.eye(8, dtype=complex)[:, :4]}, "does not match its grid"),
+    ({"matrix": np.full((8, 8), np.nan + 0j)}, "must be finite"),
+    ({"matrix": np.full((8, 8), np.inf + 0j)}, "must be finite"),
+    ({"mass": -1.0}, "mass must be finite and positive"),
+    ({"mass": np.nan}, "mass must be finite and positive"),
+    ({"hbar": 0.0}, "hbar must be finite and positive"),
+    ({"hbar": np.inf}, "hbar must be finite and positive"),
+    ({"t0": 1.0, "t1": 0.5}, "finite t0 <= t1"),
+    ({"t1": np.inf}, "finite t0 <= t1"),
+    ({"t0": np.nan}, "finite t0 <= t1"),
+], ids=["3x3-on-8", "8x4", "nan", "inf", "negative-mass", "nan-mass", "zero-hbar",
+        "inf-hbar", "t1-before-t0", "inf-t1", "nan-t0"])
+def test_kernel_refuses_what_it_cannot_hold(tmp_path, fields, match):
+    # a 3x3 kernel on an 8-point grid used to be written, and then refused
+    # by read_kernel as a truncated file
+    good = {"matrix": np.eye(8, dtype=complex), "grid": _GRID8, "t0": 0.0, "t1": 1.0,
+            "mass": 1.0, "hbar": 1.0}
+    with pytest.raises(ValueError, match=match):
+        PropagatorKernel(**{**good, **fields})
+    with pytest.raises(ValueError, match=match):
+        replace(PropagatorKernel(**good), **fields)
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0),
+                                    (0.0, np.nan)])
+def test_slice_scheme_needs_finite_times(t0, t1):
+    with pytest.raises(ValueError, match="finite t0 and t1"):
+        SliceScheme(2, _GRID8, t0, t1)
+
+
+_finite = st.floats(-1e6, 1e6)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(8, 24), st.data())
+def test_constructible_kernel_roundtrip(tmp_path_factory, n, data):
+    grid = GridSpec(((-2.0, 3.0, n),))
+    matrix = data.draw(arrays(complex, (n, n), elements=st.complex_numbers(
+        max_magnitude=1e6, allow_nan=False, allow_infinity=False)))
+    t0 = data.draw(_finite)
+    t1 = t0 + data.draw(st.floats(0.0, 1e6))
+    mass, hbar = (data.draw(st.floats(1e-6, 1e6)) for _ in range(2))
+    kernel = PropagatorKernel(matrix, grid, t0, t1, mass, hbar)
+    f = tmp_path_factory.mktemp("kernel") / "k.cqmk"
+    write_kernel(f, kernel)
+    back = read_kernel(f)
+    assert (back.grid, back.t0, back.t1, back.mass, back.hbar) == (grid, t0, t1, mass, hbar)
+    assert np.array_equal(back.matrix.view(float), kernel.matrix.view(float))
+
+
 def test_kernel_binary_roundtrip(tmp_path, kernel256):
     f = tmp_path / "kernel.cqmk"
     write_kernel(f, kernel256)

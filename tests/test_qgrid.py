@@ -356,11 +356,39 @@ def test_blockwise_free_propagate_is_the_whole_phase(monkeypatch, shape, masses)
     assert np.array_equal(phase, _phase_expression(spec, H, T))
     whole = np.empty_like(psi.amplitudes)
     _apply_kinetic(psi.amplitudes, phase, whole, whole)
-    assert np.array_equal(_free_propagate(psi, H, T).amplitudes, whole)
+    before = psi.amplitudes.copy()
     row_bytes = 16 * int(np.prod(shape[1:]))
-    monkeypatch.setattr(qgrid, "_PHASE_BLOCK_BYTES", 7 * row_bytes + 5)
     assert shape[0] % 7
-    assert np.array_equal(_free_propagate(psi, H, T).amplitudes, whole)
+    for block_bytes in (qgrid._PHASE_BLOCK_BYTES, 7 * row_bytes + 5):
+        monkeypatch.setattr(qgrid, "_PHASE_BLOCK_BYTES", block_bytes)
+        assert np.array_equal(_free_propagate(psi, H, T).amplitudes, whole)
+        assert np.array_equal(psi.amplitudes, before)
+        # in place: the state's own array becomes the result, the same bits
+        own = WaveGrid(spec, psi.t, psi.amplitudes.copy())
+        moved = _free_propagate(own, H, T, out=own.amplitudes)
+        assert moved.amplitudes is own.amplitudes
+        assert np.array_equal(moved.amplitudes, whole)
+
+
+@pytest.mark.parametrize("out", [
+    np.empty((16, 8), complex), np.empty((16, 16), np.complex64),
+    np.empty((16, 16)), np.empty((16, 16), complex, order="F"),
+    np.empty((16, 32), complex)[:, ::2], [[0j] * 16] * 16,
+], ids=["shape", "complex64", "real", "fortran", "strided", "list"])
+def test_free_propagate_out_must_fit_the_state(out):
+    spec = GridSpec(((-15.0, 15.0, 16), (-15.0, 15.0, 16)))
+    psi = gaussian_packet(spec, [0.5, 0.5], [1.5, 1.5])
+    with pytest.raises(ValueError, match="out must be a C-contiguous complex128"):
+        _free_propagate(psi, HamiltonianSpec((1.0, 2.0)), 0.5, out=out)
+
+
+def test_dressed_state_owns_its_amplitudes():
+    # the frame suite propagates the bare state in place after dressing it
+    spec = GridSpec(((-10.0, 10.0, 16),) * 3)
+    psi = gaussian_packet(spec, [0.5, -0.5, 1.0], [1.5, 1.0, 2.0])
+    for anchor in (0, 1, 2):
+        dressed = dress_wavefunction(psi, anchor)
+        assert not np.shares_memory(dressed.amplitudes, psi.amplitudes)
 
 
 def _boost_inline(psi0, vboost, T, H):
@@ -778,9 +806,9 @@ def test_relative_state_matches_meshgrid_form(n, sigma, k0):
 
 
 def test_frame_suite_peak_memory():
-    # at 384^2 (2.25 MiB a complex grid) the 2-D path holds the state and
-    # the propagated array, and the free phase only a 1 MiB row block at a
-    # time; a small run first, so the peak counts no import
+    # at 384^2 (2.25 MiB a complex grid) the 2-D path holds one grid: the
+    # state is propagated in place, and the free phase held only a 256 KiB
+    # row block at a time; a small run first, so the peak counts no import
     import tracemalloc
 
     from cqm.bundle import ModelParams
@@ -794,4 +822,4 @@ def test_frame_suite_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6.5 * 2**20
+    assert peak <= 4.0 * 2**20
