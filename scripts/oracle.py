@@ -78,6 +78,11 @@ def committed_configs() -> dict[str, dict]:
     # a grid fine enough that the quantum suite's step is half the phase bound
     configs["quantum-1024"] = _config(README_MODEL, "quantum", 3,
                                       {"quantum": {"n_points": 1024}})
+    # a non-square table: a transposed fill or a wrongly shared column of
+    # hpf.csv shows as an artifact difference
+    configs["hpf-nonsquare"] = _config(README_MODEL, "hpf", 3, {"hpf": {"nt": 7, "nx": 301}})
+    # the largest declared path size of the classical suite
+    configs["classical-Mmax"] = _config(README_MODEL, "classical", 3, {"classical": {"M": 500}})
     return configs
 
 

@@ -161,6 +161,16 @@ def gauge_transform_path(path: DiscretePath,
     return shift_path_nodes(path, _field_at_nodes(G, path.t, path.dim))
 
 
+def _kinetic_terms(dx: np.ndarray, dt: np.ndarray, mv: np.ndarray) -> np.ndarray:
+    """Per-interval kinetic terms (m |dx|^2 / 2) / dt, shape (..., M), from
+    node differences ``dx`` (..., M, dim), which are overwritten."""
+    dx *= dx
+    dx *= 0.5
+    kin = dx @ mv
+    kin /= dt
+    return kin
+
+
 def action(model: LagrangianModel, path: DiscretePath) -> float | np.ndarray:
     """Discrete action: midpoint-velocity kinetic term, trapezoid potential.
 
@@ -173,9 +183,7 @@ def action(model: LagrangianModel, path: DiscretePath) -> float | np.ndarray:
     dt = np.diff(path.t)
     if np.any(dt <= 0):
         raise ValueError("degenerate grid: repeated times")
-    dx = np.diff(path.x, axis=-2)
-    mv = model.params.mass_vector
-    S = ((0.5 * (dx * dx) @ mv) / dt).sum(axis=-1)
+    S = _kinetic_terms(np.diff(path.x, axis=-2), dt, model.params.mass_vector).sum(axis=-1)
     if model.potential is not None:
         V = model.potential_values(path.x)
         S = S - (0.5 * (V[..., :-1] + V[..., 1:]) * dt).sum(axis=-1)
@@ -427,6 +435,10 @@ class HPFSample:
         return vals[:, 0], vals[:, 1], ders[:, 0]
 
 
+# bytes of straight-path nodes a free hpf_table block holds
+_TABLE_BLOCK_BYTES = 1 << 20
+
+
 def hpf_table(model: LagrangianModel, p0: Config, t_grid, x_grid, M: int = 64
               ) -> HPFSample:
     """Tabulate the principal function over a rectangular (t, x) grid.
@@ -434,8 +446,14 @@ def hpf_table(model: LagrangianModel, p0: Config, t_grid, x_grid, M: int = 64
     One-dimensional configuration space only (the table is a surface).  With
     a potential each entry re-solves the boundary-value problem.  A free
     model's critical paths are the straight lines of ``DiscretePath.straight``,
-    so each table time's row is one ``action`` of the stack of straight paths
-    to every ``x_grid`` point, bit-identical to ``hpf_value`` per entry.
+    so a block of table rows is one whole-array pass over the (rows, nx, M+1)
+    stack of straight paths to its grid points, bit-identical to ``hpf_value``
+    per entry: each row's times are its own ``np.linspace``, and each entry's
+    kinetic terms are summed as one row of a C-contiguous array, as
+    ``action`` sums them.  A block holds at most ``_TABLE_BLOCK_BYTES`` of
+    path nodes, so a table of up to about 7700 entries at M = 16 is one
+    block.  A grid the entries would refuse (repeated times, non-finite
+    nodes) raises ``ValueError``.
     """
     if model.params.dim != 1 or p0.dim != 1:
         raise ValueError("hpf_table requires a one-dimensional configuration space")
@@ -452,9 +470,30 @@ def hpf_table(model: LagrangianModel, p0: Config, t_grid, x_grid, M: int = 64
         for i, tv in enumerate(t_grid):
             for j, xv in enumerate(x_grid):
                 S[i, j] = hpf_value(model, p0, Config(tv, [xv]), M=M)
-    else:
-        S = np.array([action(model, DiscretePath.straight(
-            p0, Config(tv, x_grid[:, None]), M)) for tv in t_grid])
+        return HPFSample(p0.t, p0.x, t_grid, x_grid, S)
+    if M < 1:
+        raise ValueError("a path needs at least one interval (M >= 1)")
+    S = np.empty((t_grid.size, x_grid.size))
+    # DiscretePath.straight for every entry of a block of rows: t (rows, M+1),
+    # x (rows, nx, M+1, 1)
+    rows = max(1, _TABLE_BLOCK_BYTES // (8 * max(1, x_grid.size) * (M + 1)))
+    for i in range(0, t_grid.size, rows):
+        t1 = t_grid[i:i + rows]
+        t = np.linspace(p0.t, t1, M + 1, axis=-1)
+        dt = np.diff(t, axis=-1)
+        if not (np.all(np.isfinite(t)) and np.all(dt > 0)):
+            raise ValueError("times must be strictly increasing")
+        t -= p0.t
+        t /= (t1 - p0.t)[:, None]
+        x = t[:, None, :, None] * (x_grid - p0.x)[:, None, None]
+        x += p0.x
+        x[:, :, -1, 0] = x_grid
+        if not np.all(np.isfinite(x)):
+            raise ValueError("path x must be finite")
+        dx = np.diff(x, axis=-2)
+        del x
+        S[i:i + rows] = _kinetic_terms(dx, dt[:, None, :],
+                                       model.params.mass_vector).sum(axis=-1)
     return HPFSample(p0.t, p0.x, t_grid, x_grid, S)
 
 

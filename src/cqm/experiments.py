@@ -7,13 +7,14 @@ law and pinned tolerance, and ``run_experiment`` pairs the two in declared
 order.  Artifacts (CSV tables, binary snapshots, residual reports) are written
 to the experiment's own subdirectory when requested.
 Every suite draws its random probes first, in the order a per-probe loop
-would, and evaluates each identity on the whole batch or stack of paths in
-one call; no suite loops over random probes.
+would (a stack of probes drawn only from normals is one ``rng.normal`` call,
+split into views), and evaluates each identity on the whole batch or stack
+of paths in one call; no suite loops over random probes.
 """
 from __future__ import annotations
 
-import csv
 import json
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -52,7 +53,8 @@ class Check:
 @dataclass(frozen=True)
 class Param:
     """A suite parameter: an ``int`` in [``minimum``, ``maximum``] (even if
-    ``even``; ``maximum`` lies far beyond any run that can finish), a finite
+    ``even``; ``maximum`` lies far beyond any run that can finish, or below
+    the size where a check's rounding floor reaches its gate), a finite
     ``float`` > ``minimum``, or a ``dict`` that ``build`` accepts."""
 
     name: str
@@ -89,6 +91,23 @@ def _path_draws(rng: np.random.Generator, dim: int, M=48):
             rng.normal(scale=0.15, size=(M + 1, dim)))
 
 
+def _path_stack(rng: np.random.Generator, n: int, dim: int, extra: int = 0, M=48):
+    """Start offsets (n, 1, dim), walk steps (n, M+1, dim) and ``extra``
+    further normal rows (n, extra, dim) of n histories, as views of one draw.
+
+    The same normals in the same order as n calls of ``_path_draws`` each
+    followed by ``rng.normal(size=(extra, dim))``, and the generator ends in
+    the same state.  ``rng.normal(scale=0.15)`` returns 0 + 0.15 z for the
+    same standard normals z, so scaling the drawn step rows in place gives
+    its bits (the 0 + only turns a -0.0 product into 0.0, and a drawn
+    normal is never -0.0).
+    """
+    z = rng.normal(size=(n, M + 2 + extra, dim))
+    steps = z[:, 1:M + 2]
+    steps *= 0.15
+    return z[:, :1], steps, z[:, M + 2:]
+
+
 def _walk(start: np.ndarray, steps: np.ndarray) -> DiscretePath:
     """The history start + cumsum(steps) on [0, 1], or a stack of them."""
     t = np.linspace(0.0, 1.0, steps.shape[-2])
@@ -107,6 +126,8 @@ def _draw_stack(n: int, draw: Callable[[], tuple]) -> list[np.ndarray]:
 
     The generator is consumed in the order of a loop that draws each probe
     and evaluates it before the next; the probes are then evaluated at once.
+    Used where other draws come between the normals (``dress``'s
+    ``rng.choice``); a stack drawn only from normals is ``_path_stack``.
     """
     return [np.stack(field) for field in zip(*(draw() for _ in range(n)))]
 
@@ -117,15 +138,56 @@ def _worst(residuals) -> float:
     return float(np.max(residuals))
 
 
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _csv_text(value) -> str:
+    """One field as the csv module's default dialect writes it: a float as
+    its repr, anything else as its str, in double quotes (inner quotes
+    doubled) if it holds a comma, a quote, CR or LF."""
+    text = repr(value) if isinstance(value, float) else str(value)
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_fields(column) -> list[str]:
+    """The fields of ``np.asarray(column).tolist()``.  A float64 column with
+    repeated values formats each distinct value once, keyed by its bit
+    pattern (so -0.0 and 0.0, and NaN payloads, stay apart), and an integer
+    column goes through ``str``; neither ever needs quotes."""
+    a = np.asarray(column)
+    values = a.tolist()
+    if a.ndim == 1 and a.dtype == np.float64:
+        keys = a.view(np.uint64).tolist()
+        text = dict(zip(keys, values))
+        if len(text) == len(keys):
+            return list(map(repr, values))
+        text = dict(zip(text, map(repr, text.values())))
+        return list(map(text.__getitem__, keys))
+    if a.ndim == 1 and a.dtype.kind in "iu":
+        return list(map(str, values))
+    return [_csv_text(v) for v in values]
+
+
 def _write_csv(fname, header, *columns) -> None:
     """Write a table: the header row, then row k of every column.
 
-    Floats are written as their shortest repr, which reads back exactly;
-    commas and CRLF line ends (the csv module's default dialect, RFC 4180).
+    The bytes ``csv.writer`` writes in its default dialect (RFC 4180) for
+    columns of numbers and strings: floats as their shortest repr, which
+    reads back exactly, fields quoted where needed, commas and CRLF line
+    ends.  The file is written in one call.
     """
+    head = [_csv_text(h) for h in header]
+    fields = [_csv_fields(c) for c in columns]
+    # a row of one empty field is written as "", so that it reads as a row
+    if len(head) == 1:
+        head = [head[0] or '""']
+    if len(fields) == 1:
+        fields = [[f or '""' for f in fields[0]]]
+    lines = [",".join(head), *map(",".join, zip(*fields, strict=True))]
     with open(fname, "w", newline="") as fh:
-        csv.writer(fh).writerows(
-            [header, *zip(*(np.asarray(c).tolist() for c in columns), strict=True)])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 # ----------------------------------------------------------------------
@@ -163,11 +225,10 @@ def _suite_verify_cocycle(model_params: ModelParams, params: dict,
     checks["linearization-limit"] = fd_worst
 
     # per path: a random path and the mode amplitudes of two random bumps
-    start, steps, modes_x, modes_y = _draw_stack(20, lambda: (
-        *_path_draws(rng, dim), rng.normal(size=(4, dim)), rng.normal(size=(4, dim))))
+    start, steps, modes = _path_stack(rng, 20, dim, 8)
     paths = _walk(start, steps)
-    X = GaugeField.sine_modes(modes_x, 0.0, 1.0)
-    Y = GaugeField.sine_modes(modes_y, 0.0, 1.0)
+    X = GaugeField.sine_modes(modes[:, :4], 0.0, 1.0)
+    Y = GaugeField.sine_modes(modes[:, 4:], 0.0, 1.0)
     cX = cocycle.path_cocycle(model, paths, X)
     cXY = cocycle.path_cocycle(model, paths, X.value_at(paths.t) + Y.value_at(paths.t))
     cY_moved = cocycle.path_cocycle(model, classical.gauge_transform_path(paths, X), Y)
@@ -212,8 +273,7 @@ def _suite_classical(model_params: ModelParams, params: dict,
     dim = model_params.dim
 
     # per pair: a random path and the four mode amplitudes of a random bump
-    start, steps, modes = _draw_stack(params["n_pairs"], lambda: (
-        *_path_draws(rng, dim), rng.normal(size=(4, dim))))
+    start, steps, modes = _path_stack(rng, params["n_pairs"], dim, 4)
     paths = _walk(start, steps)
     Gn = GaugeField.sine_modes(modes, -0.1, 1.1).value_at(paths.t)
     direct = classical.action_gauge_transformed(model, paths, Gn)
@@ -226,7 +286,7 @@ def _suite_classical(model_params: ModelParams, params: dict,
         G_cfg = _configured_field(params["gauge_field"])
         m_cfg = model if G_cfg.dim == dim else LagrangianModel(
             ModelParams(G_cfg.dim, 1, np.ones(G_cfg.dim)))
-        start, steps = _draw_stack(10, lambda: _path_draws(rng, G_cfg.dim))
+        start, steps, _ = _path_stack(rng, 10, G_cfg.dim)
         paths = _walk(start, steps)
         direct = classical.action_gauge_transformed(m_cfg, paths, G_cfg)
         split = classical.action_gauge_split(m_cfg, paths, G_cfg)
@@ -234,8 +294,8 @@ def _suite_classical(model_params: ModelParams, params: dict,
             np.abs(direct - split) / (1.0 + np.abs(direct)))
 
     # per path: a random path and a boost velocity
-    start, steps, vel = _draw_stack(20, lambda: (
-        *_path_draws(rng, dim), rng.normal(size=dim)))
+    start, steps, vel = _path_stack(rng, 20, dim, 1)
+    vel = vel[:, 0]
     paths = _walk(start, steps)
     c = cocycle.path_cocycle(model, paths, GaugeField.boost(vel, -0.5, 1.5)).real_value
     p0, p1 = paths.endpoint_configs()
@@ -243,8 +303,7 @@ def _suite_classical(model_params: ModelParams, params: dict,
              - cocycle.boost_boundary_term(model, p0, vel))
     checks["boost-boundary-term"] = _worst(np.abs(c - delta) / (1.0 + np.abs(c)))
 
-    start, steps, modes = _draw_stack(20, lambda: (
-        *_path_draws(rng, dim), rng.normal(size=(4, dim))))
+    start, steps, modes = _path_stack(rng, 20, dim, 4)
     paths = _walk(start, steps)
     chi = GaugeField.sine_modes(modes, 0.0, 1.0)
     eps = 1e-6
@@ -789,7 +848,9 @@ REGISTRY: dict[str, Experiment] = {
          ("noether-constancy", "noether-charge-conservation", 1e-12),
          ("el-residual-order", "euler-lagrange-residual", 0.5)),
         _suite_classical,
-        (Param("n_pairs", int, 100, 1, 10**5), Param("M", int, 200, 2, 10**5),
+        # the EL residuals' rounding floor grows as M^2 and first reaches
+        # their 1e-10 gates at M = 683; up to 500 both stay below 7.8e-11
+        (Param("n_pairs", int, 100, 1, 10**5), Param("M", int, 200, 2, 500),
          Param("gauge_field", dict, None, build=_configured_field))),
     "hpf": Experiment(
         "principal function table, Hamilton-Jacobi residual, flat connection",

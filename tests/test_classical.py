@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cqm import classical
 from cqm.bundle import Config, GaugeField, ModelParams, Shift
 from cqm.classical import (DiscretePath, HPFSample, action,
                            action_gauge_split, action_gauge_transformed,
@@ -220,6 +224,32 @@ def test_free_hpf_table_equals_entry_loop(M):
         x_grid = np.linspace(-2.5, 2.5, 8)
         hpf = hpf_table(model, p0, t_grid, x_grid, M=M)
         assert np.array_equal(hpf.S, _hpf_loop(model, p0, t_grid, x_grid, M))
+
+
+def _increasing(start, steps):
+    return start + np.cumsum(steps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mass=st.floats(0.1, 10.0), t0=st.floats(-5.0, 5.0), x0=st.floats(-5.0, 5.0),
+       M=st.integers(1, 64),
+       t_steps=st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=7),
+       x_steps=st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=8),
+       x_start=st.floats(-5.0, 5.0), block_bytes=st.sampled_from([1, 1 << 20]))
+def test_free_hpf_table_is_the_entry_loop(mass, t0, x0, M, t_steps, x_steps,
+                                          x_start, block_bytes):
+    # non-uniform grids with nt != nx, so a transposed fill cannot pass; one
+    # row per block and the default blocks give the same bits
+    if len(t_steps) == len(x_steps):
+        x_steps = x_steps + [0.5]
+    model = LagrangianModel(ModelParams(1, 1, np.array([mass])))
+    p0 = Config(t0, [x0])
+    t_grid = _increasing(t0, t_steps)
+    x_grid = _increasing(x_start, x_steps)
+    with mock.patch.object(classical, "_TABLE_BLOCK_BYTES", block_bytes):
+        hpf = hpf_table(model, p0, t_grid, x_grid, M=M)
+    assert hpf.S.shape == (t_grid.size, x_grid.size)
+    assert np.array_equal(hpf.S, _hpf_loop(model, p0, t_grid, x_grid, M))
 
 
 @pytest.mark.parametrize("p0, t_grid, x_grid, M", [

@@ -15,7 +15,8 @@ from cqm.bundle import Config, ModelParams
 from cqm.classical import hpf_table, solve_critical_path
 from cqm.cli import ConfigError, load_config, main, run_from_config, validate_config
 from cqm.cocycle import LagrangianModel
-from cqm.experiments import REGISTRY, _harmonic_model, _write_csv
+from cqm.experiments import (REGISTRY, _draw_stack, _harmonic_model, _path_draws,
+                             _path_stack, _write_csv)
 from cqm.pathint import read_kernel
 from cqm.qgrid import read_wavegrid
 
@@ -182,6 +183,24 @@ def test_size_and_step_bounds():
                "params": {name: {key: val}}}
         with pytest.raises(ConfigError, match=f"{name}.{key}"):
             validate_config(cfg)
+
+
+def test_classical_M_stops_below_the_el_rounding_floor(tmp_path):
+    # the Euler-Lagrange residuals' rounding floor grows as M^2; both gates
+    # first fail at M = 683, so the declared maximum is 500
+    from cqm.experiments import run_experiment
+
+    cfg = {"model": MINI_MODEL, "experiment": "classical", "seed": 3,
+           "params": {"classical": {"M": 501}}}
+    with pytest.raises(ConfigError, match=r"classical\.M .*\]"):
+        validate_config(cfg)
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, cfg)), "--out", str(out)]) == 2
+    assert not (out / "report.json").exists()
+    checks = {c.name: c for c in run_experiment(
+        "classical", ModelParams(2, 1, np.array([1.0, 2.0])), {"M": 500}, 3, None)}
+    assert checks["free-el-residual"].passed
+    assert checks["harmonic-el-residual"].passed
 
 
 def test_documented_sizes_within_bounds():
@@ -641,6 +660,66 @@ def test_write_csv_round_trip(tmp_path_factory, rows):
     assert [float(r[0]).hex() for r in back] == [v.hex() for v in floats]
     assert [int(r[1]) for r in back] == ints
     assert [r[2] for r in back] == texts
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000])
+@pytest.mark.parametrize("dim", [1, 2, 6])
+@pytest.mark.parametrize("k", [0, 1, 4, 8])
+def test_path_stack_is_the_per_probe_draw(n, dim, k):
+    # one rng.normal call gives the normals of n per-probe draws, bit for
+    # bit, and leaves the generator where the loop leaves it
+    for seed in (0, 3, 2**40 + 7):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        new = _path_stack(rng, n, dim, k)
+        old = _draw_stack(n, lambda: (*_path_draws(ref, dim), ref.normal(size=(k, dim))))
+        assert len(new) == len(old) == 3
+        for a, b in zip(new, old):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _reference_csv(fname, header, *columns) -> None:
+    """The table writer before each value was formatted once: the csv module."""
+    with open(fname, "w", newline="") as fh:
+        csv.writer(fh).writerows(
+            [header, *zip(*(np.asarray(c).tolist() for c in columns), strict=True)])
+
+
+_NAN_PAYLOAD = np.array([0x7FF8000000000001, 0xFFF0000000000002], dtype=np.uint64).view(float)
+_CSV_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, *_NAN_PAYLOAD])
+_CSV_INTS = st.integers(-2**63, 2**63 - 1) | st.sampled_from([-2**63, 2**63 - 1, 0, -1])
+_CSV_TEXTS = st.text(st.characters(exclude_categories=("Cs",)) | st.sampled_from(',"\r\n '),
+                     max_size=6)
+
+
+@st.composite
+def _csv_tables(draw):
+    """A header and columns of floats, int64s or strings, each column drawn
+    from a few values so that values repeat."""
+    n_rows = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(["float", "int", "str"]), max_size=4))
+    header = draw(st.lists(_CSV_TEXTS, min_size=len(kinds), max_size=len(kinds)))
+    columns = []
+    for kind in kinds:
+        pool = draw(st.lists({"float": _CSV_FLOATS, "int": _CSV_INTS, "str": _CSV_TEXTS}[kind],
+                             min_size=1, max_size=4))
+        column = draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
+        columns.append({"float": lambda c: np.array(c, dtype=float),
+                        "int": lambda c: np.array(c, dtype=np.int64),
+                        "str": list}[kind](column))
+    return header, columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_csv_tables())
+def test_write_csv_is_the_csv_module(tmp_path_factory, table):
+    header, columns = table
+    folder = tmp_path_factory.mktemp("csv")
+    _write_csv(folder / "new.csv", header, *columns)
+    _reference_csv(folder / "old.csv", header, *columns)
+    assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
 
 
 def test_write_csv_rejects_ragged_columns(tmp_path):
