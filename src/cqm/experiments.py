@@ -718,10 +718,9 @@ def _suite_pathint(model_params: ModelParams, params: dict,
     x = grid.coords(0)
     cen = np.abs(x) <= 7.5
     central = np.ix_(cen, cen)
-    # the closed forms as read-only Toeplitz views; only their central
+    # the closed forms are read-only Toeplitz views; only their central
     # blocks are copied
-    exact = pathint._symmetric_toeplitz(
-        pathint._free_kernel_row(grid, 1.0, 1.0, hbar))
+    exact = pathint.free_kernel_exact(grid, 1.0, 1.0, hbar)
     Kc = kernel.matrix[central]
     Ec = exact[central]
     # Kc - Ec subtracted into Ec, once its norm is taken
@@ -734,10 +733,8 @@ def _suite_pathint(model_params: ModelParams, params: dict,
     # start with less memory held
     del Ec, mod
 
-    # classical_split's stats, from the central block alone
-    split = pathint._split(Kc, x[cen], kernel.mass, kernel.duration, hbar)[1]
-    checks["classical-split-uniformity"] = pathint._spread(split)["max_rel_deviation"]
-    del split
+    checks["classical-split-uniformity"] = (
+        pathint.classical_split(kernel)["max_rel_deviation"])
 
     # all that reads the whole kernel, which then goes before the semigroup
     # product: the wave-propagation residual and the artifacts
@@ -759,11 +756,11 @@ def _suite_pathint(model_params: ModelParams, params: dict,
         pathint.write_kernel(out / "kernel.cqmk", kernel)
     del kernel
 
-    # compose_kernels(half2, half1) with half2 the half moved to 0.5..1 (the
-    # free kernel depends on the times only through the duration), its
-    # central rows only (restricting the columns too would reorder the sums)
+    # half2 @ (w * half1) with half2 the half moved to 0.5..1 (the free
+    # kernel depends on the times only through the duration), its central
+    # rows only (restricting the columns too would reorder the sums)
     rows = Kh[cen]
-    np.multiply(pathint._quadrature_weight(grid)[:, None], Kh, out=Kh)
+    np.multiply(pathint.quadrature_weight(grid)[:, None], Kh, out=Kh)
     Sc = (rows @ Kh)[:, cen]
     checks["kernel-semigroup"] = _l2(Sc - Kc) / _l2(Kc)
     del Kh, rows, Sc
@@ -787,8 +784,7 @@ def _suite_pathint(model_params: ModelParams, params: dict,
     window = int(min(first, n - last))
     (rel,) = pathint._chain(grid, scheme.dt, mass2, hbar, (M,), window=window)
     inner = np.ix_(cen[window:n - window + 1], cen[window:n - window + 1])
-    E2c = pathint._symmetric_toeplitz(
-        pathint._free_kernel_row(grid, 1.0, mass2, hbar))[central]
+    E2c = pathint.free_kernel_exact(grid, 1.0, mass2, hbar)[central]
     checks["relational-kernel-mass"] = _l2(rel[inner] - E2c) / _l2(E2c)
     del E2c
 
@@ -859,7 +855,7 @@ REGISTRY: dict[str, Experiment] = {
          ("flat-connection-curl", "flat-connection-closedness", 1e-6),
          ("connection-momentum-coefficient", "momentum-prescription", 1e-6),
          ("static-endpoint-action", "hamilton-principal-function", 1e-12)),
-        _suite_hpf, (Param("nt", int, 50, 3, 1000), Param("nx", int, 50, 3, 1000))),
+        _suite_hpf, (Param("nt", int, 50, 8, 1000), Param("nx", int, 50, 3, 1000))),
     "quantum": Experiment(
         "spectral propagation, momentum operator, covariant constancy",
         (("norm-drift", "schrodinger-unitarity", 1e-12),

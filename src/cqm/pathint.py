@@ -26,9 +26,13 @@ snapshot of a longer one on the way.  The propagated columns evolve
 independently, so they run in row bands, one thread per CPU in the process's
 affinity mask (limit it with e.g. ``taskset``), and each band takes its rows
 a block of about 1 MiB at a time; the bits depend on neither the band count
-nor the block size.  Comparisons against the closed-form kernel are meaningful
-on the central half-box, away from wrap-around artifacts.  A kernel with an
-``anchor`` is relational; it meets only kernels and states of that anchor.
+nor the block size.  Comparisons against the closed-form kernel
+(``free_kernel_exact``, a read-only Toeplitz view of 2n - 1 values) are
+meaningful on the central half-box, away from wrap-around artifacts, and
+``classical_split`` splits a kernel against the critical action there.  Two
+kernels compose through the tapered weights of ``quadrature_weight``.  A
+kernel with an ``anchor`` is relational; it meets only kernels and states of
+that anchor.
 """
 from __future__ import annotations
 
@@ -49,7 +53,7 @@ __all__ = [
     "free_kernel_exact",
     "sliced_propagator",
     "relational_propagator",
-    "compose_kernels",
+    "quadrature_weight",
     "classical_split",
     "propagate_wavefunction",
     "write_kernel",
@@ -126,32 +130,27 @@ class PropagatorKernel:
                    mass, hbar)
 
 
-def _free_kernel_row(grid: GridSpec, T: float, mass: float, hbar: float) -> np.ndarray:
-    """Generating row g[k] = K(x_k, x_0) of the closed-form free kernel
-    sqrt(m/2 pi i hbar T) exp(i m dx^2 / 2 hbar T)."""
+def free_kernel_exact(grid: GridSpec, T: float, mass: float, hbar: float) -> np.ndarray:
+    """Closed-form free kernel sqrt(m/2 pi i hbar T) exp(i m dx^2 / 2 hbar T)
+    as the read-only symmetric Toeplitz view K[i, j] = g[|i - j|] of its
+    generating row g[k] = K(x_k, x_0): row i is the window of the row
+    mirrored about 0, ``concat(g[:0:-1], g)``, that starts at n - 1 - i, so
+    the view holds 2n - 1 values.  A caller that needs a writable matrix
+    copies it, or the block it reads."""
     x = grid.coords(0)
     dx = x - x[0]
     pref = np.sqrt(mass / (2j * np.pi * hbar * T))
-    return pref * np.exp(1j * mass * dx ** 2 / (2 * hbar * T))
-
-
-def _symmetric_toeplitz(g: np.ndarray) -> np.ndarray:
-    """Read-only view T[i, j] = g[|i - j|]: row i is the window of the row
-    mirrored about 0, ``concat(g[:0:-1], g)``, that starts at n - 1 - i."""
+    g = pref * np.exp(1j * mass * dx ** 2 / (2 * hbar * T))
     mirrored = np.concatenate((g[:0:-1], g))
     return sliding_window_view(mirrored, g.size)[::-1]
 
 
-def free_kernel_exact(grid: GridSpec, T: float, mass: float, hbar: float) -> np.ndarray:
-    """Closed-form free kernel matrix, the symmetric Toeplitz K[i, j] = g[|i - j|]."""
-    return _symmetric_toeplitz(_free_kernel_row(grid, T, mass, hbar)).copy()
-
-
-def _quadrature_weight(grid: GridSpec) -> np.ndarray:
-    """Tapered quadrature weights of an intermediate integration, shape (n,).
+def quadrature_weight(grid: GridSpec) -> np.ndarray:
+    """Tapered quadrature weights of one intermediate integration, shape (n,).
 
     Cell width times a quintic smoothstep that falls from 1 at 80% of the
-    half-box to 0 at 98.5%.
+    half-box to 0 at 98.5%.  Two kernels over the same grid compose as
+    ``later @ (quadrature_weight(grid)[:, None] * earlier)``.
     """
     lo, hi, _ = grid.axes[0]
     r = np.abs(grid.coords(0) - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
@@ -249,7 +248,7 @@ def _chain(grid: GridSpec, dt: float, mass: float, hbar: float,
     stride = n // n_out
     alpha = mass * fine.spacing(0) ** 2 / (2 * hbar * dt)
     p2 = mass / (2j * np.pi * hbar * dt)
-    weight = _quadrature_weight(fine)
+    weight = quadrature_weight(fine)
 
     def chirp(u):
         # exp(i alpha (u/2)^2), u = 2k' an integer also for odd n
@@ -317,8 +316,7 @@ def _chain(grid: GridSpec, dt: float, mass: float, hbar: float,
             # K1[k, c] = g[|k - c|] is a window of the row mirrored about 0;
             # these columns hold v itself, so the first step takes
             # w_j exp(i alpha j'^2)
-            start = _symmetric_toeplitz(
-                _free_kernel_row(fine, dt, mass, hbar))[::stride][:h]
+            start = free_kernel_exact(fine, dt, mass, hbar)[::stride][:h]
             step = np.zeros(L, dtype=complex)
             step[:n] = weight * centred
         else:
@@ -394,7 +392,7 @@ def sliced_propagator(model: LagrangianModel, scheme: SliceScheme,
         mass = float(model.params.masses[0])
     M = scheme.n_slices
     if M == 1:
-        K = free_kernel_exact(scheme.grid, scheme.dt, mass, hbar)
+        K = free_kernel_exact(scheme.grid, scheme.dt, mass, hbar).copy()
     else:
         (K,) = _chain(scheme.grid, scheme.dt, mass, hbar, (M,))
     return PropagatorKernel(K, scheme.grid, scheme.t0, scheme.t1, mass, hbar)
@@ -419,67 +417,35 @@ def relational_propagator(model: LagrangianModel, scheme: SliceScheme,
     return replace(kernel, anchor=anchor)
 
 
-def compose_kernels(later: PropagatorKernel, earlier: PropagatorKernel) -> PropagatorKernel:
-    """Chain two kernels over the shared intermediate grid (tapered quadrature).
+def classical_split(kernel: PropagatorKernel, hpf: HPFSample | None = None) -> dict:
+    """Split K = normalization * exp(i S_c / hbar) against the closed-form
+    free critical action S_c[i, j] = mass (x_i - x_j)^2 / 2T, on the central
+    half-box, where the normalization should be a constant.
 
-    The matrix is ``later.matrix @ (w[:, None] * earlier.matrix)`` with the
-    tapered weights w.  Some rows of ``later.matrix`` times the weighted
-    matrix, which may be weighted in place, give the same bits as those rows
-    of the whole product (the ``pathint`` suite's semigroup check)."""
-    for name in ("grid", "mass", "hbar", "anchor"):
-        if getattr(later, name) != getattr(earlier, name):
-            raise ValueError(f"kernels must share the {name}")
-    if abs(later.t0 - earlier.t1) > 1e-12:
-        raise ValueError("kernels are not contiguous in time")
-    matrix = later.matrix @ (_quadrature_weight(later.grid)[:, None] * earlier.matrix)
-    return replace(later, matrix=matrix, t0=earlier.t0)
-
-
-def _split(matrix: np.ndarray, x: np.ndarray, mass: float, T: float,
-           hbar: float) -> tuple[np.ndarray, np.ndarray]:
-    """Critical action S_c[i, j] = mass (x_i - x_j)^2 / 2T between the points
-    ``x`` and the normalization ``matrix * exp(-i S_c / hbar)``.  Every entry
-    is elementwise, so the block of ``matrix`` on some points gives the same
-    bits as that block of the whole split."""
-    S_c = mass * (x[:, None] - x[None, :]) ** 2 / (2 * T)
-    # matrix * exp(-i S_c / hbar), in one complex buffer
-    normalization = -1j * S_c / hbar
-    np.exp(normalization, out=normalization)
-    np.multiply(matrix, normalization, out=normalization)
-    return S_c, normalization
-
-
-def _spread(block: np.ndarray) -> dict:
-    """Mean of a normalization block and its largest deviation from it,
-    relative to the mean."""
-    mean = block.mean()
-    return {"normalization_mean": complex(mean),
-            "max_rel_deviation": float(np.abs(block - mean).max() / np.abs(mean))}
-
-
-def classical_split(kernel: PropagatorKernel, hpf: HPFSample | None = None):
-    """Split K = normalization * exp(i S_c / hbar) against the critical action.
-
-    Returns (S_c field, normalization field, stats).  The free critical action
-    between grid points is closed-form; stats report the normalization's
-    spread over the central half-box, where it should be a constant.  If a
-    principal-function table anchored at one grid column is supplied, that
-    column of S_c is cross-checked over the grid points the table covers and
-    the deviation reported; the table must start at the kernel's start time,
-    from a grid point (to 1e-9 of a grid step), and cover the kernel's end
-    time.  The split is elementwise (``_split``), so a caller that needs only
-    the stats may split the central block alone and take ``_spread`` of it,
-    the same bits (the ``pathint`` suite does).
+    Returns the normalization's mean there (``normalization_mean``) and its
+    largest deviation from it, relative to the mean (``max_rel_deviation``).
+    If a principal-function table anchored at one grid column is supplied,
+    the critical action's column at that point is cross-checked over the
+    grid points the table covers and the largest difference reported
+    (``hpf_column_deviation``); the table must start at the kernel's start
+    time, from a grid point (to 1e-9 of a grid step), and cover the kernel's
+    end time.
     """
     x = kernel.grid.coords(0)
     T = kernel.duration
     if T <= 0:
         raise ValueError("classical split needs a finite duration")
-    S_c, normalization = _split(kernel.matrix, x, kernel.mass, T, kernel.hbar)
+    mass, hbar = kernel.mass, kernel.hbar
     lo, hi, _ = kernel.grid.axes[0]
-    center = 0.5 * (lo + hi)
-    cen = np.abs(x - center) <= 0.25 * (hi - lo)
-    stats = _spread(normalization[np.ix_(cen, cen)])
+    cen = np.abs(x - 0.5 * (lo + hi)) <= 0.25 * (hi - lo)
+    xc = x[cen]
+    # K * exp(-i S_c / hbar) on the central block, in one complex buffer
+    block = -1j * (mass * (xc[:, None] - xc[None, :]) ** 2 / (2 * T)) / hbar
+    np.exp(block, out=block)
+    np.multiply(kernel.matrix[np.ix_(cen, cen)], block, out=block)
+    mean = block.mean()
+    stats = {"normalization_mean": complex(mean),
+             "max_rel_deviation": float(np.abs(block - mean).max() / np.abs(mean))}
     if hpf is not None:
         if hpf.t0 != kernel.t0:
             raise ValueError(f"principal-function table starts at t = {hpf.t0!r}, "
@@ -490,11 +456,11 @@ def classical_split(kernel: PropagatorKernel, hpf: HPFSample | None = None):
         if abs(x[j] - hpf.x0[0]) > 1e-9 * (x[1] - x[0]):
             raise ValueError(f"principal-function table starts at x = "
                              f"{float(hpf.x0[0])!r}, not a grid point")
-        covered = (x >= hpf.x_grid[0]) & (x <= hpf.x_grid[-1])
-        col = hpf.spline(kernel.t1, x[covered])[0]
+        covered = x[(x >= hpf.x_grid[0]) & (x <= hpf.x_grid[-1])]
+        S_c = mass * (covered - x[j]) ** 2 / (2 * T)
         stats["hpf_column_deviation"] = float(
-            np.abs(S_c[covered, j] - col).max())
-    return S_c, normalization, stats
+            np.abs(S_c - hpf.spline(kernel.t1, covered)[0]).max())
+    return stats
 
 
 def propagate_wavefunction(kernel: PropagatorKernel, psi0: WaveGrid) -> WaveGrid:

@@ -149,7 +149,7 @@ def test_suite_size_params_rejected(tmp_path):
                            ("pathint", "n_points_2d", 8),
                            ("quantum", "n_points", 8), ("frame", "n_points", 8),
                            ("frame", "T", 0.25), ("frame", "anchor_mass", 10),
-                           ("classical", "M", 2), ("hpf", "nt", 3), ("hpf", "nx", 3),
+                           ("classical", "M", 2), ("hpf", "nt", 8), ("hpf", "nx", 3),
                            ("quantum", "norm_steps", 1)):
         validate_config({"model": MINI_MODEL, "experiment": name, "seed": 1,
                          "params": {name: {key: val}}})
@@ -201,6 +201,24 @@ def test_classical_M_stops_below_the_el_rounding_floor(tmp_path):
         "classical", ModelParams(2, 1, np.array([1.0, 2.0])), {"M": 500}, 3, None)}
     assert checks["free-el-residual"].passed
     assert checks["harmonic-el-residual"].passed
+
+
+def test_hpf_nt_starts_above_the_hamilton_jacobi_floor(tmp_path):
+    # np.gradient's second-order error in t over the table's fixed time span
+    # meets the 1e-6 gate of hamilton-jacobi-residual: nt 7 fails it at nx
+    # 50, 301 and 1000 (1.30e-6 at 1000), so the declared minimum is 8
+    from cqm.experiments import run_experiment
+
+    cfg = {"model": MINI_MODEL, "experiment": "hpf", "seed": 3,
+           "params": {"hpf": {"nt": 7}}}
+    with pytest.raises(ConfigError, match=r"hpf\.nt .*\]"):
+        validate_config(cfg)
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, cfg)), "--out", str(out)]) == 2
+    assert not (out / "report.json").exists()
+    checks = run_experiment("hpf", ModelParams(2, 1, np.array([1.0, 2.0])),
+                            {"nt": 8, "nx": 1000}, 3, None)
+    assert [c.name for c in checks if not c.passed] == []
 
 
 def test_documented_sizes_within_bounds():
@@ -435,6 +453,46 @@ def test_nan_residual_fails_its_check(monkeypatch, suite, module, func, names):
     for name in names:
         assert np.isnan(checks[name].residual)
         assert not checks[name].passed
+
+
+def _pathint_perturbations():
+    from dataclasses import replace
+
+    def split(real):
+        return lambda kernel, hpf=None: real(replace(kernel, mass=kernel.mass * 1.001), hpf)
+
+    def exact(real):
+        return lambda grid, T, mass, hbar: real(grid, T, mass * 1.05, hbar)
+
+    def weight(real):
+        # a sawtooth at the grid's Nyquist: the chain's oversampled grid and
+        # the reporting grid the halves are composed on weigh it differently.
+        # A uniform scale cannot show, because both sides of the semigroup
+        # carry M - 1 weighted integrations.
+        return lambda grid: real(grid) * (1 + 0.01 * (-1.0) ** np.arange(grid.shape[0]))
+
+    return [pytest.param(func, perturb, names, id=func) for func, perturb, names in (
+        ("classical_split", split, ["classical-split-uniformity"]),
+        ("free_kernel_exact", exact, ["kernel-vs-analytic", "relational-kernel-mass"]),
+        ("quadrature_weight", weight, ["kernel-semigroup"]))]
+
+
+@pytest.mark.parametrize("func, perturb, names", _pathint_perturbations())
+def test_perturbed_pathint_function_turns_its_checks_red(monkeypatch, func, perturb,
+                                                         names):
+    # each pathint check reaches the public function it is named for
+    from cqm.experiments import run_experiment
+
+    model = ModelParams(2, 1, np.array([1.0, 2.0]))
+    params = {"n_points": 512, "n_slices": 4, "n_points_2d": 16}
+
+    def failing():
+        return {c.name for c in run_experiment("pathint", model, params, 3, None)
+                if not c.passed}
+
+    assert failing().isdisjoint(names)
+    monkeypatch.setattr(pathint, func, perturb(getattr(pathint, func)))
+    assert set(names) <= failing()
 
 
 def test_nan_residual_written_as_null(tmp_path, monkeypatch, capsys):
