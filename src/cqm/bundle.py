@@ -68,12 +68,6 @@ class ModelParams:
         """Per-coordinate masses, shape (dim,)."""
         return _frozen_array(np.repeat(self.masses, self.spatial_dim))
 
-    def block(self, i: int) -> slice:
-        """Coordinate slice of particle i (0-based)."""
-        i = _particle_index(i, self.n_particles, "particle index")
-        d = self.spatial_dim
-        return slice(i * d, (i + 1) * d)
-
     def replicate(self, a: np.ndarray) -> np.ndarray:
         """Tile single-particle vectors (..., d) across all N blocks: (..., dim)."""
         a = np.asarray(a, dtype=float)
@@ -139,10 +133,6 @@ class Shift:
         if not np.all(np.isfinite(self.v)):
             raise ValueError("shift entries must be finite")
 
-    @property
-    def dim(self) -> int:
-        return self.v.size
-
     def __add__(self, other: "Shift") -> "Shift":
         return Shift(self.v + other.v)
 
@@ -156,23 +146,22 @@ def right_action(p: Config, X: Shift) -> Config:
     return Config(p.t, p.x + X.v)
 
 
-def _particle_index(value, n: int, name: str, stacked: bool = False
-                    ) -> int | np.ndarray:
-    """``value`` as one of n particles: an int, or with ``stacked`` also an
-    integer array of them.  A bool, a float (1.7 or NaN), an array where one
-    index is wanted, or an index outside 0..n - 1 raises ValueError naming
-    ``name``."""
+def _particle_index(value, n: int, stacked: bool = False) -> int | np.ndarray:
+    """The anchor ``value`` as one of n particles: an int, or with ``stacked``
+    also an integer array of them.  A bool, a float (1.7 or NaN), an array
+    where one index is wanted, or an index outside 0..n - 1 raises
+    ValueError naming ``anchor``."""
     i = np.asarray(value)
     if i.dtype.kind not in "iu" or (i.ndim and not stacked):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"anchor must be an integer, got {value!r}")
     if np.any((i < 0) | (i >= n)):
-        raise ValueError(f"{name} {value} is not a particle of {n}")
+        raise ValueError(f"anchor {value} is not a particle of {n}")
     return i if i.ndim else int(i)
 
 
 def _anchor_index(anchor, params: ModelParams) -> int | np.ndarray:
     """One anchor as an int, or an integer array of anchors (one per row)."""
-    return _particle_index(anchor, params.n_particles, "anchor", stacked=True)
+    return _particle_index(anchor, params.n_particles, stacked=True)
 
 
 def decompose_shift(params: ModelParams, values, anchor: int | np.ndarray = 0

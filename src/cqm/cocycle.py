@@ -47,9 +47,11 @@ class LagrangianModel:
     The potential and its derivatives act on whole arrays of configurations:
     ``potential`` maps an (..., dim) array to (...), ``potential_grad`` to
     (..., dim) and ``potential_hess`` to (..., dim, dim); any other shape
-    raises ValueError.  Without ``potential_grad`` (``potential_hess``) the
-    gradient (Hessian) is a central difference of the potential (gradient),
-    taken in one evaluation.
+    raises ValueError.  The derivatives are the supplied callables, never
+    differenced: ``gradient`` (``hessian``) without ``potential_grad``
+    (``potential_hess``) raises ValueError, so the Euler-Lagrange residual,
+    the Newton solve and the principal function need them, while the action
+    and the cocycle need only ``potential``.
     """
 
     params: ModelParams
@@ -68,27 +70,18 @@ class LagrangianModel:
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """Gradient of V at (..., dim) configurations, shape (..., dim)."""
+        if self.potential_grad is None:
+            raise ValueError("the model supplies no potential_grad")
         x = np.asarray(x, dtype=float)
-        if self.potential_grad is not None:
-            return _shaped(self.potential_grad(x), x.shape, "potential_grad")
-        # central differences, adequate for smooth test potentials
-        eps = 1e-6
-        step = eps * np.eye(x.shape[-1])
-        x = x[..., None, :]
-        return (self.potential_values(x + step)
-                - self.potential_values(x - step)) / (2 * eps)
+        return _shaped(self.potential_grad(x), x.shape, "potential_grad")
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         """Hessian of V at (..., dim) configurations, shape (..., dim, dim)."""
+        if self.potential_hess is None:
+            raise ValueError("the model supplies no potential_hess")
         x = np.asarray(x, dtype=float)
-        if self.potential_hess is not None:
-            return _shaped(self.potential_hess(x), x.shape + x.shape[-1:],
-                           "potential_hess")
-        eps = 1e-5
-        step = eps * np.eye(x.shape[-1])
-        x = x[..., None, :]
-        h = (self.gradient(x + step) - self.gradient(x - step)) / (2 * eps)
-        return 0.5 * (h + np.swapaxes(h, -1, -2))
+        return _shaped(self.potential_hess(x), x.shape + x.shape[-1:],
+                       "potential_hess")
 
 
 def _shaped(values, shape: tuple, name: str) -> np.ndarray:

@@ -12,7 +12,9 @@ cocycle machinery consumes its node samples the same way.
 
 A relational configuration or path is only ever the dressing of a bare one
 on a particle index (``dress_config``, ``dress_path``), and
-``dressed_critical_path`` dresses its bare endpoints itself.
+``dressed_critical_path`` dresses its bare endpoints itself.  That critical
+path is the free model's: the non-anchor blocks of the dressed endpoints
+joined by straight lines; a model with a potential is refused.
 
 Changing the anchor from particle i to particle j is the frame shift
 Z_ij(t) = u_j(t) - u_i(t) = x_i(t) - x_j(t), replicated across blocks; all
@@ -32,8 +34,7 @@ import numpy as np
 
 from .bundle import (Config, GaugeField, ModelParams, _anchor_index,
                      _particle_index, decompose_shift)
-from .classical import (DiscretePath, action, shift_path_nodes,
-                        solve_critical_path)
+from .classical import DiscretePath, action, shift_path_nodes
 from .cocycle import (LagrangianModel, _field_at_nodes, _float_or_array,
                       path_cocycle)
 
@@ -205,36 +206,16 @@ def identity_suite(model: LagrangianModel, path: DiscretePath, i, j,
 
 
 def dressed_critical_path(model: LagrangianModel, p0: Config, p1: Config,
-                          M: int, anchor, tol: float = 1e-10) -> DiscretePath:
-    """Critical path of the dressed action between bare endpoints p0, p1,
-    dressed on the one particle ``anchor``.
+                          M: int, anchor) -> DiscretePath:
+    """Critical path of the free dressed action between bare endpoints p0,
+    p1, dressed on the one particle ``anchor``.
 
-    The anchor block is frozen at zero.  For the free model the non-anchor
-    blocks are straight lines; with a (translation-invariant) potential the
-    reduced boundary-value problem is solved by the same Newton iteration.
+    The anchor block is frozen at zero and the non-anchor blocks are
+    straight lines.  A model with a potential raises ValueError.
     """
+    if model.potential is not None:
+        raise ValueError("dressed critical paths are implemented for the free model")
     params = model.params
-    i = _particle_index(anchor, params.n_particles, "anchor")
+    i = _particle_index(anchor, params.n_particles)
     q0, q1 = dress_config(params, p0, i), dress_config(params, p1, i)
-
-    if model.potential is None:
-        return replace(DiscretePath.straight(q0, q1, M), anchor=i)
-
-    # reduced model over the non-anchor blocks, anchor block pinned at zero
-    red_params = ModelParams(params.n_particles - 1, params.spatial_dim,
-                             np.delete(params.masses, i), params.hbar)
-    sel = np.delete(np.arange(params.dim), params.block(i))
-
-    def embed(xred: np.ndarray) -> np.ndarray:
-        full = np.zeros(xred.shape[:-1] + (params.dim,))
-        full[..., sel] = xred
-        return full
-
-    red_model = LagrangianModel(
-        red_params,
-        potential=lambda xr: model.potential(embed(xr)),
-        potential_grad=lambda xr: model.gradient(embed(xr))[..., sel],
-    )
-    red_path = solve_critical_path(
-        red_model, Config(q0.t, q0.x[sel]), Config(q1.t, q1.x[sel]), M, tol=tol)
-    return replace(red_path, x=embed(red_path.x), anchor=i)
+    return replace(DiscretePath.straight(q0, q1, M), anchor=i)

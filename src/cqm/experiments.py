@@ -870,7 +870,7 @@ REGISTRY: dict[str, Experiment] = {
          ("meta-action-solution", "meta-action-stationarity", 1e-5),
          ("meta-action-contrast", "meta-action-stationarity", 1.0)),
         _suite_quantum,
-        (Param("n_points", int, 512, 8, 65536), Param("norm_steps", int, 1000, 1, 10**6))),
+        (Param("n_points", int, 512, 8, 4096), Param("norm_steps", int, 1000, 1, 10**6))),
     "boost": Experiment(
         "Galilean boost covariance of free evolution",
         (("boost-covariance-1024", "boost-wavefunction-phase", 1e-4),

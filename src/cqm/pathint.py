@@ -42,7 +42,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .classical import HPFSample
 from .cocycle import LagrangianModel
 from .qgrid import (GridSpec, WaveGrid, _check_anchor, _count, _fft_plan,
                     _read_artifact, _write_artifact)
@@ -417,19 +416,13 @@ def relational_propagator(model: LagrangianModel, scheme: SliceScheme,
     return replace(kernel, anchor=anchor)
 
 
-def classical_split(kernel: PropagatorKernel, hpf: HPFSample | None = None) -> dict:
+def classical_split(kernel: PropagatorKernel) -> dict:
     """Split K = normalization * exp(i S_c / hbar) against the closed-form
     free critical action S_c[i, j] = mass (x_i - x_j)^2 / 2T, on the central
     half-box, where the normalization should be a constant.
 
     Returns the normalization's mean there (``normalization_mean``) and its
     largest deviation from it, relative to the mean (``max_rel_deviation``).
-    If a principal-function table anchored at one grid column is supplied,
-    the critical action's column at that point is cross-checked over the
-    grid points the table covers and the largest difference reported
-    (``hpf_column_deviation``); the table must start at the kernel's start
-    time, from a grid point (to 1e-9 of a grid step), and cover the kernel's
-    end time.
     """
     x = kernel.grid.coords(0)
     T = kernel.duration
@@ -444,23 +437,8 @@ def classical_split(kernel: PropagatorKernel, hpf: HPFSample | None = None) -> d
     np.exp(block, out=block)
     np.multiply(kernel.matrix[np.ix_(cen, cen)], block, out=block)
     mean = block.mean()
-    stats = {"normalization_mean": complex(mean),
-             "max_rel_deviation": float(np.abs(block - mean).max() / np.abs(mean))}
-    if hpf is not None:
-        if hpf.t0 != kernel.t0:
-            raise ValueError(f"principal-function table starts at t = {hpf.t0!r}, "
-                             f"the kernel at t = {kernel.t0!r}")
-        if not hpf.t_grid[0] <= kernel.t1 <= hpf.t_grid[-1]:
-            raise ValueError("principal-function table does not cover the end time")
-        j = int(np.argmin(np.abs(x - hpf.x0[0])))
-        if abs(x[j] - hpf.x0[0]) > 1e-9 * (x[1] - x[0]):
-            raise ValueError(f"principal-function table starts at x = "
-                             f"{float(hpf.x0[0])!r}, not a grid point")
-        covered = x[(x >= hpf.x_grid[0]) & (x <= hpf.x_grid[-1])]
-        S_c = mass * (covered - x[j]) ** 2 / (2 * T)
-        stats["hpf_column_deviation"] = float(
-            np.abs(S_c - hpf.spline(kernel.t1, covered)[0]).max())
-    return stats
+    return {"normalization_mean": complex(mean),
+            "max_rel_deviation": float(np.abs(block - mean).max() / np.abs(mean))}
 
 
 def propagate_wavefunction(kernel: PropagatorKernel, psi0: WaveGrid) -> WaveGrid:

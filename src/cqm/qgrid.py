@@ -131,7 +131,7 @@ def _check_anchor(anchor: int | None, n_axes: int) -> None:
     """Relational on n_axes axes: n_axes + 1 particles, the anchor one of
     them, an integer; None is bare."""
     if anchor is not None:
-        _particle_index(anchor, n_axes + 1, "anchor")
+        _particle_index(anchor, n_axes + 1)
 
 
 @dataclass(frozen=True)

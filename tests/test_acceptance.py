@@ -163,7 +163,7 @@ def test_criterion_05_dressing_identities():
         v = path.velocities()
         target = np.zeros(len(dens))
         for k in range(3):
-            dvk = v[:, mp.block(k)] - v[:, mp.block(j)]
+            dvk = v[:, k:k + 1] - v[:, j:j + 1]
             target += 0.5 * mp.masses[k] * np.sum(dvk * dvk, axis=1)
         lag_worst = max(lag_worst, float(np.abs(dens - target).max()
                                          / (1.0 + np.abs(target).max())))

@@ -219,10 +219,11 @@ def test_decompose_projection_pair(v):
 
 @pytest.mark.parametrize("i", [2, -1, 1.7, 1.0, True, float("nan"), np.array([0])])
 def test_block_refuses_a_non_particle(i):
+    # the anchored split takes particle i's block; no other value selects one
     params = ModelParams(2, 1, np.array([1.0, 1.0]))
-    assert params.block(np.int64(1)) == slice(1, 2)
-    with pytest.raises(ValueError, match="particle index"):
-        params.block(i)
+    assert np.array_equal(decompose_shift(params, [3.0, 5.0], np.int64(1))[1], [5.0, 5.0])
+    with pytest.raises(ValueError, match="anchor"):
+        decompose_shift(params, [3.0, 5.0], i)
 
 
 def test_decompose_anchor_out_of_range():

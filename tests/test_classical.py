@@ -336,16 +336,16 @@ def test_flat_connection_grid_too_small():
 
 def test_newton_solve_coupled_quadratic():
     # V = x.A.x/2 couples the coordinates, so the banded Hessian has entries
-    # off its diagonal; it is taken by central differences (no potential_hess).
-    # The discrete Euler-Lagrange system is linear, so one Newton step with
-    # the right Hessian solves it: compare with a dense solve.
+    # off its diagonal.  The discrete Euler-Lagrange system is linear, so one
+    # Newton step with the right Hessian solves it: compare with a dense solve.
     from cqm.bundle import ModelParams
     from cqm.cocycle import LagrangianModel
 
     A = np.array([[1.0, 0.3, -0.2], [0.3, 2.0, 0.4], [-0.2, 0.4, 0.5]])
     model = LagrangianModel(ModelParams(3, 1, np.array([1.0, 2.0, 0.5])),
                             potential=lambda x: 0.5 * np.sum((x @ A) * x, axis=-1),
-                            potential_grad=lambda x: x @ A)
+                            potential_grad=lambda x: x @ A,
+                            potential_hess=lambda x: np.broadcast_to(A, x.shape + (3,)))
     p0, p1, M = Config(0.0, [0.2, -0.5, 1.0]), Config(1.0, [1.0, 0.3, -0.4]), 20
     crit = solve_critical_path(model, p0, p1, M, max_iter=1)
 
@@ -366,7 +366,8 @@ def test_solver_reports_nonconvergence():
     rough = LagrangianModel(
         ModelParams(1, 1, np.array([1.0])),
         potential=lambda x: np.cos(3 * x[..., 0]),
-        potential_grad=lambda x: -3 * np.sin(3 * x))
+        potential_grad=lambda x: -3 * np.sin(3 * x),
+        potential_hess=lambda x: -9 * np.cos(3 * x)[..., None])
     with pytest.raises(RuntimeError, match="did not converge|residual"):
         solve_critical_path(rough, Config(0.0, [0.0]), Config(1.0, [4.0]),
                             40, tol=1e-12, max_iter=1)

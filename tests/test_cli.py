@@ -221,6 +221,30 @@ def test_hpf_nt_starts_above_the_hamilton_jacobi_floor(tmp_path):
     assert [c.name for c in checks if not c.passed] == []
 
 
+def test_quantum_n_points_stops_where_packet_spreading_can_see_the_stepper(tmp_path):
+    # the step is half the phase bound on fine grids, so the spreading time
+    # 2000 dt shrinks as h^2 and from about 7100 points packet-spreading
+    # passes a stepper that does nothing; the declared maximum is 4096
+    cfg = {"model": MINI_MODEL, "experiment": "quantum", "seed": 3,
+           "params": {"quantum": {"n_points": 4097}}}
+    with pytest.raises(ConfigError, match=r"quantum\.n_points .*\]"):
+        validate_config(cfg)
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, cfg)), "--out", str(out)]) == 2
+    assert not (out / "report.json").exists()
+
+
+def test_packet_spreading_catches_a_no_op_stepper_at_the_maximum(monkeypatch):
+    from cqm import qgrid
+    from cqm.experiments import run_experiment
+
+    n = next(p.maximum for p in REGISTRY["quantum"].params if p.name == "n_points")
+    monkeypatch.setattr(qgrid, "evolve", lambda psi, H, dt, steps: psi)
+    checks = {c.name: c for c in run_experiment(
+        "quantum", ModelParams(2, 1, np.array([1.0, 2.0])), {"n_points": n}, 3, None)}
+    assert not checks["packet-spreading"].passed
+
+
 def test_documented_sizes_within_bounds():
     # every perfbench workload, and the pathint sizes of ROADMAP item 5
     import runpy
@@ -459,7 +483,7 @@ def _pathint_perturbations():
     from dataclasses import replace
 
     def split(real):
-        return lambda kernel, hpf=None: real(replace(kernel, mass=kernel.mass * 1.001), hpf)
+        return lambda kernel: real(replace(kernel, mass=kernel.mass * 1.001))
 
     def exact(real):
         return lambda grid, T, mass, hbar: real(grid, T, mass * 1.05, hbar)

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cqm.bundle import Config, GaugeField, ModelParams
-from cqm.classical import (DiscretePath, action, gauge_transform_path,
-                           shift_path_nodes)
+from cqm.classical import (DiscretePath, action, el_residual,
+                           gauge_transform_path, hpf_value, shift_path_nodes,
+                           solve_critical_path)
 from cqm.cocycle import (CocycleAccumulator, LagrangianModel,
                          boost_boundary_term, cocycle_density,
                          cocycle_property_residual, linear_cocycle,
@@ -86,6 +87,36 @@ def test_derivative_of_wrong_shape_rejected(field, value, method, rng):
     if field == "potential":
         with pytest.raises(ValueError, match="potential must return shape"):
             action(model, random_path(rng, 2))
+
+
+# a potential without (some of) its derivatives, and two endpoints
+def _cos_model(**derivatives) -> LagrangianModel:
+    return LagrangianModel(ModelParams(2, 1, np.array([1.0, 2.0])),
+                           potential=lambda z: np.cos(z[..., 1] - z[..., 0]),
+                           **derivatives)
+
+
+P0, P1 = Config(0.0, [0.0, 0.0]), Config(1.0, [0.5, 1.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: el_residual(m, DiscretePath.straight(P0, P1, 8)),
+    lambda m: solve_critical_path(m, P0, P1, 8),
+    lambda m: hpf_value(m, P0, P1, 8),
+], ids=["el_residual", "solve_critical_path", "hpf_value"])
+def test_missing_gradient_is_refused(call):
+    # derivatives are supplied, never differenced from the potential
+    with pytest.raises(ValueError, match="potential_grad"):
+        call(_cos_model())
+
+
+def test_missing_hessian_is_refused():
+    def grad(z):
+        s = np.sin(z[..., 1] - z[..., 0])
+        return np.stack([-s, s], axis=-1)
+
+    with pytest.raises(ValueError, match="potential_hess"):
+        solve_critical_path(_cos_model(potential_grad=grad), P0, P1, 8)
 
 
 def test_linear_cocycle_example():

@@ -19,17 +19,23 @@ def test_all_names_resolve(name):
     assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
 
 
-def _fresh_modules(code: str, prefixes: tuple[str, ...]) -> list[str]:
-    """Modules under any of ``prefixes`` that ``code`` leaves loaded in a
-    fresh interpreter."""
+def _fresh(code: str, *args: str):
+    """The JSON that ``code``, run with ``args`` in a fresh interpreter that
+    imports this cqm, prints on its last line."""
     src = str(Path(cqm.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code += (f"\nimport json\nprint(json.dumps(sorted(m for m in sys.modules if "
-             f"any(m == p or m.startswith(p + '.') for p in {prefixes!r}))))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
                          capture_output=True, text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
+
+
+def _fresh_modules(code: str, prefixes: tuple[str, ...]) -> list[str]:
+    """Modules under any of ``prefixes`` that ``code`` leaves loaded in a
+    fresh interpreter."""
+    return _fresh(code + (
+        f"\nimport json\nprint(json.dumps(sorted(m for m in sys.modules if "
+        f"any(m == p or m.startswith(p + '.') for p in {prefixes!r}))))"))
 
 
 def test_cli_import_leaves_scipy_and_the_thread_pool_unloaded():
@@ -65,6 +71,75 @@ def test_readme_run_loads_no_scipy(tmp_path):
             f"{str(tmp_path / 'out')!r}]) == 1  # the known red check\n")
     assert _fresh_modules(code, ("scipy",)) == []
     assert (tmp_path / "out" / "report.json").exists()
+
+
+# names that one run need not call, each with its reason
+UNREACHED = {
+    "pathint.read_kernel": "nothing reads a kernel back until the artifact "
+                           "format records the anchor (ROADMAP item 6)",
+    "bundle.ModelParams.to_dict": "the report's resolved config (ROADMAP item 7)",
+    "bundle.GaugeField.to_dict": "the config round trip of a gauge field",
+}
+
+# traced in a fresh interpreter, the profiler installed before cqm is
+# imported so that building REGISTRY counts: every function, dataclass
+# constructor and public method or property that __all__ names, and that
+# the run never called, printed as "module.qualname"
+_REACH = """
+import dataclasses, functools, importlib, json, sys, threading
+called = set()
+def profile(frame, event, arg):
+    if event == "call":
+        called.add(frame.f_code)
+sys.setprofile(profile)
+threading.setprofile(profile)
+from cqm.cli import main
+rc = main(["run", sys.argv[1], "--out", sys.argv[2]])
+sys.setprofile(None)
+threading.setprofile(None)
+
+def codes(owner, obj):
+    if isinstance(obj, property):
+        obj = obj.fget
+    elif isinstance(obj, functools.cached_property):
+        obj = obj.func
+    elif isinstance(obj, (classmethod, staticmethod)):
+        obj = obj.__func__
+    if hasattr(obj, "__code__"):
+        yield owner, obj.__code__
+    elif isinstance(obj, type):
+        if dataclasses.is_dataclass(obj):
+            yield owner, obj.__init__.__code__
+        for name, attr in vars(obj).items():
+            if not name.startswith("_"):
+                yield from codes(f"{owner}.{name}", attr)
+
+missing = []
+for module in sys.argv[3:]:
+    mod = importlib.import_module(module)
+    for name in mod.__all__:
+        for owner, code in codes(f"{module[4:]}.{name}", getattr(mod, name)):
+            if code not in called:
+                missing.append(owner)
+print(json.dumps({"rc": rc, "missing": sorted(missing)}))
+"""
+
+
+def test_one_run_reaches_every_public_name(tmp_path):
+    # a check verifies a law only through the code it runs, so one small
+    # `all` run with a configured gauge field calls everything exported
+    field = {"times": [0.0, 0.5, 1.0], "values": [[0.0, 0.0], [0.2, -0.1], [0.0, 0.0]]}
+    params = {"verify-cocycle": {"n_probes": 100},
+              "classical": {"n_pairs": 2, "M": 20, "gauge_field": field},
+              "hpf": {"nt": 8, "nx": 8}, "quantum": {"n_points": 64, "norm_steps": 10},
+              "dress": {"n_probes": 2}, "frame": {"n_points": 32},
+              "pathint": {"n_points": 64, "n_points_2d": 16}}
+    cfg = {"model": {"n_particles": 2, "spatial_dim": 1, "masses": [1.0, 2.0]},
+           "experiment": "all", "seed": 6, "params": params}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    result = _fresh(_REACH, str(tmp_path / "cfg.json"), str(tmp_path / "out"), *MODULES)
+    assert result["rc"] == 1  # the known red check
+    assert result["missing"] == sorted(UNREACHED)
 
 
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))

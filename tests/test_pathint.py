@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cqm import pathint
-from cqm.bundle import Config, ModelParams
-from cqm.classical import hpf_table
+from cqm.bundle import ModelParams
 from cqm.cocycle import CocycleAccumulator, LagrangianModel
 from cqm.experiments import run_experiment
 from cqm.pathint import (PropagatorKernel, SliceScheme, _alias_safe_oversampling,
@@ -334,32 +333,6 @@ def test_suite_semigroup_matches_separate_halves(M):
         assert checks["anchor-swap-fidelity"] == _infidelity(aligned, Kc)
 
 
-def test_suite_reaches_every_public_name(tmp_path):
-    # a check verifies a law only through the code it runs: one run calls
-    # every function and class the module exports but read_kernel, which
-    # nothing reads back yet
-    import inspect
-    import sys
-
-    names = {(obj.__init__ if inspect.isclass(obj) else obj).__code__: name
-             for name, obj in ((name, getattr(pathint, name)) for name in pathint.__all__)}
-    called = set()
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code in names:
-            called.add(names[frame.f_code])
-
-    model = ModelParams(2, 1, np.array([1.0, 2.0]))
-    params = {"n_points": 64, "n_slices": 4, "n_points_2d": 16}
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        run_experiment("pathint", model, params, 1, tmp_path)
-    finally:
-        sys.setprofile(previous)
-    assert set(pathint.__all__) - called == {"read_kernel"}
-
-
 def test_suite_peak_memory(tmp_path):
     # the suite holds at most about 3 dense 512^2 complex matrices (4 MiB
     # each) at once, the 8-slice kernel going before the semigroup product;
@@ -393,38 +366,12 @@ def test_semigroup():
 
 
 def test_classical_split(kernel256):
-    free1 = LagrangianModel(ModelParams(1, 1, np.array([1.0])))
-    hpf = hpf_table(free1, Config(0.0, [kernel256.grid.coords(0)[128]]),
-                    np.linspace(0.9, 1.1, 5), np.linspace(-7.0, 7.0, 41), M=8)
-    stats = classical_split(kernel256, hpf)
-    assert set(stats) == {"normalization_mean", "max_rel_deviation",
-                          "hpf_column_deviation"}
+    stats = classical_split(kernel256)
+    assert set(stats) == {"normalization_mean", "max_rel_deviation"}
     assert stats["max_rel_deviation"] < 1e-3
     # the constant matches the closed-form prefactor
     expected = np.sqrt(1.0 / (2j * np.pi * 1.0))
     assert abs(stats["normalization_mean"] - expected) < 1e-3 * abs(expected)
-    assert stats["hpf_column_deviation"] < 1e-8
-    assert set(classical_split(kernel256)) == {"normalization_mean", "max_rel_deviation"}
-
-
-def test_classical_split_needs_table_time(kernel256):
-    free1 = LagrangianModel(ModelParams(1, 1, np.array([1.0])))
-    hpf = hpf_table(free1, Config(0.0, [kernel256.grid.coords(0)[128]]),
-                    np.linspace(1.2, 1.4, 5), np.linspace(-7.0, 7.0, 41), M=8)
-    with pytest.raises(ValueError, match="end time"):
-        classical_split(kernel256, hpf)
-
-
-@pytest.mark.parametrize("dx0, t0", [(0.5, 0.0), (0.4, 0.0), (0.0, 0.1)])
-def test_classical_split_needs_table_start(kernel256, dx0, t0):
-    # a start off the grid compared the table with the nearest column and
-    # reported a deviation of 0.41 (half a step) or 0.33 (0.4 of a step)
-    free1 = LagrangianModel(ModelParams(1, 1, np.array([1.0])))
-    x = kernel256.grid.coords(0)
-    hpf = hpf_table(free1, Config(t0, [x[128] + dx0 * (x[1] - x[0])]),
-                    np.linspace(0.9, 1.1, 5), np.linspace(-7.0, 7.0, 41), M=8)
-    with pytest.raises(ValueError, match="not a grid point|starts at t"):
-        classical_split(kernel256, hpf)
 
 
 def test_propagate_matches_evolve(grid256, kernel256):
