@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Refactor oracle: run a fixed list of `cqm run` configs on one source tree
-and compare what two trees produced.
+and compare what two trees produced, or list the code none of them reaches.
 
     python scripts/oracle.py run TREE MANIFEST.json
     python scripts/oracle.py diff OLD.json NEW.json
+    python scripts/oracle.py reach TREE
 
 `run` runs every config of `committed_configs()` on `TREE/src`, each in a fresh
 interpreter with one BLAS thread, and writes a manifest holding, per config,
@@ -22,17 +23,29 @@ for `run` lets one machine imitate a lower SIMD level:
 (AVX2 without AVX-512), and adding X86_V3 runs at the X86_V2 baseline.  The
 manifest records the variable.  Diffing a tree's manifest at the full level
 against its manifest at a lower one shows what depends on the level.
+
+`reach` runs every config in this process on `TREE/src`, under a line trace
+of every thread (`sys.settrace` and `threading.settrace`), and prints each
+statement of a function in `TREE/src/cqm` that no config executes, as
+`path:line: source`.  `raise` statements are left out, since an input check
+that no config trips is not dead code, and so are module-level and class-body
+statements, which run at import.  The list is where to look for code that
+nothing calls.
 """
 from __future__ import annotations
 
 import argparse
+import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import runpy
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -151,6 +164,72 @@ def diff_manifests(old: dict, new: dict) -> list[str]:
     return lines
 
 
+def _function_statements(path: Path) -> dict[int, str]:
+    """Start line -> source line of each statement inside a function of
+    ``path``, ``raise`` statements left out, and statements that compile to
+    no code (docstrings) too."""
+    source = path.read_text()
+    code_lines, stack = set(), [compile(source, str(path), "exec")]
+    while stack:
+        code = stack.pop()
+        code_lines.update(line for *_, line in code.co_lines() if line is not None)
+        stack.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
+    lines = source.splitlines()
+    return {node.lineno: lines[node.lineno - 1].strip()
+            for fn in ast.walk(ast.parse(source))
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for top in fn.body for node in ast.walk(top)
+            if isinstance(node, ast.stmt) and not isinstance(node, ast.Raise)
+            and node.lineno in code_lines}
+
+
+def unreached(tree: Path, configs: dict[str, dict]) -> dict[Path, dict[int, str]]:
+    """Per source file of ``tree``'s package, the function statements (line ->
+    source) that no config of ``configs`` executes, each run in this process."""
+    src = (Path(tree) / "src").resolve()
+    loaded = sys.modules.get("cqm")
+    if loaded is not None and Path(loaded.__file__).resolve().parent != src / "cqm":
+        raise SystemExit(f"cqm is already imported from {loaded.__file__}, "
+                         f"not from {src / 'cqm'}")
+    if str(src) not in sys.path:
+        sys.path.insert(0, str(src))
+    from cqm import cli
+
+    files = {str(p): p for p in sorted((src / "cqm").glob("*.py"))}
+    executed = {name: set() for name in files}
+
+    def trace_calls(frame, event, arg):
+        lines = executed.get(frame.f_code.co_filename)
+        if lines is None:
+            return None  # no line events in frames outside the package
+        add = lines.add
+
+        def trace_lines(frame, event, arg):
+            add(frame.f_lineno)
+            return trace_lines
+
+        return trace_lines(frame, event, arg)
+
+    previous = sys.gettrace(), threading.gettrace()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, cfg in configs.items():
+            cfg_path = Path(tmp) / f"{name}.json"
+            cfg_path.write_text(json.dumps(cfg))
+            sys.settrace(trace_calls)
+            threading.settrace(trace_calls)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    cli.main(["run", str(cfg_path), "--out", str(Path(tmp) / name)])
+            finally:
+                sys.settrace(previous[0])
+                threading.settrace(previous[1])
+    return {files[name]: {line: text for line, text in
+                          _function_statements(files[name]).items()
+                          if line not in executed[name]}
+            for name in files}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -160,7 +239,18 @@ def main(argv=None) -> int:
     p_diff = sub.add_parser("diff", help="compare two manifests")
     p_diff.add_argument("old", type=Path)
     p_diff.add_argument("new", type=Path)
+    p_reach = sub.add_parser("reach", help="list the statements no config executes")
+    p_reach.add_argument("tree", type=Path)
     args = ap.parse_args(argv)
+    if args.command == "reach":
+        configs = committed_configs()
+        missed = unreached(args.tree, configs)
+        for path, statements in missed.items():
+            for line, text in sorted(statements.items()):
+                print(f"{path.relative_to(Path(args.tree).resolve())}:{line}: {text}")
+        total = sum(map(len, missed.values()))
+        print(f"{len(configs)} configs, {total} statements not executed")
+        return 0
     if args.command == "run":
         manifest = run_configs(args.tree, committed_configs())
         args.manifest.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")

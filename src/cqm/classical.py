@@ -367,33 +367,25 @@ def _not_a_knot(knots: np.ndarray, y: np.ndarray,
     """Values and first derivatives at ``q`` (m,) of the interpolating cubic
     through each column of ``y`` (n, r) on ``knots`` (n,): two (m, r) arrays.
 
-    Not-a-knot ends (de Boor, "A Practical Guide to Splines", ch. IV) for
-    n >= 4, the parabola for n = 3 and the line for n = 2, the interpolant of
-    degree min(3, n - 1).  The knot slopes solve one tridiagonal system;
-    each piece is then evaluated in Hermite form, the end pieces extended.
+    Not-a-knot ends (de Boor, "A Practical Guide to Splines", ch. IV), which
+    need n >= 4.  The knot slopes solve one tridiagonal system; each piece
+    is then evaluated in Hermite form, the end pieces extended.
     """
     n = knots.size
-    if n < 2:
-        raise ValueError("a spline axis needs at least 2 points")
+    if n < 4:
+        raise ValueError(f"a not-a-knot spline axis needs at least 4 points, got {n}")
     dx = np.diff(knots)
     slope = np.diff(y, axis=0) / dx[:, None]
     lower, diag, upper = np.zeros(n), np.ones(n), np.zeros(n)
     rhs = np.empty_like(y)
-    if n == 2:
-        rhs[:] = slope
-    else:
-        lower[1:-1], diag[1:-1], upper[1:-1] = dx[1:], 2 * (dx[:-1] + dx[1:]), dx[:-1]
-        rhs[1:-1] = 3 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
-    if n == 3:
-        upper[0] = lower[-1] = 1.0
-        rhs[0], rhs[-1] = 2 * slope[0], 2 * slope[-1]
-    elif n > 3:
-        d0, d1 = knots[2] - knots[0], knots[-1] - knots[-3]
-        diag[0], upper[0] = dx[1], d0
-        rhs[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] * dx[0] * slope[1]) / d0
-        diag[-1], lower[-1] = dx[-2], d1
-        rhs[-1] = (dx[-1] * dx[-1] * slope[-2]
-                   + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+    lower[1:-1], diag[1:-1], upper[1:-1] = dx[1:], 2 * (dx[:-1] + dx[1:]), dx[:-1]
+    rhs[1:-1] = 3 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
+    d0, d1 = knots[2] - knots[0], knots[-1] - knots[-3]
+    diag[0], upper[0] = dx[1], d0
+    rhs[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] * dx[0] * slope[1]) / d0
+    diag[-1], lower[-1] = dx[-2], d1
+    rhs[-1] = (dx[-1] * dx[-1] * slope[-2]
+               + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
     s = _solve_block_tridiagonal(lower[:, None, None], diag[:, None, None],
                                  upper[:, None, None], rhs[:, None, :])[:, 0, :]
     k = np.clip(np.searchsorted(knots, q, side="right") - 1, 0, n - 2)
@@ -424,10 +416,10 @@ class HPFSample:
 
         The tensor-product interpolant of the table: a cubic along t for
         every x column, then one along x through that row and its t
-        derivatives.  Not-a-knot on axes of 4 or more points, of degree
-        min(3, n - 1) on shorter ones (the interpolant ``RectBivariateSpline``
-        fits with s = 0); an axis of one point raises ``ValueError``.
-        Outside the table the end pieces extrapolate.
+        derivatives, each with not-a-knot ends (the interpolant
+        ``RectBivariateSpline`` fits with s = 0 and degree 3).  An axis of
+        fewer than 4 points raises ``ValueError``.  Outside the table the
+        end pieces extrapolate.
         """
         row, row_t = _not_a_knot(self.t_grid, self.S, np.array([float(t)]))
         vals, ders = _not_a_knot(self.x_grid, np.stack([row[0], row_t[0]], axis=1),
@@ -443,8 +435,8 @@ def hpf_table(model: LagrangianModel, p0: Config, t_grid, x_grid, M: int = 64
               ) -> HPFSample:
     """Tabulate the principal function over a rectangular (t, x) grid.
 
-    One-dimensional configuration space only (the table is a surface).  With
-    a potential each entry re-solves the boundary-value problem.  A free
+    Free models on a one-dimensional configuration space only (the table is
+    a surface); a model with a potential raises ``ValueError``.  A free
     model's critical paths are the straight lines of ``DiscretePath.straight``,
     so a block of table rows is one whole-array pass over the (rows, nx, M+1)
     stack of straight paths to its grid points, bit-identical to ``hpf_value``
@@ -466,11 +458,8 @@ def hpf_table(model: LagrangianModel, p0: Config, t_grid, x_grid, M: int = 64
     if np.any(t_grid <= p0.t):
         raise ValueError("table times must exceed the start time")
     if model.potential is not None:
-        S = np.empty((t_grid.size, x_grid.size))
-        for i, tv in enumerate(t_grid):
-            for j, xv in enumerate(x_grid):
-                S[i, j] = hpf_value(model, p0, Config(tv, [xv]), M=M)
-        return HPFSample(p0.t, p0.x, t_grid, x_grid, S)
+        raise ValueError("principal-function tables are implemented for the "
+                         "free model, not one with a potential")
     if M < 1:
         raise ValueError("a path needs at least one interval (M >= 1)")
     S = np.empty((t_grid.size, x_grid.size))

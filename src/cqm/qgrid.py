@@ -1,14 +1,14 @@
 """Grid wave functions and spectral Schrödinger propagation.
 
 Wave functions live on periodic rectangular grids (one axis per configuration
-coordinate).  Evolution is Strang-split: exact spectral kinetic steps between
-half potential steps, so the L2 norm is preserved to roundoff.  The steps run
-in two reused buffers, bit for bit the same as `ifftn(expK * fftn(amp))`
+coordinate).  The Hamiltonian is free, and evolution is a run of exact
+spectral kinetic steps, so the L2 norm is preserved to roundoff.  The steps
+run in two reused buffers, bit for bit the same as `ifftn(expK * fftn(amp))`
 with its fresh arrays, every complex product taken in one operand order
 (phase first) whatever the array size.  The transforms call numpy's pocketfft
 gufuncs directly (`_fft_plan`), the calls `np.fft.fft`/`ifft` end in, without
-their per-call argument work; `momentum_apply` and the path-integral chain
-use the same layer.  A free evolution (no potential) is
+their per-call argument work; `momentum_apply`, the boost check's resampler
+and the path-integral chain use the same layer.  An evolution over T is also
 one exact spectral phase exp(-i E_k T / hbar) rather than a run of steps; the
 `frame`, `pathint` and `boost` suites propagate that way, and `evolve` is
 left to the `quantum` suite, whose norm check gates the stepper itself.  The
@@ -167,10 +167,9 @@ class WaveGrid:
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Per-axis masses plus an optional grid-sampled real potential."""
+    """Free Hamiltonian: one mass per grid axis, hbar and the anchor."""
 
     masses: tuple[float, ...]
-    potential: np.ndarray | None = None
     hbar: float = 1.0
     anchor: int | None = None
 
@@ -181,9 +180,6 @@ class HamiltonianSpec:
             raise ValueError("masses must be finite and positive")
         if not (np.isfinite(self.hbar) and self.hbar > 0):
             raise ValueError("hbar must be finite and positive")
-        if self.potential is not None:
-            pot = np.asarray(self.potential, dtype=float)
-            object.__setattr__(self, "potential", pot)
 
 
 def gaussian_packet(spec: GridSpec, centers, sigmas, k0=None) -> WaveGrid:
@@ -274,12 +270,12 @@ def _free_propagate(psi: WaveGrid, H: HamiltonianSpec, T: float,
                     out: np.ndarray | None = None) -> WaveGrid:
     """Exact free propagation over T: one multiply by exp(-i E_k T / hbar).
 
-    For a Hamiltonian without a potential a Strang step is this phase at
-    dt, so ``steps`` steps are the same operator with ``steps`` times the
-    rounding and a dt bound.  The state is transformed into one array, which
-    is spectrum and result; the phase multiplies it in row blocks of at most
-    ``_PHASE_BLOCK_BYTES``, each block's phase built for that block, so the
-    whole phase is never held.  The bits are those of ``_apply_kinetic``
+    A step of ``evolve`` is this phase at dt, so ``steps`` steps are the
+    same operator with ``steps`` times the rounding and a dt bound.  The
+    state is transformed into one array, which is spectrum and result; the
+    phase multiplies it in row blocks of at most ``_PHASE_BLOCK_BYTES``,
+    each block's phase built for that block, so the whole phase is never
+    held.  The bits are those of ``_apply_kinetic``
     with the whole ``_kinetic_phase``.  That array is ``out`` if given, a
     C-contiguous complex128 array of the state's shape, else a fresh one.
     The input amplitudes are not written to, unless ``out`` is
@@ -287,8 +283,6 @@ def _free_propagate(psi: WaveGrid, H: HamiltonianSpec, T: float,
     second grid.
     """
     _check_hamiltonian(psi, H)
-    if H.potential is not None:
-        raise ValueError("exact propagation holds for the free Hamiltonian")
     if not T > 0:
         raise ValueError("T must be positive")
     if out is None:
@@ -313,13 +307,12 @@ def _free_propagate(psi: WaveGrid, H: HamiltonianSpec, T: float,
 
 
 def evolve(psi: WaveGrid, H: HamiltonianSpec, dt: float, steps: int) -> WaveGrid:
-    """Strang-split spectral propagation over ``steps`` steps of size dt.
+    """Spectral free propagation over ``steps`` steps of size dt.
 
     The steps run in two buffers allocated once, the amplitudes and their
-    spectrum, and give the same bits as
-    ``expV * ifftn(expK * fftn(expV * amp))`` per step, each product taken
-    with the phase as its first operand; the input amplitudes are not written
-    to.
+    spectrum, and give the same bits as ``ifftn(expK * fftn(amp))`` per
+    step, the product taken with the phase as its first operand; the input
+    amplitudes are not written to.
     """
     spec = psi.spec
     _check_hamiltonian(psi, H)
@@ -327,23 +320,16 @@ def evolve(psi: WaveGrid, H: HamiltonianSpec, dt: float, steps: int) -> WaveGrid
         raise ValueError("dt must be positive")
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    if H.potential is not None and H.potential.shape != spec.shape:
-        raise ValueError("potential shape does not match grid")
     e_max = sum((H.hbar * (np.pi / spec.spacing(a))) ** 2 / (2 * H.masses[a])
                 for a in range(spec.ndim))
     if dt * e_max / H.hbar >= np.pi:
         raise ValueError("dt too large for the spectral kinetic phase bound")
     expK = _kinetic_phase(spec, H, dt)
-    expV = None if H.potential is None else np.exp(-0.5j * dt * H.potential / H.hbar)
     amp = psi.amplitudes.copy()
     spectrum = np.empty_like(amp)
     plan = _fft_plan(spec.shape)
     for _ in range(steps):
-        if expV is not None:
-            np.multiply(expV, amp, out=amp)
         _apply_kinetic(amp, expK, spectrum, amp, plan)
-        if expV is not None:
-            np.multiply(expV, amp, out=amp)
     return replace(psi, t=psi.t + steps * dt, amplitudes=amp)
 
 
@@ -429,9 +415,11 @@ def _periodic_resample(spec: GridSpec, values: np.ndarray, points: np.ndarray) -
     depend on numpy's SIMD loops.
     """
     n = spec.axes[0][2]
+    fft, ifft, [(axes, inv_n)] = _fft_plan((n,))
     symbol = (4 + 2 * np.exp(2j * np.pi * np.arange(n) / n).real) / 6
-    spectrum = np.fft.fft(values).view(float).reshape(n, 2) / symbol[:, None]
-    coef = np.fft.ifft(spectrum.view(complex)[:, 0]).view(float).reshape(n, 2)
+    coef = fft(values, 1, axes=axes, out=np.empty(n, complex)).view(float).reshape(n, 2)
+    coef /= symbol[:, None]
+    ifft(coef.view(complex)[:, 0], inv_n, axes=axes, out=coef.view(complex)[:, 0])
     s = (points - spec.axes[0][0]) / spec.spacing(0)
     cell = np.floor(s)
     u = s - cell

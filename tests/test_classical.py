@@ -279,12 +279,12 @@ def test_hpf_table_grids_must_be_one_dimensional(free1, harmonic, t_grid, x_grid
             hpf_table(model, Config(0.0, [0.0]), t_grid, x_grid, M=4)
 
 
-def test_harmonic_hpf_table_equals_entry_loop(harmonic):
+def test_hpf_table_refuses_a_potential(harmonic):
+    # the table is the free model's; hpf_value still solves each entry
     p0 = Config(0.2, [0.1])
-    t_grid = np.linspace(0.7, 1.3, 3)
-    x_grid = np.linspace(-0.5, 0.5, 4)
-    hpf = hpf_table(harmonic, p0, t_grid, x_grid, M=16)
-    assert np.array_equal(hpf.S, _hpf_loop(harmonic, p0, t_grid, x_grid, 16))
+    with pytest.raises(ValueError, match="free model, not one with a potential"):
+        hpf_table(harmonic, p0, np.linspace(0.7, 1.3, 3), np.linspace(-0.5, 0.5, 4), M=16)
+    assert np.isfinite(hpf_value(harmonic, p0, Config(1.0, [0.5]), M=16))
 
 
 @pytest.mark.parametrize("M", [0, -1])
@@ -442,29 +442,31 @@ def test_hpf_spline_matches_rect_bivariate_spline(rng, nt, nx, uniform):
     S = (np.sin(3 * t_grid)[:, None] * np.cos(2 * x_grid)
          + np.outer(t_grid, x_grid ** 2) + np.exp(x_grid / t_grid[:, None]))
     hpf = HPFSample(0.0, np.zeros(1), t_grid, x_grid, S)
-    ref = RectBivariateSpline(t_grid, x_grid, S, kx=min(3, nt - 1), ky=min(3, nx - 1))
     x = np.sort(np.concatenate([rng.uniform(-1.0, 1.5, 40), x_grid]))
+    if min(nt, nx) < 4:
+        # a cubic needs 4 points per axis: FITPACK refuses the table too
+        with pytest.raises(Exception, match=r"m[xy]>k[xy]"):
+            RectBivariateSpline(t_grid, x_grid, S)
+        with pytest.raises(ValueError, match="at least 4 points"):
+            hpf.spline(1.5, x)
+        return
+    ref = RectBivariateSpline(t_grid, x_grid, S)
     for t in (1.0, rng.uniform(1.0, 2.0), t_grid[nt // 2], 2.0):
         S_val, S_t, S_x = hpf.spline(t, x)
-        # a two-point axis is a line, whose slope FITPACK does not evaluate
-        ref_t = (ref(t, x, dx=1)[0] if nt > 2 else
-                 (ref(2.0, x)[0] - ref(1.0, x)[0]) / (t_grid[1] - t_grid[0]))
-        ref_x = (ref(t, x, dy=1)[0] if nx > 2 else
-                 (ref(t, x_grid[1:])[0] - ref(t, x_grid[:1])[0]) / (x_grid[1] - x_grid[0]))
         assert np.abs(S_val - ref(t, x)[0]).max() < 1e-13
-        assert np.abs(S_t - ref_t).max() < 1e-11
-        assert np.abs(S_x - ref_x).max() < 1e-11
+        assert np.abs(S_t - ref(t, x, dx=1)[0]).max() < 1e-11
+        assert np.abs(S_x - ref(t, x, dy=1)[0]).max() < 1e-11
 
 
-def test_hpf_spline_needs_two_points_per_axis():
-    one_time = HPFSample(0.0, np.zeros(1), np.array([1.0]), np.linspace(-1, 1, 5),
-                         np.zeros((1, 5)))
-    with pytest.raises(ValueError, match="at least 2 points"):
-        one_time.spline(1.0, np.array([0.0]))
-    one_x = HPFSample(0.0, np.zeros(1), np.linspace(1, 2, 5), np.array([0.0]),
-                      np.zeros((5, 1)))
-    with pytest.raises(ValueError, match="at least 2 points"):
-        one_x.spline(1.5, np.array([0.0]))
+def test_hpf_spline_needs_four_points_per_axis():
+    for n in (1, 2, 3):
+        short = np.linspace(1.0, 2.0, n)
+        for t_grid, x_grid in ((short, np.linspace(-1, 1, 5)),
+                               (np.linspace(1, 2, 5), short)):
+            hpf = HPFSample(0.0, np.zeros(1), t_grid, x_grid,
+                            np.zeros((t_grid.size, x_grid.size)))
+            with pytest.raises(ValueError, match=f"at least 4 points, got {n}"):
+                hpf.spline(1.5, np.array([0.0]))
 
 
 # configured gauge fields: none, one of the model's dimension, and a 1-D one,

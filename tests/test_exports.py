@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cqm
@@ -19,13 +20,17 @@ def test_all_names_resolve(name):
     assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
 
 
+def _env() -> dict:
+    """The environment of a fresh interpreter that imports this cqm."""
+    src = str(Path(cqm.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def _fresh(code: str, *args: str):
     """The JSON that ``code``, run with ``args`` in a fresh interpreter that
     imports this cqm, prints on its last line."""
-    src = str(Path(cqm.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    out = subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code, *args], env=_env(), check=True,
                          capture_output=True, text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
 
@@ -152,3 +157,25 @@ def test_script_imports_resolve(path):
     import runpy
 
     assert "main" in runpy.run_path(str(path), run_name="not_main")
+
+
+# each study's CSV header and row count: kernel_study sweeps 3 grids x 6 slice
+# counts, boost_refinement 5 grids
+STUDIES = {"kernel_study.py": ("n_points,n_slices,rel_l2_central,modulus_std_over_mean", 18),
+           "boost_refinement.py": ("n_points,rel_l2_error", 5)}
+
+
+@pytest.mark.parametrize("name", sorted(STUDIES))
+def test_study_script_writes_its_table(tmp_path, name):
+    # the studies reach private names (_write_csv, _l2) and the boost
+    # resampler, which a library change can break without an import error
+    header, n_rows = STUDIES[name]
+    out = tmp_path / "table.csv"
+    script = next(p for p in SCRIPTS if p.name == name)
+    proc = subprocess.run([sys.executable, str(script), str(out)], env=_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    head, *rows = out.read_text().splitlines()
+    assert head == header
+    assert len(rows) == n_rows
+    assert all(np.isfinite(float(v)) for row in rows for v in row.split(","))

@@ -108,3 +108,34 @@ def test_probe_heavy_frame_config_across_simd_levels(tmp_path, monkeypatch):
     assert "frame/symmetric-state-frame-flip" in entries["full"]["checks"]
     assert oracle["diff_manifests"]({"configs": {"frame": entries["full"]}},
                                     {"configs": {"frame": entries["X86_V3"]}}) == []
+
+
+def test_reach_lists_the_statements_no_config_executes():
+    import ast
+    import inspect
+
+    from cqm import pathint, qgrid
+
+    missed = {path.name: statements
+              for path, statements in oracle["unreached"](REPO, SMALL).items()}
+    assert set(missed) == {p.name for p in (REPO / "src" / "cqm").glob("*.py")}
+
+    def first_line(fn, text):
+        lines, start = inspect.getsourcelines(fn)
+        return start + next(i for i, line in enumerate(lines) if text in line)
+
+    # the quantum suite steps; neither config reaches a sliced propagator
+    step = first_line(qgrid.evolve, "_apply_kinetic(")
+    assert step not in missed["qgrid.py"]
+    chain = first_line(pathint.sliced_propagator, "hbar = model.params.hbar")
+    assert missed["pathint.py"][chain] == "hbar = model.params.hbar"
+
+    for name, statements in missed.items():
+        tree = ast.parse((REPO / "src" / "cqm" / name).read_text())
+        # statements that run at import: module and class bodies
+        at_import = {node.lineno for node in tree.body}
+        at_import |= {node.lineno for cls in tree.body if isinstance(cls, ast.ClassDef)
+                      for node in cls.body}
+        assert not at_import & statements.keys(), name
+        for text in statements.values():
+            assert not text.startswith(("raise ", '"""')), (name, text)
